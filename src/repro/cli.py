@@ -242,13 +242,6 @@ class _LedgerScope:
             counters, progress = ledger_mod.scalar_snapshot(self.telemetry)
             if not counters:
                 counters = dict(self.counters)
-            # Cache provenance: persistent-chunk-cache totals reach the
-            # row even on fast-path runs that never install telemetry
-            # (with --stats the telemetry snapshot already has them).
-            from repro.pattern import persist as persist_mod
-
-            for key, value in persist_mod.counter_snapshot().items():
-                counters.setdefault(key, value)
             workers = self.workers if self.workers is not None else \
                 (progress or None)
             rate = self.rate
@@ -294,21 +287,8 @@ def _ledger_scope(args: argparse.Namespace, command: str, label: str):
     and spilled to a linked blackbox artifact when the command ends in
     an error or a Ctrl-C.  Any worker spool configured by
     :func:`_shard_setup` is cleared on the way out.
-
-    The persistent chunk cache is activated here too: ``--chunk-cache``
-    (or ``TANGLED_CHUNK_CACHE``) is resolved once, written back onto
-    ``args`` so the ledger row's config carries the cache provenance,
-    and the cache's pending write-behind buffers are flushed on every
-    exit path before module state is restored.
     """
     from repro.obs import flight
-    from repro.pattern import persist
-
-    path = getattr(args, "chunk_cache", None) or persist.configured_path()
-    if hasattr(args, "chunk_cache"):
-        args.chunk_cache = path
-    persist.configure(path)
-    persist.reset_counters()
 
     scope = _LedgerScope(args, command, label)
     flight.RECORDER.reset()
@@ -328,10 +308,6 @@ def _ledger_scope(args: argparse.Namespace, command: str, label: str):
     else:
         scope.finish(scope.status)
     finally:
-        try:
-            persist.flush()
-        finally:
-            persist.reset()
         flight.clear_spool()
 
 
@@ -787,7 +763,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.obs.progress import ProgressTracker
 
     if args.list:
-        for spec in bench.default_specs(args.qat_backend) + bench.warm_specs():
+        for spec in bench.default_specs(args.qat_backend):
             print(f"{spec.name:<24} {spec.description}")
         return EXIT_OK
     _adopt_resume_args(args, "bench")
@@ -954,14 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "ledger (~/.tangled/ledger.db, or "
                             "$TANGLED_LEDGER)")
 
-    def add_chunk_cache(p):
-        p.add_argument("--chunk-cache", metavar="PATH",
-                       help="persistent shared chunk cache warming the "
-                            "RE Qat substrate across runs and workers "
-                            "(default: $TANGLED_CHUNK_CACHE; unset = "
-                            "cold). Results stay byte-identical warm "
-                            "vs cold")
-
     def add_supervise_opts(p, what):
         p.add_argument("--shard-timeout", type=float, default=None,
                        metavar="SECONDS",
@@ -1005,7 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", metavar="PATH",
                    help="write a Chrome trace_event JSON file "
                         "(chrome://tracing / Perfetto)")
-    add_chunk_cache(p)
     add_ledger_opt(p)
     p.set_defaults(func=cmd_run)
 
@@ -1031,7 +998,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print a telemetry report (CPI, stalls, Qat ops, ...)")
     p.add_argument("--trace-out", metavar="PATH",
                    help="write a Chrome trace_event JSON file")
-    add_chunk_cache(p)
     add_ledger_opt(p)
     p.set_defaults(func=cmd_fig10)
 
@@ -1067,7 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print a telemetry report (fault counters, traps, ...)")
     p.add_argument("--trace-out", metavar="PATH",
                    help="write a Chrome trace_event JSON file")
-    add_chunk_cache(p)
     add_ledger_opt(p)
     p.set_defaults(func=cmd_faults)
 
@@ -1092,7 +1057,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", metavar="PATH",
                    help="write a Chrome trace_event flamegraph "
                         "(chrome://tracing / Perfetto)")
-    add_chunk_cache(p)
     add_ledger_opt(p)
     p.set_defaults(func=cmd_profile)
 
@@ -1135,7 +1099,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "wall clock is machine-dependent)")
     p.add_argument("--verbose", action="store_true",
                    help="show neutral metrics in the comparison too")
-    add_chunk_cache(p)
     add_ledger_opt(p)
     p.set_defaults(func=cmd_bench)
 

@@ -202,11 +202,6 @@ class REQatBackend(QatBackend):
     backend (never the process-global default), so two machines -- or
     two rounds of a benchmark, or two seeds of a fault campaign -- can
     never leak interned chunks or memo hit counts into each other.
-    When a persistent chunk cache is configured
-    (:mod:`repro.pattern.persist`) the private store attaches to it:
-    locality stays per machine, but gate products are shared across
-    machines, workers, and process lifetimes without changing any
-    result.
     """
 
     name = "re"
@@ -223,9 +218,7 @@ class REQatBackend(QatBackend):
             chunk_ways = min(PAPER_CHUNK_WAYS, ways)
         self.ways = ways
         self.nbits = 1 << ways
-        from repro.pattern import persist
-
-        self.store = ChunkStore(chunk_ways, cache=persist.attached_cache())
+        self.store = ChunkStore(chunk_ways)
         zero = PatternVector.zeros(ways, self.store)
         self.regs: list[PatternVector] = [zero] * NUM_QAT_REGS
         self._tag_metrics()

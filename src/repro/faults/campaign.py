@@ -162,15 +162,10 @@ def _worker_init() -> None:
     Workers forked from an instrumented parent must not write into its
     telemetry (the parent replays per-run hooks from the returned
     durations), and each gets pristine process-global pattern stores.
-    The persistent chunk cache keeps its configured *path* (workers of a
-    warm campaign share the cache) but drops the inherited instance, so
-    the child opens its own sqlite handle instead of reusing the
-    parent's.
     """
-    from repro.pattern import persist, reset_default_stores
+    from repro.pattern import reset_default_stores
 
     _obs.install(None)
-    persist.worker_reset()
     reset_default_stores()
     _WORKER_IMAGES.clear()
 
@@ -235,11 +230,7 @@ def _single_run(task: tuple, attempt: int = 0) -> tuple[int, dict, float, int, i
         else:
             result.outcome = SILENT
     from repro.obs.progress import worker_ident
-    from repro.pattern import persist
 
-    # Run boundary: land this run's write-behind cache appends so a
-    # worker killed at its deadline loses at most one run's worth.
-    persist.flush()
     result.traps = [r.as_dict() for r in subject.machine.traps]
     return (run, result.as_dict(), time.perf_counter() - t0, steps,
             worker_ident())
@@ -323,9 +314,6 @@ def _batch_pending(pending: list, batch: int, image, settle) -> None:
                 result.outcome = SILENT
             result.traps = [r.as_dict() for r in machines.traps[lane]]
             settle(run, result.as_dict(), seconds, steps, 1, worker)
-        from repro.pattern import persist
-
-        persist.flush()
 
 
 class CampaignInterrupted(ReproError):
@@ -570,9 +558,6 @@ def run_campaign(
             _obs.current().fault_run(payload["detail"]["outcome"],
                                      payload["seconds"])
 
-    from repro.pattern import persist
-
-    persist.flush()  # campaign boundary: golden-run products included
     report = _campaign_report(program, sim, ways, qat_backend, seed, runs,
                               faults_per_run, targets, golden, golden_steps,
                               results)

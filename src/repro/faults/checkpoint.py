@@ -219,38 +219,8 @@ class Checkpoint:
 
     # -- file round trip -----------------------------------------------------
 
-    def save(self, path: str, cache=None) -> None:
-        """Write the checkpoint to ``path`` (``.npz``, compressed).
-
-        When the persistent chunk cache is active (or an explicit
-        ``cache`` is passed), pinned chunk payloads already present in
-        the cache are written as digest references instead of inline
-        arrays, and the rest are both inlined and published to the
-        cache -- repeated checkpoints of a warmed substrate shrink to
-        their run lists.  :meth:`load` resolves the references back
-        through the cache; :meth:`verify` still covers the
-        reconstructed payloads end to end.
-        """
-        if cache is None:
-            from repro.pattern import persist
-
-            cache = persist.attached_cache()
-        chunk_refs: dict[str, str] = {}
-        inline: dict[str, np.ndarray] = {}
-        for i, words in enumerate(self.store_chunks):
-            if cache is not None and self.store_chunk_ways is not None:
-                from repro.pattern.persist import chunk_digest
-
-                digest = chunk_digest(words)
-                if cache.has_chunk(digest, self.store_chunk_ways):
-                    chunk_refs[str(i)] = digest
-                    continue
-                cache.store_chunk(digest, self.store_chunk_ways, words)
-            inline[f"chunk_{i}"] = words
-        if cache is not None and (inline or chunk_refs):
-            # A checkpoint must never reference a payload that only
-            # exists in this process's write-behind buffer.
-            cache.flush()
+    def save(self, path: str) -> None:
+        """Write the checkpoint to ``path`` (``.npz``, compressed)."""
         header = {
             "version": FORMAT_VERSION,
             "pc": self.pc,
@@ -265,8 +235,6 @@ class Checkpoint:
             "qat_ways": self.qat_ways,
             "qat_runs": [[list(run) for run in reg] for reg in self.qat_runs],
         }
-        if chunk_refs:
-            header["chunk_refs"] = chunk_refs
         arrays = {
             "regs": self.regs,
             "mem": self.mem,
@@ -275,7 +243,8 @@ class Checkpoint:
                 json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8
             ),
         }
-        arrays.update(inline)
+        for i, words in enumerate(self.store_chunks):
+            arrays[f"chunk_{i}"] = words
         t0 = time.perf_counter_ns()
         with open(path, "wb") as handle:
             np.savez_compressed(handle, **arrays)
@@ -287,15 +256,12 @@ class Checkpoint:
             _flight.RECORDER.note_checkpoint("save", path)
 
     @classmethod
-    def load(cls, path: str, cache=None) -> "Checkpoint":
+    def load(cls, path: str) -> "Checkpoint":
         """Read a checkpoint written by :meth:`save`.
 
-        Digest references written by a cache-aware :meth:`save` are
-        resolved through ``cache`` (default: the process's attached
-        persistent chunk cache).  A reference whose payload is missing
-        or fails its integrity check raises
-        :class:`~repro.errors.CheckpointError` -- a deduplicated
-        checkpoint never silently resurrects a wrong payload.
+        Every chunk payload must be stored inline as ``chunk_{i}``; a
+        file missing one (such as an older build's ``chunk_refs`` file)
+        raises :class:`~repro.errors.CheckpointError` naming the chunk.
         """
         t0 = time.perf_counter_ns()
         try:
@@ -315,33 +281,14 @@ class Checkpoint:
             raise CheckpointError(
                 f"unsupported checkpoint version {header.get('version')!r}"
             )
-        chunk_refs = header.get("chunk_refs", {})
-        if chunk_refs and cache is None:
-            from repro.pattern import persist
-
-            cache = persist.attached_cache()
+        count = header["store_chunk_count"]
         names = set(data.files)
-        chunks = []
-        for i in range(header["store_chunk_count"]):
-            key = f"chunk_{i}"
-            if key in names:
-                chunks.append(data[key])
-                continue
-            digest = chunk_refs.get(str(i))
-            if digest is None or cache is None:
+        for i in range(count):
+            if f"chunk_{i}" not in names:
                 raise CheckpointError(
-                    f"checkpoint {path!r} references chunk {i} by digest "
-                    "but no persistent chunk cache is attached "
-                    "(--chunk-cache / TANGLED_CHUNK_CACHE)"
+                    f"checkpoint {path!r} is missing chunk {i} of {count}"
                 )
-            words, status = cache.load_chunk(digest, header["store_chunk_ways"])
-            if words is None:
-                raise CheckpointError(
-                    f"checkpoint {path!r} chunk {i} ({digest[:12]}...) is "
-                    f"{status} in the persistent chunk cache"
-                )
-            chunks.append(words)
-        chunks = tuple(chunks)
+        chunks = tuple(data[f"chunk_{i}"] for i in range(count))
         return cls(
             pc=header["pc"],
             halted=header["halted"],

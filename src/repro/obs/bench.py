@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,12 +61,6 @@ class BenchSpec:
     #: optional ``fn(result) -> steps`` so the report can derive a
     #: steps/sec rate from the timed region
     rate_steps: Callable[[object], int] | None = None
-    #: False (the default) runs every round with the persistent chunk
-    #: cache force-disabled -- cold by design, so ambient
-    #: ``TANGLED_CHUNK_CACHE`` activation can never skew round
-    #: counters.  True lets the spec manage its own cache (the
-    #: ``*_warm`` specs build and warm a fresh one per round).
-    warm_cache: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -178,82 +171,6 @@ def _compiled_factor15():
     return sim
 
 
-def _fig10_re_warm(ways: int = 8):
-    """``(fn, setup)`` for a warm-cache fig10 RE round.
-
-    Each round's ``setup`` builds a *fresh* temporary persistent chunk
-    cache and runs one untimed, uncaptured warming pass of fig10.re
-    against it; the timed ``fn`` then reruns the workload warm.  A fresh
-    cache per round keeps the captured counters byte-identical across
-    rounds (and across serial vs ``--jobs``) no matter what ambient
-    cache the environment configures: every round sees exactly one cold
-    pass it never measures and one fully-warm pass it does.
-    """
-    state: dict = {}
-
-    def setup():
-        import atexit
-        import os
-        import shutil
-        import tempfile
-
-        from repro.obs import runtime as _rt
-        from repro.pattern import persist
-
-        previous = state.pop("dir", None)
-        if previous:
-            shutil.rmtree(previous, ignore_errors=True)
-        if not state.get("cleanup_registered"):
-            state["cleanup_registered"] = True
-            atexit.register(
-                lambda: shutil.rmtree(state.get("dir", ""),
-                                      ignore_errors=True)
-                if state.get("dir") else None
-            )
-        state["dir"] = tempfile.mkdtemp(prefix="tangled-warmcache-")
-        path = os.path.join(state["dir"], "warm.db")
-        warmer = _fig10("functional", ways=ways, qat_backend="re")
-        captured = _rt.current()
-        _rt.install(None)  # the warming pass is preparation, not measurement
-        try:
-            with persist.overridden(path):
-                warmer()
-        finally:
-            _rt.install(captured)
-        return path
-
-    def fn(path):
-        from repro.pattern import persist
-
-        timed = _fig10("functional", ways=ways, qat_backend="re")
-        with persist.overridden(path):
-            return timed()
-
-    return fn, setup
-
-
-def warm_specs() -> list[BenchSpec]:
-    """Opt-in warm-cache workloads (``--only fig10.re_warm,...``).
-
-    Never part of the default suite: the standard specs are cold by
-    design, these measure the persistent chunk cache's steady state.
-    """
-    warm_fn, warm_setup = _fig10_re_warm()
-    wide_fn, wide_setup = _fig10_re_warm(ways=24)
-    return [
-        BenchSpec("fig10.re_warm", warm_fn,
-                  "Figure 10 RE against a warmed persistent chunk cache "
-                  "(per-round cold warming pass untimed)",
-                  setup=warm_setup, rate_steps=_fig10_instret,
-                  warm_cache=True),
-        BenchSpec("fig10.re_ways24_warm", wide_fn,
-                  "Figure 10 at 24-way entanglement against a warmed "
-                  "persistent chunk cache",
-                  setup=wide_setup, rate_steps=_fig10_instret,
-                  warm_cache=True),
-    ]
-
-
 def _qat_kernels(ways: int = 14):
     import numpy as np
 
@@ -337,7 +254,7 @@ def default_specs(qat_backend: str = "dense") -> list[BenchSpec]:
 
 
 def spec_by_name(name: str, qat_backend: str = "dense") -> BenchSpec:
-    specs = default_specs(qat_backend) + warm_specs()
+    specs = default_specs(qat_backend)
     for spec in specs:
         if spec.name == name:
             return spec
@@ -366,17 +283,13 @@ def run_spec_once(spec: BenchSpec) -> dict:
     """
     from repro import obs
     from repro.obs.metrics import Histogram
-    from repro.pattern import persist, reset_default_stores
+    from repro.pattern import reset_default_stores
 
     # Fresh chunk stores every round: interning/memo state carried over
     # from a previous round (or unrelated earlier work in this process)
     # would skew chunkstore hit counters and break round-to-round
-    # counter determinism.  For the same reason the standard specs run
-    # with the persistent chunk cache force-disabled (cold by design);
-    # the opt-in ``warm_cache`` specs manage their own per-round cache.
+    # counter determinism.
     reset_default_stores()
-    cache_guard = nullcontext() if spec.warm_cache \
-        else persist.overridden(None)
     previous = obs.current()
     if spec.capture:
         telemetry = obs.enable(tracing=False)
@@ -384,12 +297,10 @@ def run_spec_once(spec: BenchSpec) -> dict:
         telemetry = None
         obs.install(None)
     try:
-        with cache_guard:
-            prepared = spec.setup() if spec.setup is not None else None
-            t0 = time.perf_counter()
-            result = spec.fn(prepared) if spec.setup is not None \
-                else spec.fn()
-            seconds = time.perf_counter() - t0
+        prepared = spec.setup() if spec.setup is not None else None
+        t0 = time.perf_counter()
+        result = spec.fn(prepared) if spec.setup is not None else spec.fn()
+        seconds = time.perf_counter() - t0
     finally:
         obs.install(previous)
     counters = {} if telemetry is None else {
@@ -427,16 +338,11 @@ _WARMED: set[tuple[str, str]] = set()
 
 
 def _bench_worker_init() -> None:
-    """Detach inherited telemetry and reset stores in a pool worker.
-
-    The persistent chunk cache keeps its configured path but drops the
-    inherited instance (connection + pending writes belong to the
-    parent)."""
+    """Detach inherited telemetry and reset stores in a pool worker."""
     from repro.obs import runtime as _rt
-    from repro.pattern import persist, reset_default_stores
+    from repro.pattern import reset_default_stores
 
     _rt.install(None)
-    persist.worker_reset()
     reset_default_stores()
     _WARMED.clear()
 

@@ -49,18 +49,6 @@ def _headline(metrics: MetricRegistry) -> list[str]:
     misses = metrics.value("chunkstore.binop.miss")
     lookups = hits + misses
     ratio = f"{hits / lookups:.2%}" if lookups else "n/a (no RE activity)"
-    # Persistent-cache line only when a cache was attached and consulted
-    # (hit + miss covers every local gate miss that reached the cache).
-    p_hits = metrics.value("chunkstore.persist.hit")
-    p_lookups = p_hits + metrics.value("chunkstore.persist.miss")
-    persist_lines = []
-    if p_lookups:
-        persist_lines = [
-            f"  persistent cache hits   : {p_hits / p_lookups:.2%} "
-            f"({_fmt(p_hits)}/{_fmt(p_lookups)} gate misses warmed, "
-            f"{_fmt(metrics.value('chunkstore.persist.bytes'))} bytes "
-            "loaded)"
-        ]
     return [
         f"  pipeline CPI            : {metrics.value('pipeline.cpi'):.4f}",
         f"  pipeline cycles         : {_fmt(metrics.value('pipeline.cycles'))}",
@@ -74,7 +62,6 @@ def _headline(metrics: MetricRegistry) -> list[str]:
         f"  Qat coprocessor ops     : {_fmt(metrics.value('qat.ops'))}",
         f"  Qat AoB bit volume      : {_fmt(metrics.value('qat.aob_bits'))}",
         f"  chunkstore memo hit rate: {ratio}",
-        *persist_lines,
         f"  chunkstore bytes saved  : "
         f"{_fmt(metrics.value('chunkstore.bytes_saved'))}",
     ]

@@ -11,7 +11,6 @@ pairs), not O(total bits).
 
 from __future__ import annotations
 
-import hashlib
 import zlib
 
 import numpy as np
@@ -36,8 +35,7 @@ class ChunkStore:
     constant registers ``@0`` = 0 and ``@1`` = 1).
     """
 
-    def __init__(self, chunk_ways: int, memo_limit: int = MEMO_LIMIT,
-                 cache=None):
+    def __init__(self, chunk_ways: int, memo_limit: int = MEMO_LIMIT):
         if chunk_ways < 0:
             raise EntanglementError(f"chunk_ways must be >= 0, got {chunk_ways}")
         if memo_limit <= 0:
@@ -52,14 +50,12 @@ class ChunkStore:
         #: eviction breakdown per memo table
         self.memo_evicted_by = {"binop": 0, "not": 0, "measure": 0}
         self.chunk_bits = 1 << chunk_ways
-        #: optional :class:`repro.pattern.persist.ChunkCache` the store
-        #: consults after a local memo miss and appends new gate results
-        #: to.  The cache changes *when* a chunk product is computed,
-        #: never *what*: a persistent hit interns the exact value a
-        #: local computation would have produced, at the same point in
-        #: the instruction stream, so symbol ids, gate hit/miss counts,
-        #: and results are byte-identical warm vs cold.
-        self.cache = cache
+        self._chunks: list[AoB] = []
+        self._ids: dict[AoB, int] = {}
+        # crc32 of each interned chunk's payload, checked by chunk_safe so
+        # a chunk corrupted after interning degrades instead of poisoning
+        # the symbolic layer.
+        self._crcs: list[int] = []
         self._binop_cache: dict[tuple[str, int, int], int] = {}
         self._not_cache: dict[int, int] = {}
         # Per-symbol measurement summaries, memoized lazily (LRU-bounded
@@ -72,32 +68,8 @@ class ChunkStore:
         self.gate_misses = 0
         #: Times chunk_safe had to degrade (bad symbol or digest mismatch).
         self.degraded = 0
-        # Persistent-cache effectiveness (zero and unused without a
-        # cache): hit = a gate product served from the shared cache,
-        # load = its payload actually read from disk (vs already interned
-        # here), store = a locally computed product appended.
-        self.persist_hits = 0
-        self.persist_misses = 0
-        self.persist_loads = 0
-        self.persist_stores = 0
-        self.persist_bytes = 0
-        self._reset_chunks()
         self.zero_id = self.intern(AoB.zeros(chunk_ways))
         self.one_id = self.intern(AoB.ones(chunk_ways))
-
-    def _reset_chunks(self) -> None:
-        self._chunks: list[AoB] = []
-        self._ids: dict[AoB, int] = {}
-        # crc32 of each interned chunk's payload, checked by chunk_safe so
-        # a chunk corrupted after interning degrades instead of poisoning
-        # the symbolic layer.
-        self._crcs: list[int] = []
-        # Content addresses, maintained only when a persistent cache is
-        # attached: sha256 digest per symbol plus the reverse index that
-        # lets a persistent memo hit resolve to an already-interned
-        # symbol without touching the disk payload.
-        self._digests: list[str] = []
-        self._by_digest: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -116,10 +88,6 @@ class ChunkStore:
             self._chunks.append(chunk)
             self._ids[chunk] = sym
             self._crcs.append(zlib.crc32(chunk.words.tobytes()))
-            if self.cache is not None:
-                digest = hashlib.sha256(chunk.words.tobytes()).hexdigest()
-                self._digests.append(digest)
-                self._by_digest.setdefault(digest, sym)
             if _obs.active:
                 _obs.current().metrics.gauge("chunkstore.symbols").set(
                     len(self._chunks)
@@ -175,16 +143,6 @@ class ChunkStore:
         self._ids = {}
         for i, chunk in enumerate(self._chunks):
             self._ids.setdefault(chunk, i)
-        if self.cache is not None:
-            # The symbol's content address changed with its bits; the
-            # mutated value is local truth only and is never written
-            # back to the shared cache.
-            self._digests[sym] = hashlib.sha256(
-                self._chunks[sym].words.tobytes()
-            ).hexdigest()
-            self._by_digest = {}
-            for i, digest in enumerate(self._digests):
-                self._by_digest.setdefault(digest, i)
 
     # -- checkpoint support ---------------------------------------------------
 
@@ -212,13 +170,6 @@ class ChunkStore:
         for i, chunk in enumerate(chunks):
             self._ids.setdefault(chunk, i)
         self._crcs = [zlib.crc32(c.words.tobytes()) for c in chunks]
-        self._digests = []
-        self._by_digest = {}
-        if self.cache is not None:
-            for i, chunk in enumerate(chunks):
-                digest = hashlib.sha256(chunk.words.tobytes()).hexdigest()
-                self._digests.append(digest)
-                self._by_digest.setdefault(digest, i)
         self._binop_cache.clear()
         self._not_cache.clear()
         self._popcount.clear()
@@ -242,11 +193,6 @@ class ChunkStore:
             self._count_gate(hit=True)
             return sym
         self._count_gate(hit=False)
-        if self.cache is not None:
-            sym = self._persist_lookup(op, a, b)
-            if sym is not None:
-                self._memo_insert(cache, key, sym, "binop")
-                return sym
         ca, cb = self._chunks[a], self._chunks[b]
         if op == "and":
             result = ca & cb
@@ -258,8 +204,6 @@ class ChunkStore:
             raise ValueError(f"unknown chunk binop {op!r}")
         sym = self.intern(result)
         self._memo_insert(cache, key, sym, "binop")
-        if self.cache is not None:
-            self._persist_record(op, a, b, sym)
         return sym
 
     def bnot(self, a: int) -> int:
@@ -271,83 +215,10 @@ class ChunkStore:
             self._count_gate(hit=True)
             return sym
         self._count_gate(hit=False)
-        if self.cache is not None:
-            sym = self._persist_lookup("not", a, None)
-            if sym is not None:
-                self._memo_insert(cache, a, sym, "not")
-                self._memo_insert(cache, sym, a, "not")  # involution
-                return sym
         sym = self.intern(~self._chunks[a])
         self._memo_insert(cache, a, sym, "not")
         self._memo_insert(cache, sym, a, "not")  # involution
-        if self.cache is not None:
-            self._persist_record("not", a, None, sym)
         return sym
-
-    # -- persistent shared cache ----------------------------------------------
-
-    def _persist_lookup(self, op: str, a: int, b: int | None) -> int | None:
-        """Resolve ``op(a, b)`` from the shared cache, or None on miss.
-
-        Runs only after a local memo miss was already counted, so the
-        gate hit/miss counters -- and everything downstream of the
-        returned symbol -- are identical whether the product came from
-        the cache or a local recomputation.  A payload that fails its
-        integrity checks degrades through :meth:`_degrade` (the same
-        counter ``chunk_safe`` uses) and falls back to local compute.
-        """
-        da = self._digests[a]
-        db = self._digests[b] if b is not None else ""
-        result = self.cache.lookup_memo(op, da, db, self.chunk_ways)
-        if result is None:
-            self._count_persist("miss")
-            return None
-        sym = self._by_digest.get(result)
-        if sym is not None:
-            self._count_persist("hit")
-            return sym
-        words, status = self.cache.load_chunk(result, self.chunk_ways)
-        if words is None or len(words) != (
-                max(self.chunk_bits, 64) >> 6):
-            if status == "corrupt" or words is not None:
-                self._degrade(
-                    f"cached payload for {result[:12]} failed integrity"
-                )
-            self._count_persist("miss")
-            return None
-        self._count_persist("hit")
-        self._count_persist("load", nbytes=words.nbytes)
-        return self.intern(AoB(self.chunk_ways, words))
-
-    def _persist_record(self, op: str, a: int, b: int | None,
-                        sym: int) -> None:
-        """Append a locally computed gate product to the shared cache."""
-        chunk = self._chunks[sym]
-        self.cache.store_chunk(self._digests[sym], self.chunk_ways,
-                               chunk.words)
-        self.cache.store_memo(op, self._digests[a],
-                              self._digests[b] if b is not None else "",
-                              self.chunk_ways, self._digests[sym])
-        self._count_persist("store")
-
-    def _count_persist(self, kind: str, nbytes: int = 0) -> None:
-        from repro.pattern import persist
-
-        persist.note_counter(kind, nbytes)
-        if kind == "hit":
-            self.persist_hits += 1
-        elif kind == "miss":
-            self.persist_misses += 1
-        elif kind == "load":
-            self.persist_loads += 1
-            self.persist_bytes += nbytes
-        else:
-            self.persist_stores += 1
-        if _obs.active:
-            metrics = _obs.current().metrics
-            metrics.counter(f"chunkstore.persist.{kind}").inc()
-            if nbytes:
-                metrics.counter("chunkstore.persist.bytes").add(nbytes)
 
     def _memo_insert(self, cache: dict, key, value, table: str) -> None:
         """Insert one memo entry, evicting the least recently used past
@@ -404,14 +275,8 @@ class ChunkStore:
         return first
 
     def stats(self) -> dict:
-        """Diagnostics: store size, cache hit surface, and memo hit rate.
-
-        With a persistent cache attached, a nested ``cache`` section
-        reports the shared-cache surface (path, hit/miss/load/store
-        counts, and payload bytes read); without one the key is absent
-        so cold-run stats stay byte-identical to older builds.
-        """
-        out = {
+        """Diagnostics: store size, cache hit surface, and memo hit rate."""
+        return {
             "symbols": len(self._chunks),
             "binop_cache": len(self._binop_cache),
             "not_cache": len(self._not_cache),
@@ -424,13 +289,3 @@ class ChunkStore:
             "memo_evicted_measure": self.memo_evicted_by["measure"],
             "degraded": self.degraded,
         }
-        if self.cache is not None:
-            out["cache"] = {
-                "path": self.cache.path,
-                "hit": self.persist_hits,
-                "miss": self.persist_misses,
-                "load": self.persist_loads,
-                "store": self.persist_stores,
-                "bytes": self.persist_bytes,
-            }
-        return out

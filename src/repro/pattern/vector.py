@@ -31,19 +31,10 @@ _default_stores: dict[int, ChunkStore] = {}
 
 
 def default_store(chunk_ways: int = PAPER_CHUNK_WAYS) -> ChunkStore:
-    """Process-wide shared :class:`ChunkStore` for a given chunk width.
-
-    When a persistent chunk cache is configured
-    (:mod:`repro.pattern.persist`: ``--chunk-cache`` /
-    ``TANGLED_CHUNK_CACHE``) a freshly created store attaches to it, so
-    gate products survive :func:`reset_default_stores` boundaries and
-    process exits.
-    """
+    """Process-wide shared :class:`ChunkStore` for a given chunk width."""
     store = _default_stores.get(chunk_ways)
     if store is None:
-        from repro.pattern import persist
-
-        store = ChunkStore(chunk_ways, cache=persist.attached_cache())
+        store = ChunkStore(chunk_ways)
         _default_stores[chunk_ways] = store
     return store
 

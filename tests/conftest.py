@@ -27,24 +27,6 @@ def _isolated_ledger(tmp_path, monkeypatch):
     monkeypatch.setenv("TANGLED_LEDGER", str(tmp_path / "ledger.db"))
 
 
-@pytest.fixture(autouse=True)
-def _isolated_chunk_cache(monkeypatch):
-    """Keep the persistent chunk cache off (and clean) per test.
-
-    A developer's ``TANGLED_CHUNK_CACHE`` must not warm (or be polluted
-    by) suite runs, and cache-enabling tests must not leak module state
-    into their neighbours.
-    """
-    from repro.pattern import persist
-
-    monkeypatch.delenv("TANGLED_CHUNK_CACHE", raising=False)
-    persist.reset()
-    persist.reset_counters()
-    yield
-    persist.reset()
-    persist.reset_counters()
-
-
 def assemble_and_run(source: str, ways: int = 8, simulator: str = "functional"):
     """Assemble source (auto-appending a halting sys) and run it."""
     from repro.asm import assemble

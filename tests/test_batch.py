@@ -183,9 +183,11 @@ class TestBatchCampaignBytes:
         assert render_report(serial).encode() == \
             render_report(batched).encode()
 
-    def test_batch_matches_jobs(self):
-        jobs = run_campaign(program="fig10", runs=8, seed=7, jobs=2)
-        batched = run_campaign(program="fig10", runs=8, seed=7, batch=8)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batch_matches_jobs(self, backend):
+        kwargs = dict(program="fig10", runs=8, seed=7, qat_backend=backend)
+        jobs = run_campaign(jobs=2, **kwargs)
+        batched = run_campaign(batch=8, **kwargs)
         assert render_report(jobs).encode() == \
             render_report(batched).encode()
 

@@ -198,6 +198,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "fig10.pipelined" in out
 
+    def test_bench_list_has_no_warm_specs(self, capsys):
+        assert main(["bench", "--list"]) == 0
+        names = [line.split()[0] for line in
+                 capsys.readouterr().out.splitlines()]
+        assert names
+        assert not [name for name in names if name.endswith("_warm")]
+
+    def test_chunk_cache_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig10", "--chunk-cache", "x"])
+        assert exc.value.code == 2
+        assert "--chunk-cache" in capsys.readouterr().err
+
     def test_profile_fig10_listing(self, capsys):
         assert main(["profile", "fig10"]) == 0
         out = capsys.readouterr().out

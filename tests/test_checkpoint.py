@@ -1,5 +1,7 @@
 """Checkpoint/recovery: snapshots, integrity digests, auto-checkpointing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,30 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(CheckpointError):
             Checkpoint.load(str(path))
+
+    def test_load_refuses_missing_chunk_payload(self, tmp_path):
+        # Older builds could write pinned chunks as ``chunk_refs`` digest
+        # references into an external chunk cache instead of inline
+        # ``chunk_{i}`` arrays; such a file must refuse cleanly.
+        from repro.apps import fig10_program, run_factor_program
+
+        sim, _ = run_factor_program(fig10_program(), ways=8,
+                                    simulator="functional", qat_backend="re")
+        path = str(tmp_path / "cp.npz")
+        Checkpoint.take(sim.machine).save(path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        header = json.loads(bytes(arrays["header"]).decode("utf-8"))
+        assert header["store_chunk_count"] >= 3
+        header["chunk_refs"] = {"2": "ab" * 32}
+        arrays["header"] = np.frombuffer(
+            json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8
+        )
+        del arrays["chunk_2"]
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+        with pytest.raises(CheckpointError, match="missing chunk 2"):
+            Checkpoint.load(path)
 
     def test_captures_chunkstore(self):
         store = ChunkStore(6)

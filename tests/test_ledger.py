@@ -241,6 +241,25 @@ class TestCliRecording:
         view = json.loads(first)
         assert view["a"]["label"] == "fig10.pipelined.dense"
         assert view["b"]["label"] == "fig10.pipelined.re"
+        # A row recorded by an older build that had a persistent chunk
+        # cache: the ledger outlives upgrades, so it must still render.
+        with self._ledger() as ledger:
+            old_config = dict(ledger.runs(label="fig10.pipelined.re")[0].config,
+                              chunk_cache="~/.tangled/chunks.db")
+            _seed(ledger, "fig10.old-build",
+                  {"cpu.instructions": 92, "chunkstore.persist.hit": 40,
+                   "chunkstore.persist.miss": 2},
+                  config=old_config)
+        assert main(["report", "--label", "fig10.old-build"]) == 0
+        assert "chunkstore.persist.hit" in capsys.readouterr().out
+        compare = ["report", "--compare", "fig10.pipelined.re",
+                   "fig10.old-build"]
+        assert main(compare) == 0
+        assert "fig10.old-build" in capsys.readouterr().out
+        assert main(compare + ["--export", "json"]) == 0
+        rows = {r["metric"]: r for r in
+                json.loads(capsys.readouterr().out)["rows"]}
+        assert rows["chunkstore.persist.hit"]["kind"] == "missing"
 
     def test_run_records_traps_and_failure_status(self, tmp_path, capsys):
         bad = tmp_path / "trap.s"

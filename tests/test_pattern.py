@@ -1,5 +1,6 @@
 """Pattern (RE-compressed) substrate tests against dense expansion."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -61,6 +62,38 @@ class TestChunkStore:
     def test_rejects_unknown_op(self, store):
         with pytest.raises(ValueError):
             store.binop("nand", store.zero_id, store.one_id)
+
+    def test_measure_memo_eviction_bounded(self):
+        rng = np.random.default_rng(7)
+        store = ChunkStore(8, memo_limit=4)
+        syms = [
+            store.intern(AoB(8, rng.integers(0, 2**64, size=4, dtype=np.uint64)))
+            for _ in range(12)
+        ]
+        expected = {sym: store.chunk(sym).popcount() for sym in syms}
+        for sym in syms:  # first sweep fills and overflows the memo
+            store.popcount(sym)
+            store.first_one(sym)
+        assert len(store._popcount) <= 4
+        assert len(store._first_one) <= 4
+        assert store.memo_evicted_by["measure"] > 0
+        assert store.stats()["memo_evicted_measure"] == \
+            store.memo_evicted_by["measure"]
+        # Evicted entries recompute correctly.
+        assert all(store.popcount(sym) == expected[sym] for sym in syms)
+
+    def test_measure_memo_lru_keeps_hot_entries(self):
+        store = ChunkStore(8, memo_limit=2)
+        syms = [
+            store.intern(AoB(8, np.full(4, i + 1, dtype=np.uint64)))
+            for i in range(3)
+        ]
+        store.popcount(syms[0])
+        store.popcount(syms[1])
+        store.popcount(syms[0])        # refresh: syms[1] is now LRU
+        store.popcount(syms[2])        # evicts syms[1], not syms[0]
+        assert syms[0] in store._popcount
+        assert syms[1] not in store._popcount
 
 
 class TestPatternConstruction:
