@@ -2,20 +2,25 @@
 """Regenerate ``BENCH_batch.json``: batched campaign throughput.
 
 Times the acceptance workload for ``tangled faults --batch N`` -- a
-256-run fig10 fault campaign -- three ways:
+256-run fig10 fault campaign -- these ways:
 
 - ``campaign_serial``: the serial campaign driver (one instrumented
   per-machine drive loop per run, events applied between steps);
 - ``campaign_batch256``: the same campaign packed into one 256-lane
   :class:`repro.cpu.batch.BatchFunctionalSimulator`;
+- ``campaign_re_serial`` / ``campaign_re_batch256``: both again on the
+  run-length compressed Qat substrate (``qat_backend="re"``), where the
+  batch lanes share one chunk store and run each gate once per
+  distinct operand tuple;
 - ``fastpath_single``: 256 plain fastpath ``run()`` loops with no
   fault machinery at all -- the best the per-machine engine can do.
 - ``batch_plain256``: the 256-lane batch engine on the same plain
   workload, for an apples-to-apples machines*steps/sec comparison.
 
-The campaign reports are asserted byte-identical before any number is
-written.  Rates are aggregate machines*steps per second; ``speedups``
-records batch-vs-serial for both the campaign and the plain workload.
+The campaign reports are asserted byte-identical (serial vs batch, per
+backend) before any number is written.  Rates are aggregate
+machines*steps per second; ``speedups`` records batch-vs-serial for the
+campaign on both backends and for the plain workload.
 
 Run from the repo root::
 
@@ -77,11 +82,17 @@ def _time_batch_plain() -> dict:
     return _rate(steps, time.perf_counter() - t0)
 
 
-def main() -> None:
-    serial_report, serial = _time_campaign()
-    batch_report, batch = _time_campaign(batch=RUNS)
+def _time_serial_and_batch(**kwargs):
+    serial_report, serial = _time_campaign(**kwargs)
+    batch_report, batch = _time_campaign(batch=RUNS, **kwargs)
     assert render_report(serial_report) == render_report(batch_report), \
-        "batch campaign report diverged from serial"
+        f"batch campaign report diverged from serial ({kwargs})"
+    return serial_report, serial, batch
+
+
+def main() -> None:
+    serial_report, serial, batch = _time_serial_and_batch()
+    _, re_serial, re_batch = _time_serial_and_batch(qat_backend="re")
 
     fastpath = _time_fastpath_single()
     batch_plain = _time_batch_plain()
@@ -96,12 +107,17 @@ def main() -> None:
         },
         "campaign_serial": serial,
         "campaign_batch256": batch,
+        "campaign_re_serial": re_serial,
+        "campaign_re_batch256": re_batch,
         "fastpath_single": fastpath,
         "batch_plain256": batch_plain,
         "speedups": {
             "campaign_batch_vs_serial": round(
                 batch["machine_steps_per_second"]
                 / serial["machine_steps_per_second"], 2),
+            "campaign_re_batch_vs_serial": round(
+                re_batch["machine_steps_per_second"]
+                / re_serial["machine_steps_per_second"], 2),
             "campaign_batch_vs_fastpath_single": round(
                 batch["machine_steps_per_second"]
                 / fastpath["machine_steps_per_second"], 2),

@@ -9,8 +9,9 @@ machine.  This module turns the machine axis into an *array* axis:
   ``(N, 16)`` uint16 matrix, memory an ``(N, 65536)`` uint16 matrix
   (``np.zeros`` is calloc-backed, so untouched lanes cost no RSS),
   PC / instret / halted / parked are per-lane vectors, and the Qat
-  register file gains a leading lane axis
-  (:class:`BatchDenseQat` / :class:`BatchREQat`).
+  register file gains a leading lane axis (:class:`BatchDenseQat`) or
+  becomes a lane x register table over one shared chunk store
+  (:class:`BatchREQat`).
 - **Divergence grouping** (:meth:`BatchFunctionalSimulator.run`): every
   step, active lanes are grouped by the raw instruction word(s) they
   are about to execute -- *not* by PC, so lanes at different addresses
@@ -61,13 +62,14 @@ from repro.bf16 import bf16_from_int, bf16_recip, bf16_to_int
 from repro.bf16 import vector as bf16_vec
 from repro.cpu import fastpath as _fastpath
 from repro.cpu.exec_core import BATCH_EXEC  # noqa: F401  (re-exported)
-from repro.cpu.qat_backend import MAX_RE_WAYS, REQatBackend
+from repro.cpu.qat_backend import MAX_RE_WAYS, count_re_volume, re_chunk_store
 from repro.errors import ReproError, SimulatorError, SyscallError, TrapError
 from repro.faults.traps import TrapAction, TrapCause, TrapPolicy, TrapRecord
 from repro.isa.instructions import INSTRUCTIONS
 from repro.isa.registers import NUM_GPRS, NUM_QAT_REGS, RV
 from repro.obs import flight as _flight
 from repro.obs import runtime as _obs
+from repro.pattern import PatternVector
 from repro.utils.bits import top_mask, words_for_bits
 
 _MEM_WORDS = 1 << 16
@@ -195,83 +197,111 @@ class BatchDenseQat:
 
 
 class BatchREQat:
-    """Run-length compressed substrate: one private backend per lane.
+    """Run-length compressed substrate: all lanes share one chunk store.
 
-    The RE substrate's compressed registers have no dense lane axis to
-    vectorize over, so every gate is a per-lane delegation to a real
-    :class:`~repro.cpu.qat_backend.REQatBackend` -- bit-exact with the
-    serial path by construction, just without the SIMD win.
+    Registers are an ``n x 256`` table of immutable
+    :class:`~repro.pattern.PatternVector` values over a single
+    :class:`~repro.pattern.ChunkStore`.  Every gate groups the lane
+    vector by the *identity* of its operand vectors, computes the result
+    once per distinct operand tuple, and assigns that same result object
+    to every lane of the group -- lanes whose Qat state has not diverged
+    cost one gate, not N.  Divergent lanes still get an exact per-lane
+    value: fault flips are copy-on-write
+    (:meth:`~repro.pattern.PatternVector.with_flipped_bit`) and intern
+    into the shared store, never mutating a chunk another lane holds.
+    Values match the serial :class:`~repro.cpu.qat_backend.REQatBackend`
+    bit for bit; only the store-level ``chunkstore.*`` counters differ.
     """
 
     name = "re"
 
     def __init__(self, n: int, ways: int):
-        self.lanes = [REQatBackend(ways) for _ in range(n)]
+        self.store = re_chunk_store(ways)
         self.ways = ways
         self.nbits = 1 << ways
+        zero = PatternVector.zeros(ways, self.store)
+        self.regs = [[zero] * NUM_QAT_REGS for _ in range(n)]
+
+    def _apply(self, op: str, lanes, srcs, dsts, gate) -> None:
+        """Group lanes by operand identity, run ``gate`` once per group,
+        write its results (one per ``dsts`` register) back to each lane.
+
+        The memo keeps the operand vectors alive, so no ``id`` can be
+        recycled while this call still keys on it.
+        """
+        memo = {}
+        runs = 0
+        regs = self.regs
+        for lane in lanes.tolist():
+            row = regs[lane]
+            key = tuple(map(id, map(row.__getitem__, srcs)))
+            hit = memo.get(key)
+            if hit is None:
+                args = tuple(map(row.__getitem__, srcs))
+                results = gate(*args)
+                hit = memo[key] = (args, results, results[0].num_runs)
+            for r, value in zip(dsts, hit[1]):
+                row[r] = value
+            runs += hit[2]
+        if _obs.active:
+            count_re_volume(op, len(lanes), runs)
 
     def binary(self, op: str, lanes, d: int, a: int, b: int) -> None:
-        for lane in lanes:
-            self.lanes[int(lane)].binary(op, d, a, b)
+        self._apply(op, lanes, (a, b), (d,),
+                    lambda x, y: (x.binop(op, y),))
 
     def ccnot(self, lanes, d: int, b: int, c: int) -> None:
-        for lane in lanes:
-            self.lanes[int(lane)].ccnot(d, b, c)
+        self._apply("ccnot", lanes, (d, b, c), (d,),
+                    lambda x, y, z: (x.ccnot(y, z),))
 
     def cnot(self, lanes, d: int, c: int) -> None:
-        for lane in lanes:
-            self.lanes[int(lane)].cnot(d, c)
+        self._apply("cnot", lanes, (d, c), (d,), lambda x, y: (x ^ y,))
 
     def cswap(self, lanes, a: int, b: int, ctrl: int) -> None:
-        for lane in lanes:
-            self.lanes[int(lane)].cswap(a, b, ctrl)
+        self._apply("cswap", lanes, (a, b, ctrl), (a, b),
+                    lambda x, y, z: x.cswap(y, z))
 
     def swap(self, lanes, a: int, b: int) -> None:
-        for lane in lanes:
-            self.lanes[int(lane)].swap(a, b)
+        self._apply("swap", lanes, (a, b), (a, b), lambda x, y: (y, x))
 
     def invert(self, lanes, d: int) -> None:
-        for lane in lanes:
-            self.lanes[int(lane)].invert(d)
+        self._apply("not", lanes, (d,), (d,), lambda x: (~x,))
 
     def zero(self, lanes, d: int) -> None:
-        for lane in lanes:
-            self.lanes[int(lane)].zero(d)
+        self._apply("zero", lanes, (), (d,),
+                    lambda: (PatternVector.zeros(self.ways, self.store),))
 
     def one(self, lanes, d: int) -> None:
-        for lane in lanes:
-            self.lanes[int(lane)].one(d)
+        self._apply("one", lanes, (), (d,),
+                    lambda: (PatternVector.ones(self.ways, self.store),))
 
     def had(self, lanes, d: int, k: int) -> None:
-        for lane in lanes:
-            self.lanes[int(lane)].had(d, k)
+        self._apply("had", lanes, (), (d,),
+                    lambda: (PatternVector.hadamard(self.ways, k,
+                                                    self.store),))
+
+    def _probe(self, probe, lanes, reg: int, channels) -> np.ndarray:
+        return np.array(
+            [probe(self.regs[lane][reg], ch)
+             for lane, ch in zip(lanes.tolist(), channels.tolist())],
+            dtype=np.int64,
+        )
 
     def meas(self, lanes, reg: int, channels: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.lanes[int(lane)].meas(reg, int(ch))
-             for lane, ch in zip(lanes, channels)],
-            dtype=np.int64,
-        )
+        return self._probe(PatternVector.meas, lanes, reg, channels)
 
     def next(self, lanes, reg: int, channels: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.lanes[int(lane)].next(reg, int(ch))
-             for lane, ch in zip(lanes, channels)],
-            dtype=np.int64,
-        )
+        return self._probe(PatternVector.next, lanes, reg, channels)
 
     def pop_after(self, lanes, reg: int, channels: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.lanes[int(lane)].pop_after(reg, int(ch))
-             for lane, ch in zip(lanes, channels)],
-            dtype=np.int64,
-        )
+        return self._probe(PatternVector.pop_after, lanes, reg, channels)
 
     def flip_bit(self, lane: int, reg: int, word: int, bit: int) -> None:
-        self.lanes[int(lane)].flip_bit(reg, word, bit)
+        row = self.regs[int(lane)]
+        row[reg] = row[reg].with_flipped_bit((word << 6) | bit)
 
     def read(self, lane: int, reg: int) -> AoB:
-        return self.lanes[int(lane)].read(reg)
+        return self.regs[int(lane)][reg].to_aob()
 
 
 def _make_batch_qat(spec, n: int, ways: int):

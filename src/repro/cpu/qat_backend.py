@@ -11,7 +11,7 @@ per-machine choice:
   :math:`O(2^{ways})` per register, so it is bounded by
   :data:`~repro.aob.bitvector.MAX_DENSE_WAYS`.
 - :class:`REQatBackend` -- each register is a
-  :class:`~repro.pattern.PatternVector` over one private
+  :class:`~repro.pattern.PatternVector` over the machine's own
   :class:`~repro.pattern.ChunkStore`; gates walk runs and memoize
   distinct chunk pairs, so ``had(k)`` and constant registers cost
   O(runs) and entanglement up to :data:`MAX_RE_WAYS` runs in bounded
@@ -195,30 +195,42 @@ _DENSE_BINOPS = {
 }
 
 
-class REQatBackend(QatBackend):
-    """Run-length compressed register file over a private chunk store.
+def re_chunk_store(ways: int, chunk_ways: int | None = None) -> ChunkStore:
+    """A fresh :class:`ChunkStore` for ``ways``-way RE registers.
 
-    Every register is a :class:`PatternVector`; the store is created per
-    backend (never the process-global default), so two machines -- or
-    two rounds of a benchmark, or two seeds of a fault campaign -- can
-    never leak interned chunks or memo hit counts into each other.
+    Validates the width; ``chunk_ways`` defaults to the paper's 16-way
+    chunks, narrowed to ``ways`` for small machines.
+    """
+    if not MIN_RE_WAYS <= ways <= MAX_RE_WAYS:
+        raise SimulatorError(
+            f"RE Qat backend supports ways in [{MIN_RE_WAYS}, "
+            f"{MAX_RE_WAYS}], got {ways}"
+            + (f"; the dense backend covers [0, {MAX_DENSE_WAYS}]"
+               if ways < MIN_RE_WAYS else "")
+        )
+    if chunk_ways is None:
+        chunk_ways = min(PAPER_CHUNK_WAYS, ways)
+    return ChunkStore(chunk_ways)
+
+
+class REQatBackend(QatBackend):
+    """Run-length compressed register file over its own chunk store.
+
+    Every register is a :class:`PatternVector`.  The ownership rule: a
+    store belongs to one simulation, never to the process-global
+    default.  A serial machine owns its store, so two machines -- or two
+    rounds of a benchmark, or two seeds of a fault campaign -- never
+    leak interned chunks or memo hit counts into each other; the lanes
+    of one :class:`~repro.cpu.batch.BatchREQat` share a single store
+    (values stay per lane, only symbols and gate memos are shared).
     """
 
     name = "re"
 
     def __init__(self, ways: int, chunk_ways: int | None = None):
-        if not MIN_RE_WAYS <= ways <= MAX_RE_WAYS:
-            raise SimulatorError(
-                f"RE Qat backend supports ways in [{MIN_RE_WAYS}, "
-                f"{MAX_RE_WAYS}], got {ways}"
-                + (f"; the dense backend covers [0, {MAX_DENSE_WAYS}]"
-                   if ways < MIN_RE_WAYS else "")
-            )
-        if chunk_ways is None:
-            chunk_ways = min(PAPER_CHUNK_WAYS, ways)
+        self.store = re_chunk_store(ways, chunk_ways)
         self.ways = ways
         self.nbits = 1 << ways
-        self.store = ChunkStore(chunk_ways)
         zero = PatternVector.zeros(ways, self.store)
         self.regs: list[PatternVector] = [zero] * NUM_QAT_REGS
         self._tag_metrics()
@@ -345,14 +357,18 @@ class REQatBackend(QatBackend):
         return out
 
     def _volume(self, op: str, result: PatternVector) -> None:
-        """Telemetry: count compressed-op volume in *runs*, not bits.
-
-        The dense kernels report AoB bit volume; here the honest unit of
-        work is the run walk, so ``qat.re.runs.<op>`` counts runs
-        touched and ``qat.re.ops`` the compressed operations.  The
-        chunkstore's own hit/miss/bytes-saved counters fire underneath.
-        """
         if _obs.active:
-            metrics = _obs.current().metrics
-            metrics.counter("qat.re.ops").inc()
-            metrics.counter(f"qat.re.runs.{op}").add(result.num_runs)
+            count_re_volume(op, 1, result.num_runs)
+
+
+def count_re_volume(op: str, ops: int, runs: int) -> None:
+    """Telemetry: count compressed-op volume in *runs*, not bits.
+
+    The dense kernels report AoB bit volume; here the honest unit of
+    work is the run walk, so ``qat.re.runs.<op>`` counts runs touched
+    and ``qat.re.ops`` the compressed operations (one per machine).  The
+    chunkstore's own hit/miss/bytes-saved counters fire underneath.
+    """
+    metrics = _obs.current().metrics
+    metrics.counter("qat.re.ops").add(ops)
+    metrics.counter(f"qat.re.runs.{op}").add(runs)

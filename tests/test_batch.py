@@ -17,7 +17,7 @@ from repro.asm import assemble
 from repro.cpu import BatchFunctionalSimulator, FunctionalSimulator
 from repro.errors import ReproError, SimulatorError
 from repro.faults.campaign import render_report, run_campaign
-from repro.faults.inject import FaultPlan, apply_event
+from repro.faults.inject import FaultEvent, FaultPlan, apply_event
 from repro.faults.traps import TrapCause, TrapDelivered
 
 from tests.test_pipeline import random_program
@@ -159,6 +159,112 @@ class TestBatchVsSerialState:
         for lane in range(3):
             assert "exceeded 10 steps" in bm.errors[lane]
             assert bm.traps[lane][-1].cause is TrapCause.WATCHDOG
+
+
+# ---------------------------------------------------------------------------
+# RE lanes: one shared chunk store, gates grouped by operand identity
+# ---------------------------------------------------------------------------
+
+#: Every RE gate kind, then readouts that all run *after* the flip steps
+#: the tests below choose, so a qreg fault stays observable in the GPRs.
+_RE_READOUT = assemble(
+    "had @1, 0\n"             # step 0
+    "had @2, 3\n"             # 1
+    "and @3, @1, @2\n"        # 2
+    "xor @4, @1, @2\n"        # 3
+    "cnot @4, @3\n"           # 4
+    "ccnot @5, @1, @2\n"      # 5
+    "cswap @3, @4, @5\n"      # 6
+    "swap @1, @3\n"           # 7
+    "not @2\n"                # 8
+    "one @6\n"                # 9
+    "zero @8\n"               # 10
+    "or @7, @1, @2\n"         # 11
+    "xor @7, @7, @6\n"        # 12
+    "lex $0, 5\n"
+    "meas $0, @7\n"
+    "lex $1, 9\n"
+    "next $1, @4\n"
+    "lex $2, 0\n"
+    "pop $2, @3\n"
+    "lex $3, 100\n"
+    "pop $3, @7\n"
+    "lex $4, 0\n"
+    "pop $4, @5\n"
+    "lex $5, 0\n"
+    "pop $5, @1\n"
+    "lex $rv, 0\n"
+    "sys\n"
+).words
+
+
+def _qreg_flip(step, reg, word, bit):
+    return FaultPlan(seed=0, events=(
+        FaultEvent(step=step, target="qreg", index=reg, word=word, bit=bit),))
+
+
+class TestBatchREQat:
+    def test_lanes_share_one_chunk_store(self):
+        from repro.apps import fig10_program
+
+        batch = _batch_run(fig10_program().words, [None] * 4, ways=8,
+                           backend="re", max_steps=1000)
+        qat = batch.machines.qat
+        assert all(vector.store is qat.store
+                   for row in qat.regs for vector in row)
+        # Lanes that never diverged hold the very same result objects.
+        assert all(a is b for a, b in zip(qat.regs[0], qat.regs[3]))
+
+    def test_flip_in_one_lane_leaves_the_others_unfaulted(self):
+        plans = [None, _qreg_flip(3, 1, 1, 7), None, None]
+        batch = _batch_run(_RE_READOUT, plans, ways=8, backend="re",
+                           max_steps=100)
+        clean, _ = _serial_run(_RE_READOUT, None, ways=8, backend="re",
+                               max_steps=100)
+        expected = [clean.machine.read_qreg(i) for i in range(256)]
+        for lane in (0, 2, 3):
+            assert [batch.machines.read_qreg(lane, i)
+                    for i in range(256)] == expected
+        assert [batch.machines.read_qreg(1, i)
+                for i in range(256)] != expected
+
+    def test_divergent_lanes_match_serial_measurements(self):
+        plans = [
+            None,
+            _qreg_flip(1, 1, 0, 3),      # feeds every later gate
+            _qreg_flip(3, 3, 2, 5),
+            _qreg_flip(3, 3, 2, 5),      # same fault, separate lane
+            _qreg_flip(7, 5, 0, 17),     # cswap control, after the swap
+            _qreg_flip(13, 7, 0, 5),     # the very channel meas reads
+            _qreg_flip(6, 200, 3, 63),   # untouched register: masked
+            None,
+        ]
+        batch = _batch_run(_RE_READOUT, plans, ways=8, backend="re",
+                           max_steps=100)
+        for lane, plan in enumerate(plans):
+            sim, error = _serial_run(_RE_READOUT, plan, ways=8,
+                                     backend="re", max_steps=100)
+            assert error is None
+            _assert_lane_matches(sim, error, batch, lane)
+        regs = batch.machines.regs
+        diverged = [lane for lane in range(len(plans))
+                    if not np.array_equal(regs[lane], regs[0])]
+        assert diverged == [1, 2, 3, 4, 5]
+
+    def test_stats_re_volume_matches_serial(self, capsys):
+        from repro.cli import main
+
+        def re_counters(*extra):
+            assert main(["faults", "--program", "fig10", "--qat-backend",
+                         "re", "--runs", "24", "--stats", "--summary-only",
+                         *extra]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return {line.split(" = ")[0].strip(): line.split(" = ")[1]
+                    for line in lines if line.strip().startswith("qat.re.")}
+
+        serial = re_counters()
+        assert serial["qat.re.ops"] != "0"
+        assert re_counters("--batch", "24") == serial
 
 
 # ---------------------------------------------------------------------------
