@@ -1,9 +1,12 @@
 """CPU simulators for the Tangled/Qat processor.
 
 Three models of increasing timing fidelity, all sharing one architectural
-state (:class:`~repro.cpu.state.MachineState`) and one instruction
-executor (:mod:`repro.cpu.exec_core`), mirroring the course's project
-sequence (multi-cycle design, then pipelined, then pipelined with Qat):
+state (:class:`~repro.cpu.state.MachineState`) and one table of
+instruction semantics (:data:`repro.cpu.exec_core.FAST_HANDLERS`), run
+by two loops: the observed step :func:`~repro.cpu.exec_core.execute`
+and the stripped loop :func:`repro.cpu.fastpath.run_functional`.  The
+models mirror the course's project sequence (multi-cycle design, then
+pipelined, then pipelined with Qat):
 
 - :class:`~repro.cpu.functional.FunctionalSimulator` -- one instruction
   per step, no timing; the reference for architectural correctness

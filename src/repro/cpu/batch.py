@@ -20,9 +20,9 @@ machine.  This module turns the machine axis into an *array* axis:
   re-reads the words each step).  Each group resolves its
   :class:`~repro.cpu.fastpath.Predecoded` entry through the same
   process-wide intern table as the fast path and dispatches a single
-  :data:`BATCH_HANDLERS` call with vectorized operands
-  (:data:`repro.cpu.exec_core.BATCH_EXEC` declares which mnemonics run
-  as one NumPy expression vs a per-lane loop).
+  :data:`BATCH_HANDLERS` call with vectorized operands (one NumPy
+  expression where the operation vectorizes, a per-lane loop inside
+  the group where it does not).
 - **Per-lane traps**: trap semantics mirror
   :func:`repro.faults.traps.deliver` exactly, lane by lane -- the
   :class:`~repro.faults.traps.TrapRecord` (cause, pc, instruction,
@@ -61,7 +61,6 @@ from repro.aob import kernels
 from repro.bf16 import bf16_from_int, bf16_recip, bf16_to_int
 from repro.bf16 import vector as bf16_vec
 from repro.cpu import fastpath as _fastpath
-from repro.cpu.exec_core import BATCH_EXEC  # noqa: F401  (re-exported)
 from repro.cpu.qat_backend import MAX_RE_WAYS, count_re_volume, re_chunk_store
 from repro.errors import ReproError, SimulatorError, SyscallError, TrapError
 from repro.faults.traps import TrapAction, TrapCause, TrapPolicy, TrapRecord

@@ -1,4 +1,12 @@
-"""Single-instruction executor shared by all simulators.
+"""Tangled/Qat instruction semantics, shared by every scalar simulator.
+
+:data:`FAST_HANDLERS` holds one handler per mnemonic and is the only
+statement of the scalar ISA semantics.  Two loops run it: the observed
+step :func:`execute` (the pipeline, single-stepping, and any run with an
+observer attached) and the stripped loop
+:func:`repro.cpu.fastpath.run_functional`.  The NumPy lockstep handlers
+in :mod:`repro.cpu.batch` are a second, independent implementation that
+the batch differential tests check against this one.
 
 Semantics follow Tables 1 and 3 exactly where the paper specifies them;
 where it leaves detail to the implementer the choices are documented
@@ -54,7 +62,6 @@ class Effects:
     writes_qreg: frozenset[int] = frozenset()
     is_load: bool = False
     is_store: bool = False
-    store_addr: int | None = None
 
 
 @dataclass(frozen=True)
@@ -71,8 +78,21 @@ class StaticEffects:
     is_store: bool
 
 
+#: ``(mnemonic, ops) -> StaticEffects``; like the predecode intern
+#: table, a pure function of the instruction, so shared process-wide.
+_STATIC: dict = {}
+
+
 def static_effects(instr: Instr) -> StaticEffects:
-    """Registers read/written by ``instr``, from the spec alone."""
+    """Registers read/written by ``instr``, from the spec alone (cached)."""
+    key = (instr.mnemonic, instr.ops)
+    stat = _STATIC.get(key)
+    if stat is None:
+        stat = _STATIC[key] = _static_effects(instr)
+    return stat
+
+
+def _static_effects(instr: Instr) -> StaticEffects:
     m = instr.mnemonic
     ops = instr.ops
     rg: set[int] = set()
@@ -145,11 +165,12 @@ def static_effects(instr: Instr) -> StaticEffects:
 def execute(machine, instr: Instr, syscalls=None) -> Effects:
     """Execute ``instr`` on ``machine`` (PC already points at it).
 
-    Advances the PC (including branches/jumps), mutates registers, memory
-    and the Qat register file, and returns the dynamic :class:`Effects`.
+    The observed step: runs the instruction's :data:`FAST_HANDLERS`
+    entry with the flight-recorder and telemetry hooks around it,
+    advances the PC (including branches/jumps) and ``instret``, and
+    returns the dynamic :class:`Effects`.
     """
     m = instr.mnemonic
-    ops = instr.ops
     spec = INSTRUCTIONS.get(m)
     if spec is None:
         machine.trap(
@@ -157,40 +178,25 @@ def execute(machine, instr: Instr, syscalls=None) -> Effects:
             detail=f"no executor for {m!r}",
             instruction=m,
         )
-    pc_next = (machine.pc + spec.words) & 0xFFFF
-    try:
-        stat = static_effects(instr)
-    except SimulatorError as exc:  # pragma: no cover - table gap guard
-        machine.trap(
-            TrapCause.ILLEGAL_OPCODE,
-            detail=str(exc),
-            instruction=m,
-            resume_pc=pc_next,
-        )
-    eff = Effects(
-        mnemonic=m,
-        next_pc=pc_next,
-        reads_gpr=stat.reads_gpr,
-        writes_gpr=stat.writes_gpr,
-        reads_qreg=stat.reads_qreg,
-        writes_qreg=stat.writes_qreg,
-        is_load=stat.is_load,
-        is_store=stat.is_store,
-    )
-    read = machine.read_reg
-    read_s = machine.read_reg_signed
-    write = machine.write_reg
+    ops = instr.ops
+    pc = machine.pc
+    pc_next = (pc + spec.words) & 0xFFFF
+    stat = static_effects(instr)
+    taken = stat.is_jump
+    if stat.is_branch:
+        # Decided by the condition, not by comparing targets: a taken
+        # zero-offset branch still flushes the pipeline.
+        taken = (int(machine.regs[ops[0]]) != 0) == (m == "brt")
 
-    # Flight recorder: capture PC and raw word(s) *before* execution so a
+    # Flight recorder: capture the raw word(s) *before* execution so a
     # store over its own encoding still records what actually ran.  The
-    # retire event is appended at the tail, after the instruction
-    # completes without trapping, mirroring the fast loops.
+    # retire event is appended only once the instruction completes
+    # without trapping, as in the stripped loop.
     _fr = _flight.RECORDER
     if _fr.enabled:
-        _fr_pc = machine.pc
-        _w0 = int(machine.mem[_fr_pc])
+        _w0 = int(machine.mem[pc])
         if spec.words == 2:
-            _fr_raw = (_w0, int(machine.mem[(_fr_pc + 1) & 0xFFFF]))
+            _fr_raw = (_w0, int(machine.mem[(pc + 1) & 0xFFFF]))
         else:
             _fr_raw = (_w0,)
 
@@ -203,206 +209,31 @@ def execute(machine, instr: Instr, syscalls=None) -> Effects:
         elif m == "sys":
             _obs.current().metrics.counter("cpu.syscalls").inc()
 
-    if m == "add":
-        write(ops[0], read(ops[0]) + read(ops[1]))
-    elif m == "addf":
-        result = bf16_add(read(ops[0]), read(ops[1]))
-        if machine.trap_policy.trap_bf16 and (result & _BF16_EXP_MASK) == _BF16_EXP_MASK:
-            machine.trap(
-                TrapCause.BF16_FAULT,
-                detail=f"addf produced non-finite bf16 {result:#06x}",
-                instruction=instr.render(),
-                resume_pc=pc_next,
-            )
-        write(ops[0], result)
-    elif m == "and":
-        write(ops[0], read(ops[0]) & read(ops[1]))
-    elif m == "brf":
-        if read(ops[0]) == 0:
-            pc_next = (pc_next + ops[1]) & 0xFFFF
-            eff.taken_branch = True
-    elif m == "brt":
-        if read(ops[0]) != 0:
-            pc_next = (pc_next + ops[1]) & 0xFFFF
-            eff.taken_branch = True
-    elif m == "copy":
-        write(ops[0], read(ops[1]))
-    elif m == "float":
-        write(ops[0], bf16_from_int(read(ops[0])))
-    elif m == "int":
-        write(ops[0], bf16_to_int(read(ops[0])))
-    elif m == "jumpr":
-        pc_next = read(ops[0])
-        eff.taken_branch = True
-    elif m == "lex":
-        write(ops[0], ops[1] & 0xFF if (ops[1] & 0x80) == 0 else (ops[1] & 0xFF) | 0xFF00)
-    elif m == "lhi":
-        write(ops[0], (read(ops[0]) & 0x00FF) | ((ops[1] & 0xFF) << 8))
-    elif m == "load":
-        addr = read(ops[1])
-        fence = machine.trap_policy.mem_fence
-        if fence is not None and addr >= fence:
-            machine.trap(
-                TrapCause.MEM_FAULT,
-                detail=f"load from {addr:#06x} beyond fence {fence:#06x}",
-                instruction=instr.render(),
-                resume_pc=pc_next,
-            )
-        write(ops[0], machine.read_mem(addr))
-    elif m == "mul":
-        write(ops[0], read(ops[0]) * read(ops[1]))
-    elif m == "mulf":
-        result = bf16_mul(read(ops[0]), read(ops[1]))
-        if machine.trap_policy.trap_bf16 and (result & _BF16_EXP_MASK) == _BF16_EXP_MASK:
-            machine.trap(
-                TrapCause.BF16_FAULT,
-                detail=f"mulf produced non-finite bf16 {result:#06x}",
-                instruction=instr.render(),
-                resume_pc=pc_next,
-            )
-        write(ops[0], result)
-    elif m == "neg":
-        write(ops[0], -read(ops[0]))
-    elif m == "negf":
-        write(ops[0], bf16_neg(read(ops[0])))
-    elif m == "not":
-        write(ops[0], ~read(ops[0]))
-    elif m == "or":
-        write(ops[0], read(ops[0]) | read(ops[1]))
-    elif m == "recip":
-        result = bf16_recip(read(ops[0]))
-        if machine.trap_policy.trap_bf16 and (result & _BF16_EXP_MASK) == _BF16_EXP_MASK:
-            machine.trap(
-                TrapCause.BF16_FAULT,
-                detail=f"recip produced non-finite bf16 {result:#06x}",
-                instruction=instr.render(),
-                resume_pc=pc_next,
-            )
-        write(ops[0], result)
-    elif m == "shift":
-        amount = read_s(ops[1])
-        value = read(ops[0])
-        if amount >= 16 or amount <= -16:
-            result = 0
-        elif amount >= 0:
-            result = value << amount
-        else:
-            result = value >> (-amount)
-        write(ops[0], result)
-    elif m == "slt":
-        write(ops[0], 1 if read_s(ops[0]) < read_s(ops[1]) else 0)
-    elif m == "store":
-        addr = read(ops[1])
-        fence = machine.trap_policy.mem_fence
-        if fence is not None and addr >= fence:
-            machine.trap(
-                TrapCause.MEM_FAULT,
-                detail=f"store to {addr:#06x} beyond fence {fence:#06x}",
-                instruction=instr.render(),
-                resume_pc=pc_next,
-            )
-        machine.write_mem(addr, read(ops[0]))
-        eff.store_addr = addr
-    elif m == "sys":
-        if syscalls is not None:
-            syscalls.handle(machine)
-        else:
-            machine.halted = True
-    elif m == "xor":
-        write(ops[0], read(ops[0]) ^ read(ops[1]))
-    # ---- Qat coprocessor (Table 3, via the pluggable substrate) -------------
-    elif m in ("qand", "qor", "qxor"):
-        machine.qat.binary(m[1:], ops[0], ops[1], ops[2])
-    elif m == "qccnot":
-        machine.qat.ccnot(ops[0], ops[1], ops[2])
-    elif m == "qcnot":
-        machine.qat.cnot(ops[0], ops[1])
-    elif m == "qcswap":
-        machine.qat.cswap(ops[0], ops[1], ops[2])
-    elif m == "qswap":
-        machine.qat.swap(ops[0], ops[1])
-    elif m == "qnot":
-        machine.qat.invert(ops[0])
-    elif m == "qzero":
-        machine.qat.zero(ops[0])
-    elif m == "qone":
-        machine.qat.one(ops[0])
-    elif m == "qhad":
-        if machine.trap_policy.strict_qat and ops[1] >= machine.ways:
-            machine.trap(
-                TrapCause.QAT_FAULT,
-                detail=f"had k={ops[1]} exceeds {machine.ways}-way entanglement",
-                instruction=instr.render(),
-                resume_pc=pc_next,
-            )
-        machine.qat.had(ops[0], ops[1])
-    elif m in ("qmeas", "qnext", "qpop"):
-        channel = read(ops[0])
-        if machine.trap_policy.strict_qat and channel >= machine.nbits:
-            machine.trap(
-                TrapCause.QAT_FAULT,
-                detail=f"channel {channel} out of range for "
-                       f"{machine.nbits}-channel AoB",
-                instruction=instr.render(),
-                resume_pc=pc_next,
-            )
-        if m == "qmeas":
-            write(ops[0], machine.qat.meas(ops[1], channel))
-        elif m == "qnext":
-            # Like the Figure 8 Verilog, a start channel past the AoB top
-            # shifts everything out and returns 0 (no masking of $d).
-            write(ops[0], machine.qat.next(ops[1], channel))
-        else:
-            # A pop count of 2^16 or more cannot be represented in $d;
-            # saturate rather than wrap (a full 16-way-plus register must
-            # not read back as empty).
-            value = machine.qat.pop_after(ops[1], channel)
-            if value > 0xFFFF:
-                if machine.trap_policy.strict_qat:
-                    machine.trap(
-                        TrapCause.QAT_FAULT,
-                        detail=f"pop after channel {channel} counted {value} "
-                               f"ones, exceeding the 16-bit destination",
-                        instruction=instr.render(),
-                        resume_pc=pc_next,
-                    )
-                value = 0xFFFF
-            write(ops[0], value)
-    else:  # pragma: no cover
-        machine.trap(
-            TrapCause.ILLEGAL_OPCODE,
-            detail=f"no executor for {m!r}",
-            instruction=instr.render(),
-            resume_pc=pc_next,
-        )
-
-    eff.next_pc = pc_next
-    machine.pc = pc_next
+    next_pc = FAST_HANDLERS[m](machine, instr, ops, pc_next, syscalls)
+    machine.pc = next_pc
     machine.instret += 1
     if _fr.enabled:
-        _fr.note_retire(_fr_pc, _fr_raw)
+        _fr.note_retire(pc, _fr_raw)
     if _t0 and _obs.active:
         _obs.current().qat_executed(m, _t0)
-    return eff
+    return Effects(m, next_pc, taken, stat.reads_gpr, stat.writes_gpr,
+                   stat.reads_qreg, stat.writes_qreg, stat.is_load,
+                   stat.is_store)
 
 
 # ---------------------------------------------------------------------------
-# Fast-path handler dispatch table
+# Handler dispatch table
 # ---------------------------------------------------------------------------
 #
 # One handler per mnemonic, selected once at predecode time
-# (:mod:`repro.cpu.fastpath`) instead of walking the mnemonic chain above
-# on every step.  Handlers are only ever called with telemetry inactive
-# and no trace attached, so they carry none of the observability hooks;
-# everything architectural -- register/memory/Qat semantics, trap causes,
-# trap detail strings, PC arithmetic -- must match :func:`execute`
-# exactly.  The randomized differential suite (tests/test_fastpath.py)
-# asserts that equivalence on all three simulators and both Qat
-# substrates.
+# (:mod:`repro.cpu.fastpath`) or looked up by :func:`execute`.  Handlers
+# carry the architecture only -- register/memory/Qat semantics, trap
+# causes, trap detail strings, PC arithmetic -- and no observability
+# hooks: :func:`execute` wraps them in the flight-recorder and telemetry
+# hooks, while the stripped loop calls them bare.
 #
 # Signature: ``handler(machine, instr, ops, pc_next, syscalls) -> next_pc``.
-# The caller (the fast run loop) owns ``machine.pc = next_pc`` and the
-# ``instret`` increment, mirroring the tail of :func:`execute`.
+# The caller owns ``machine.pc = next_pc`` and the ``instret`` increment.
 
 def _fast_add(machine, instr, ops, pc_next, syscalls):
     regs = machine.regs
@@ -781,71 +612,3 @@ FAST_HANDLERS = {
 }
 
 assert set(FAST_HANDLERS) == set(INSTRUCTIONS), "fast dispatch table out of sync"
-
-
-# ---------------------------------------------------------------------------
-# Batch-execution metadata
-# ---------------------------------------------------------------------------
-#
-# The batched simulator (:mod:`repro.cpu.batch`) groups machines by the
-# raw instruction word they are about to execute and dispatches one
-# handler call per group.  This table declares, per mnemonic, how that
-# handler runs across the lane axis:
-#
-# - ``"vector"``: one NumPy expression over every lane in the group
-#   (ALU/branch/memory traffic, and Qat gates on the dense substrate);
-# - ``"lanewise"``: a per-lane scalar loop inside the batch handler --
-#   table-driven bf16 conversions, ``sys`` side effects (output lists,
-#   halt), and the AoB ordinal probes (``next``/``pop``) whose results
-#   are data-dependent scans.
-#
-# The split is advisory metadata for tooling and docs; correctness never
-# depends on it (a "vector" mnemonic may still fall back to a scalar
-# loop, e.g. every Qat op on the RE-compressed substrate).
-
-BATCH_VECTOR = "vector"
-BATCH_LANEWISE = "lanewise"
-
-#: mnemonic -> :data:`BATCH_VECTOR` | :data:`BATCH_LANEWISE`.
-BATCH_EXEC = {
-    "add": BATCH_VECTOR,
-    "addf": BATCH_VECTOR,
-    "and": BATCH_VECTOR,
-    "brf": BATCH_VECTOR,
-    "brt": BATCH_VECTOR,
-    "copy": BATCH_VECTOR,
-    "float": BATCH_LANEWISE,
-    "int": BATCH_LANEWISE,
-    "jumpr": BATCH_VECTOR,
-    "lex": BATCH_VECTOR,
-    "lhi": BATCH_VECTOR,
-    "load": BATCH_VECTOR,
-    "mul": BATCH_VECTOR,
-    "mulf": BATCH_VECTOR,
-    "neg": BATCH_VECTOR,
-    "negf": BATCH_VECTOR,
-    "not": BATCH_VECTOR,
-    "or": BATCH_VECTOR,
-    "recip": BATCH_LANEWISE,
-    "shift": BATCH_VECTOR,
-    "slt": BATCH_VECTOR,
-    "store": BATCH_VECTOR,
-    "sys": BATCH_LANEWISE,
-    "xor": BATCH_VECTOR,
-    "qand": BATCH_VECTOR,
-    "qccnot": BATCH_VECTOR,
-    "qcnot": BATCH_VECTOR,
-    "qcswap": BATCH_VECTOR,
-    "qhad": BATCH_VECTOR,
-    "qmeas": BATCH_VECTOR,
-    "qnext": BATCH_LANEWISE,
-    "qnot": BATCH_VECTOR,
-    "qone": BATCH_VECTOR,
-    "qor": BATCH_VECTOR,
-    "qpop": BATCH_LANEWISE,
-    "qswap": BATCH_VECTOR,
-    "qxor": BATCH_VECTOR,
-    "qzero": BATCH_VECTOR,
-}
-
-assert set(BATCH_EXEC) == set(INSTRUCTIONS), "batch metadata out of sync"

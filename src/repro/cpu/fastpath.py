@@ -1,44 +1,44 @@
-"""Fast-path execution engine: predecode cache + stripped hot loops.
+"""Predecode cache and the stripped run loop.
 
-The slow path re-decodes every instruction word at every step and pays
-telemetry/trace/checkpoint dispatch on every loop iteration even when no
-observer is attached.  This module removes that overhead without
-changing a single architectural outcome:
+The ISA semantics live in one table, :data:`repro.cpu.exec_core.FAST_HANDLERS`,
+and two loops run it.  :func:`repro.cpu.exec_core.execute` is the
+observed step: it wraps each handler in the flight-recorder and
+telemetry hooks and returns an ``Effects`` record for timing models,
+tracers, and profilers.  This module holds the other loop, stripped of
+everything an unobserved run does not need:
 
 - **Predecode cache** (:class:`PredecodeCache`): each program word is
   decoded once into a :class:`Predecoded` entry carrying the
-  instruction, its fast handler (:data:`repro.cpu.exec_core.FAST_HANDLERS`),
-  and its :class:`~repro.cpu.exec_core.StaticEffects`.  Decoded entries
-  are pure functions of their bit patterns, so they are interned
-  process-wide and shared by all three simulators.  Stores invalidate
-  precisely (``MachineState.write_mem`` drops the entry at the written
-  address plus a two-word entry starting one word earlier), so
-  self-modifying code simply re-decodes the rewritten words.
-- **Stripped run loops** (:func:`run_functional`, :func:`run_multicycle`):
-  no span enter/exit, no per-step ``Effects`` allocation, locals-bound
-  state, and handler dispatch through the predecoded table instead of
-  per-step mnemonic branching.
-- **Selection** (:func:`eligible`): the fast loop is only taken when
-  telemetry capture, tracing, auto-checkpointing, and profiling are all
-  inactive; any observer keeps the byte-identical slow path.  Set
-  ``REPRO_FASTPATH=0`` in the environment (or ``sim.use_fastpath =
-  False``) to force the slow path; ``sim.use_fastpath = True`` forces
-  the fast loop even when an observer is attached (testing only -- the
-  observer is then bypassed).  The flight recorder
-  (:mod:`repro.obs.flight`) is *not* an observer in this sense: its
-  retire append is cheap enough to stay inside the fast loop, so it
-  never costs eligibility.
+  instruction, its handler, and its
+  :class:`~repro.cpu.exec_core.StaticEffects`.  Decoded entries are pure
+  functions of their bit patterns, so they are interned process-wide
+  and shared by all three simulators.  Stores invalidate precisely
+  (``MachineState.write_mem`` drops the entry at the written address
+  plus a two-word entry starting one word earlier), so self-modifying
+  code simply re-decodes the rewritten words.
+- **Stripped run loop** (:func:`run_functional`): no span enter/exit,
+  no per-step ``Effects`` allocation, locals-bound state, and handler
+  dispatch through the predecoded table.  Given a
+  :class:`~repro.cpu.multicycle.CycleCosts` it also charges the
+  multi-cycle model's cycles, so it serves both untimed and multi-cycle
+  simulators.
+- **Selection** (:func:`eligible`): the stripped loop is only taken
+  when telemetry capture, tracing, auto-checkpointing, and profiling
+  are all inactive; any observer keeps the observed loop.
+  ``sim.use_fastpath = False`` forces the observed loop;
+  ``sim.use_fastpath = True`` forces the stripped loop even when an
+  observer is attached (testing only -- the observer is then
+  bypassed).  The flight recorder (:mod:`repro.obs.flight`) is *not* an
+  observer in this sense: its retire append is cheap enough to stay
+  inside the stripped loop, so it never costs eligibility.
 
-Trap behaviour is identical to the slow path by construction: handlers
-raise through the same :func:`repro.faults.traps.deliver` machinery with
-the same causes and detail strings, and the differential suite
-(``tests/test_fastpath.py``) checks final state digests and trap records
-against the slow path on random programs.
+Both loops call the same handlers, so traps raise through the same
+:func:`repro.faults.traps.deliver` machinery with the same causes and
+detail strings; ``tests/test_fastpath.py`` still compares the two loops'
+final state digests and trap records on random programs.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.cpu.exec_core import FAST_HANDLERS, static_effects
 from repro.errors import EncodingError
@@ -46,10 +46,6 @@ from repro.faults.traps import TrapCause, TrapDelivered
 from repro.isa.encoding import decode
 from repro.obs import flight as _flight
 from repro.obs import runtime as _obs
-
-#: Master switch: ``REPRO_FASTPATH=0`` disables fast-loop selection
-#: process-wide (the predecode cache stays behaviour-neutral and on).
-ENABLED = os.environ.get("REPRO_FASTPATH", "1") != "0"
 
 #: Major opcodes of two-word (Qat multi-register) instructions.
 _TWO_WORD_MAJORS = (0x8, 0x9)
@@ -159,15 +155,15 @@ def eligible(sim) -> bool:
     """Should ``sim.run()`` take the stripped fast loop right now?
 
     ``sim.use_fastpath`` (True/False) overrides everything; otherwise
-    the fast loop requires the module switch on and *no* observer --
-    telemetry capture, an execution trace, an auto-checkpointer, or a
-    profiler -- attached to the simulator (or, for the multi-cycle
-    model, its inner functional simulator).
+    the fast loop requires *no* observer -- telemetry capture, an
+    execution trace, an auto-checkpointer, or a profiler -- attached to
+    the simulator (or, for the multi-cycle model, its inner functional
+    simulator).
     """
     forced = getattr(sim, "use_fastpath", None)
     if forced is not None:
         return bool(forced)
-    if not ENABLED or _obs.active:
+    if _obs.active:
         return False
     inner = getattr(sim, "_inner", None)
     for owner in (sim,) if inner is None else (sim, inner):
@@ -180,15 +176,24 @@ def eligible(sim) -> bool:
     return True
 
 
-def run_functional(sim, max_steps: int) -> int:
+def run_functional(sim, max_steps: int, costs=None) -> int:
     """Stripped equivalent of ``FunctionalSimulator.run``.
 
     Same contract: runs to halt, fires the ``watchdog`` trap when the
     step budget is exhausted, returns the number of steps (trapped
-    instructions included).
+    instructions included).  With ``costs`` (a
+    :class:`~repro.cpu.multicycle.CycleCosts`) it also charges
+    ``sim.cycles`` like ``MultiCycleSimulator.run``: per retired
+    instruction by mnemonic, and ``costs.sys`` per trap.  The charge is
+    made after every step (not batched) because trap records read the
+    clock through ``machine.cycle_provider`` at delivery time, and the
+    observed loop charges a trapping instruction only *after* delivery.
     """
     machine = sim.machine
     syscalls = sim.syscalls
+    cost_of = (None if costs is None
+               else {m: costs.cycles_for(m) for m in FAST_HANDLERS})
+    trap_cost = costs.sys if costs is not None else 0
     mem = machine.mem
     cache = cache_for(machine)
     entries = cache.entries if cache is not None else None
@@ -221,12 +226,16 @@ def run_functional(sim, max_steps: int) -> int:
             try:
                 machine.trap(TrapCause.ILLEGAL_OPCODE, detail=entry.error)
             except TrapDelivered:
+                if cost_of is not None:
+                    sim.cycles += trap_cost
                 steps += 1
                 continue
         try:
             machine.pc = handler(machine, entry.instr, entry.ops,
                                  (pc + entry.words) & 0xFFFF, syscalls)
             machine.instret += 1
+            if cost_of is not None:
+                sim.cycles += cost_of[entry.mnemonic]
             if fr_append is not None:
                 fr_append((0, pc, entry.raw))
                 fr_room -= 1
@@ -234,67 +243,7 @@ def run_functional(sim, max_steps: int) -> int:
                     recorder._trim()
                     fr_room = recorder.limit - len(recorder.events)
         except TrapDelivered:
-            pass  # deliver() already redirected/halted the machine
+            if cost_of is not None:
+                sim.cycles += trap_cost
         steps += 1
     return steps
-
-
-def run_multicycle(sim, max_steps: int) -> int:
-    """Stripped equivalent of ``MultiCycleSimulator.run``.
-
-    Returns total cycles.  ``sim.cycles`` is brought up to date after
-    every step (not batched) because trap records read it through
-    ``machine.cycle_provider`` at delivery time, and the slow path
-    charges the trapping instruction only *after* delivery.
-    """
-    machine = sim.machine
-    syscalls = sim._inner.syscalls
-    costs = sim.costs
-    cost_of = {m: costs.cycles_for(m) for m in FAST_HANDLERS}
-    trap_cost = costs.sys  # synthetic "trap" effects charge exception entry
-    mem = machine.mem
-    cache = cache_for(machine)
-    entries = cache.entries if cache is not None else None
-    recorder = _flight.RECORDER
-    fr_append = recorder.events.append if recorder.enabled else None
-    fr_room = recorder.limit - len(recorder.events)
-    steps = 0
-    while not machine.halted:
-        if steps >= max_steps:
-            try:
-                machine.trap(
-                    TrapCause.WATCHDOG,
-                    detail=f"exceeded {max_steps} steps without halting",
-                )
-            except TrapDelivered:
-                break
-        pc = machine.pc
-        if entries is not None:
-            entry = entries.get(pc)
-            if entry is None:
-                entry = entries[pc] = _predecode(mem, pc)
-        else:
-            entry = _predecode(mem, pc)
-        handler = entry.handler
-        if handler is None:
-            try:
-                machine.trap(TrapCause.ILLEGAL_OPCODE, detail=entry.error)
-            except TrapDelivered:
-                sim.cycles += trap_cost
-                steps += 1
-                continue
-        try:
-            machine.pc = handler(machine, entry.instr, entry.ops,
-                                 (pc + entry.words) & 0xFFFF, syscalls)
-            machine.instret += 1
-            sim.cycles += cost_of[entry.mnemonic]
-            if fr_append is not None:
-                fr_append((0, pc, entry.raw))
-                fr_room -= 1
-                if fr_room <= 0:
-                    recorder._trim()
-                    fr_room = recorder.limit - len(recorder.events)
-        except TrapDelivered:
-            sim.cycles += trap_cost
-        steps += 1
-    return sim.cycles

@@ -1,8 +1,13 @@
 """Functional (instruction-accurate, untimed) simulator.
 
-The reference model: decodes and executes one instruction per step with
-no timing, like the paper's Figure 6 single-cycle datapath.  The other
-simulators are validated against this one on random programs.
+Executes one instruction per step with no timing, like the paper's
+Figure 6 single-cycle datapath.  Each instruction runs its handler from
+:data:`repro.cpu.exec_core.FAST_HANDLERS`, the one table of ISA
+semantics, through one of two loops: the observed loop (:meth:`step`,
+via :func:`~repro.cpu.exec_core.execute`) whenever telemetry, a trace,
+a checkpointer, or a profiler is attached, and otherwise the stripped
+loop :func:`repro.cpu.fastpath.run_functional`.  The timing models and
+the batch simulator are checked against this one on random programs.
 
 Abnormal events route through the trap model
 (:mod:`repro.faults.traps`): an undecodable word is an
@@ -102,8 +107,8 @@ class FunctionalSimulator:
         :class:`~repro.faults.checkpoint.AutoCheckpointer` snapshots the
         machine periodically so a watchdog expiry is recoverable.
 
-        With no observer attached the architecturally identical stripped
-        loop in :mod:`repro.cpu.fastpath` is used instead.
+        With no observer attached the stripped loop in
+        :mod:`repro.cpu.fastpath` runs the same handlers instead.
         """
         if _fastpath.eligible(self):
             return _fastpath.run_functional(self, max_steps)

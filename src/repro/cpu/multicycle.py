@@ -103,6 +103,10 @@ class MultiCycleSimulator:
         return self._inner.machine
 
     @property
+    def syscalls(self):
+        return self._inner.syscalls
+
+    @property
     def checkpointer(self):
         return self._inner.checkpointer
 
@@ -157,10 +161,11 @@ class MultiCycleSimulator:
 
         With no observer attached (no profiler, trace, checkpointer, or
         telemetry) the stripped loop in :mod:`repro.cpu.fastpath` runs
-        instead, with identical architectural and cycle accounting.
+        instead, charging the same :class:`CycleCosts`.
         """
         if _fastpath.eligible(self):
-            return _fastpath.run_multicycle(self, max_steps)
+            _fastpath.run_functional(self, max_steps, costs=self.costs)
+            return self.cycles
         steps = 0
         checkpointer = self._inner.checkpointer
         while not self.machine.halted:

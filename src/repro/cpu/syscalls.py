@@ -48,7 +48,7 @@ class SyscallHandler:
         """Dispatch one ``sys`` instruction on ``machine``."""
         service = machine.read_reg(RV)
         # Flight recorder: machine.pc still addresses the ``sys`` word
-        # here in both the slow path and the fast handlers.
+        # here in both the observed and the stripped loop.
         from repro.obs import flight as _flight
 
         if _flight.RECORDER.enabled:

@@ -111,7 +111,7 @@ class FlightRecorder:
             del events[:drop]
 
     def note_retire(self, pc: int, raw: tuple) -> None:
-        """One retired instruction (slow path; fast loops inline this)."""
+        """One retired instruction (the stripped loop inlines this append)."""
         self.events.append((RETIRE, pc, raw))
         self._trim()
 

@@ -109,13 +109,17 @@ class TestDataHazards:
 
 class TestControlHazards:
     def test_taken_branch_two_cycle_penalty(self):
-        base = run_pipeline("lex $0, 1\nlex $1, 1\nlex $2, 1")
-        taken = run_pipeline("lex $0, 1\nbrt $0, skip\nskip:\nlex $2, 1")
-        # Same dynamic instruction count (5 each with the epilogue); the
-        # taken branch costs exactly the 2-cycle flush.
-        assert taken.stats.branch_flushes == 1
-        assert taken.stats.retired == base.stats.retired
-        assert taken.stats.cycles == base.stats.cycles + 2
+        # Both targets are the fall-through address: a taken zero-offset
+        # brt, and a jumpr, which is always taken.
+        for setup, branch in (("lex $0, 1", "brt $0, skip"),
+                              ("loadi $0, skip", "jumpr $0")):
+            base = run_pipeline(f"{setup}\nlex $1, 1\nskip:\nlex $2, 1")
+            taken = run_pipeline(f"{setup}\n{branch}\nskip:\nlex $2, 1")
+            # Same dynamic instruction count; the taken branch costs
+            # exactly the 2-cycle flush.
+            assert taken.stats.branch_flushes == 1
+            assert taken.stats.retired == base.stats.retired
+            assert taken.stats.cycles == base.stats.cycles + 2
 
     def test_untaken_branch_no_penalty(self):
         sim = run_pipeline("lex $0, 0\nbrt $0, skip\nlex $1, 1\nskip:\nlex $2, 1")
