@@ -78,21 +78,6 @@ def _timed(name: str, fn, reps: int = 1):
     return result, timing.elapsed / reps
 
 
-def run_bench_spec(benchmark, name: str):
-    """pytest-benchmark bridge onto the ``tangled bench`` suite.
-
-    ``benchmark`` is the pytest-benchmark fixture and ``name`` a spec
-    name from :mod:`repro.obs.bench` (``tangled bench --list``).  The
-    timed body is exactly one bench round -- the same unit of work the
-    ``BENCH_<label>.json`` trajectory records -- so pytest-benchmark's
-    statistics and the CI perf gate measure the same thing.
-    """
-    from repro.obs import bench as obs_bench
-
-    spec = obs_bench.spec_by_name(name)
-    return benchmark(obs_bench.run_spec_once, spec)
-
-
 # ---------------------------------------------------------------------------
 # FIG1 -- AoB semantics
 # ---------------------------------------------------------------------------

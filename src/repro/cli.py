@@ -16,8 +16,6 @@ Installed as the ``tangled`` console script::
     tangled faults --resume 3f2a...             finish an interrupted campaign
     tangled profile program.s                   per-PC cycle attribution
     tangled profile fig10 --trace-out f.json    ... plus a flamegraph
-    tangled bench --label nightly               statistics-aware bench run
-    tangled bench --compare baseline.json       classify perf deltas
     tangled report                              the recorded-run ledger
     tangled report --label fig10.re             a label's trajectory
     tangled report --compare A B --export json  byte-stable comparison
@@ -30,11 +28,10 @@ whole execution through :mod:`repro.obs`: the report covers pipeline
 CPI/stalls, Qat op and AoB-bit volume, and chunkstore compression; the
 trace file loads in ``chrome://tracing`` or https://ui.perfetto.dev.
 ``profile`` goes further -- a ``perf annotate``-style listing saying
-*which instruction* the cycles went to and who it stalled on -- and
-``bench`` writes/gates the canonical ``BENCH_<label>.json`` trajectory
-(see docs/OBSERVABILITY.md).
+*which instruction* the cycles went to and who it stalled on (see
+docs/OBSERVABILITY.md).
 
-Every ``run|fig10|faults|profile|bench`` invocation is additionally
+Every ``run|fig10|faults|profile`` invocation is additionally
 recorded in the persistent run ledger (``~/.tangled/ledger.db``,
 overridable with ``TANGLED_LEDGER``, opt out per command with
 ``--no-ledger``): run id, resolved config, wall time, exit status, trap
@@ -43,10 +40,10 @@ progress gauges, and emitted artifact paths.  ``tangled report`` reads
 it back as trajectories and side-by-side comparisons.
 
 Exit codes: 0 success, 1 error (I/O, bad arguments, simulator fault),
-2 ``bench --compare`` regression gate failure, 3 every quarantined
-shard of a ``--jobs`` fan-out died to timeouts alone, 4 shards were
-quarantined as toxic for any other mix of failures, 130 interrupted
-(Ctrl-C; the partial report is still flushed and the run recorded, and
+2 command-line usage error (argparse), 3 every quarantined shard of a
+``--jobs`` fan-out died to timeouts alone, 4 shards were quarantined as
+toxic for any other mix of failures, 130 interrupted (Ctrl-C; the
+partial report is still flushed and the run recorded, and
 ``--resume <run-id>`` finishes it).  The taxonomy lives in
 :mod:`repro.errors` (``EXIT_OK`` .. ``EXIT_INTERRUPTED``) -- this
 module only imports it.
@@ -74,7 +71,6 @@ from repro.errors import (
     EXIT_FAILURE,
     EXIT_INTERRUPTED,
     EXIT_OK,
-    EXIT_REGRESSION,
     EXIT_TIMEOUT,
     EXIT_TOXIC_SHARDS,
     ReproError,
@@ -162,10 +158,9 @@ class _LedgerScope:
 
     Commands attach what they learn (telemetry handle, fallback
     counters, rate steps, trap summary, worker gauges, artifact paths);
-    :meth:`finish` turns it into one ledger row -- plus one row per
-    bench entry via :meth:`add_row` -- carrying the resolved config and
-    exit status.  Recording is best-effort: a ledger failure warns on
-    stderr and never changes the command's outcome.  ``--no-ledger``
+    :meth:`finish` turns it into one ledger row carrying the resolved
+    config and exit status.  Recording is best-effort: a ledger failure
+    warns on stderr and never changes the command's outcome.  ``--no-ledger``
     (or a falsy ``TANGLED_LEDGER``-resolved path failure) disables it.
     """
 
@@ -185,12 +180,10 @@ class _LedgerScope:
         }
         self.telemetry = None
         self.counters: dict = {}
-        self.rate: dict | None = None
         self.rate_steps: int | None = None
         self.traps: dict | None = None
         self.workers: dict | None = None
         self.artifacts: list[str] = []
-        self.extra_rows: list[dict] = []
         self.status = 0
         self._t0 = time.perf_counter()
 
@@ -222,16 +215,6 @@ class _LedgerScope:
                   file=sys.stderr)
             return None
 
-    def add_row(self, label: str, counters: dict, rate: dict | None = None,
-                config: dict | None = None) -> None:
-        """Queue a secondary row (one recorded bench entry)."""
-        self.extra_rows.append({
-            "label": label,
-            "counters": counters,
-            "rate": rate,
-            "config": config if config is not None else self.config,
-        })
-
     def finish(self, status: int) -> None:
         if not self.enabled:
             return
@@ -244,8 +227,8 @@ class _LedgerScope:
                 counters = dict(self.counters)
             workers = self.workers if self.workers is not None else \
                 (progress or None)
-            rate = self.rate
-            if rate is None and self.rate_steps and wall > 0:
+            rate = None
+            if self.rate_steps and wall > 0:
                 rate = {
                     "steps": self.rate_steps,
                     "steps_per_second": round(self.rate_steps / wall),
@@ -264,15 +247,6 @@ class _LedgerScope:
                     workers=workers,
                     artifacts=self.artifacts,
                 )
-                for row in self.extra_rows:
-                    ledger.record(
-                        command=self.command,
-                        label=row["label"],
-                        config=row["config"],
-                        counters=row["counters"],
-                        status=status,
-                        rate=row["rate"],
-                    )
         except Exception as exc:  # never fail the run over bookkeeping
             print(f"tangled: ledger: {exc} (run not recorded)",
                   file=sys.stderr)
@@ -315,10 +289,6 @@ def _source_stem(source: str) -> str:
     if source == "-":
         return "stdin"
     return os.path.splitext(os.path.basename(source))[0] or "stdin"
-
-
-def _stderr_line(line: str) -> None:
-    print(line, file=sys.stderr)
 
 
 class _StatusLine:
@@ -373,25 +343,24 @@ class _StatusLine:
 
 #: ``--resume`` restores these fingerprint keys onto the argparse
 #: namespace so the bare ``tangled faults --resume <id>`` finishes the
-#: original campaign.  List-valued keys (``targets``, ``benches``) are
-#: handled separately in :func:`_adopt_resume_args`.
-_RESUME_ARGS = {
-    "faults": ("program", "runs", "seed", "sim", "ways",
-               "faults_per_run", "qat_backend"),
-    "bench": ("label", "rounds", "warmup", "qat_backend"),
-}
+#: original campaign.  The list-valued ``targets`` key is handled
+#: separately in :func:`_adopt_resume_args`.
+_RESUME_ARGS = ("program", "runs", "seed", "sim", "ways",
+                "faults_per_run", "qat_backend")
 
 
-def _adopt_resume_args(args: argparse.Namespace, command: str) -> None:
-    """Restore the journaled campaign shape for ``--resume``.
+def _adopt_resume_args(args: argparse.Namespace) -> None:
+    """Restore the journaled campaign shape for ``tangled faults --resume``.
 
     The journal's fingerprint row defines *what* ran -- program, seed,
-    runs, bench set, rounds -- so a resume adopts those values instead
+    runs, fault plan -- so a resume adopts those values instead
     of requiring the caller to repeat them; only the execution knobs
     (``--jobs``, ``--shard-timeout``, ``--retries``,
     ``--worker-mem-mib``) come from the new command line.  The runner
     re-verifies the fingerprint when it opens the journal, so a drifted
-    journal between this read and that open is still refused.
+    journal between this read and that open is still refused.  A
+    journal of another kind (an older ledger can hold a ``"bench"``
+    one) is refused by name.
     """
     if getattr(args, "resume", None) is None:
         return
@@ -404,26 +373,22 @@ def _adopt_resume_args(args: argparse.Namespace, command: str) -> None:
 
     args.resume = ledger_mod.resolve_journal_run(args.resume)
     record = ledger_mod.journal_fingerprint(args.resume)
-    if record.get("kind") != command:
+    if record.get("kind") != "faults":
         raise ReproError(
             f"run {args.resume!r} journaled a {record.get('kind')!r} "
             f"run; resume it with: tangled {record.get('kind')} "
             f"--resume {args.resume}"
         )
     fingerprint = record.get("fingerprint", {})
-    for key in _RESUME_ARGS[command]:
+    for key in _RESUME_ARGS:
         if key in fingerprint:
             setattr(args, key, fingerprint[key])
-    if command == "faults" and "targets" in fingerprint:
+    if "targets" in fingerprint:
         args.targets = ",".join(fingerprint["targets"])
-    if command == "bench":
-        if "benches" in fingerprint:
-            args.only = ",".join(fingerprint["benches"])
-        args.quick = False  # rounds were restored explicitly above
 
 
 def _shard_setup(args: argparse.Namespace, led: _LedgerScope):
-    """``(supervise, journal)`` for a sharded command's CLI arguments.
+    """``(supervise, journal)`` for the fault campaign's CLI arguments.
 
     The supervision config exists only for ``--jobs > 1`` (the serial
     path needs no worker pool); the shard journal exists whenever the
@@ -466,25 +431,11 @@ def _shard_setup(args: argparse.Namespace, led: _LedgerScope):
     return supervise, journal
 
 
-def _interrupt_note(command: str, done: int, total: int, what: str,
-                    journal) -> None:
-    hint = ""
-    if journal is not None and journal.enabled:
-        hint = (f"; resume with: tangled {command} --resume "
-                f"{journal.run_id}")
-    print(f"tangled: {command}: interrupted after {done}/{total} {what}"
-          f"{hint}", file=sys.stderr)
-
-
-def _quarantine_note(command: str, count: int, status: int,
-                     journal) -> None:
-    kind = "timeout" if status == EXIT_TIMEOUT else "toxic"
-    hint = ""
-    if journal is not None and journal.enabled:
-        hint = (f"; retry them with: tangled {command} --resume "
-                f"{journal.run_id}")
-    print(f"tangled: {command}: {count} shard(s) quarantined "
-          f"({kind}; exit {status}){hint}", file=sys.stderr)
+def _resume_hint(journal, action: str) -> str:
+    """``"; <action>: tangled faults --resume <id>"`` while journaling."""
+    if journal is None or not journal.enabled:
+        return ""
+    return f"; {action}: tangled faults --resume {journal.run_id}"
 
 
 def cmd_asm(args: argparse.Namespace) -> int:
@@ -642,7 +593,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     )
     from repro.obs.progress import ProgressTracker
 
-    _adopt_resume_args(args, "faults")
+    _adopt_resume_args(args)
     label = f"faults.{args.program}.{args.sim}.{args.qat_backend}"
     with _ledger_scope(args, "faults", label) as led:
         with _TelemetryScope(args) as tel:
@@ -673,8 +624,10 @@ def cmd_faults(args: argparse.Namespace) -> int:
             except CampaignInterrupted as stop:
                 report = stop.report
                 status = EXIT_INTERRUPTED
-                _interrupt_note("faults", stop.done, stop.total, "runs",
-                                journal)
+                print(f"tangled: faults: interrupted after {stop.done}/"
+                      f"{stop.total} runs"
+                      f"{_resume_hint(journal, 'resume with')}",
+                      file=sys.stderr)
             led.workers = tracker.summary()
             # Worker blackboxes collected from toxic shards' spools:
             # link each one so ``tangled blackbox <run-id>`` finds them.
@@ -696,7 +649,11 @@ def cmd_faults(args: argparse.Namespace) -> int:
             if status == 0:
                 status = _quarantine_status(toxic)
                 if status:
-                    _quarantine_note("faults", len(toxic), status, journal)
+                    kind = "timeout" if status == EXIT_TIMEOUT else "toxic"
+                    print(f"tangled: faults: {len(toxic)} shard(s) "
+                          f"quarantined ({kind}; exit {status})"
+                          f"{_resume_hint(journal, 'retry them with')}",
+                          file=sys.stderr)
             led.status = status
             if args.summary_only:
                 report.pop("runs_detail")
@@ -755,95 +712,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         }
         led.rate_steps = sim.machine.instret
         led.traps = _trap_summary(sim.machine)
-    return EXIT_OK
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs import bench
-    from repro.obs.progress import ProgressTracker
-
-    if args.list:
-        for spec in bench.default_specs(args.qat_backend):
-            print(f"{spec.name:<24} {spec.description}")
-        return EXIT_OK
-    _adopt_resume_args(args, "bench")
-    rounds = 2 if args.quick else args.rounds
-    specs = None
-    if args.only:
-        wanted = args.only.split(",")
-        specs = [bench.spec_by_name(name, args.qat_backend) for name in wanted]
-    elif args.qat_backend != "dense":
-        specs = bench.default_specs(args.qat_backend)
-    with _ledger_scope(args, "bench", f"bench.{args.label}") as led:
-        if args.input:
-            # Pure comparison of an existing report: nothing ran, so
-            # nothing lands in the ledger.
-            led.enabled = False
-            report = bench.load_report(args.input)
-        else:
-            spec_list = specs if specs is not None \
-                else bench.default_specs(args.qat_backend)
-            supervise, journal = _shard_setup(args, led)
-            tracker = ProgressTracker(
-                total=len(spec_list) * rounds, what="rounds",
-                emit=_StatusLine() if args.jobs > 1 else None,
-            )
-            try:
-                report = bench.run_suite(
-                    specs=specs, label=args.label, rounds=rounds,
-                    warmup=args.warmup,
-                    progress=_stderr_line,
-                    jobs=args.jobs, qat_backend=args.qat_backend,
-                    tracker=tracker,
-                    supervise=supervise, journal=journal,
-                )
-            except bench.BenchInterrupted as stop:
-                report = stop.report
-                led.status = EXIT_INTERRUPTED
-                _interrupt_note("bench", stop.done, stop.total, "benches",
-                                journal)
-            out = args.out or f"BENCH_{args.label}.json"
-            bench.write_report(out, report)
-            print(f"bench report ({len(report['benches'])} benches, "
-                  f"{rounds} rounds) -> {out}")
-            led.workers = tracker.summary()
-            led.add_artifact(out)
-            for kind, count in sorted(tracker.supervisor.items()):
-                led.counters[f"supervisor.{kind}"] = count
-            entry_config = {
-                "qat_backend": args.qat_backend, "rounds": rounds,
-                "warmup": args.warmup, "jobs": args.jobs,
-            }
-            for name, entry in sorted(report["benches"].items()):
-                if entry.get("toxic"):
-                    continue  # quarantined: no counters to record
-                led.add_row(name, entry["counters"],
-                            rate=entry.get("rate"), config=entry_config)
-            toxic = [entry["failures"]
-                     for entry in report["benches"].values()
-                     if entry.get("toxic")]
-            if led.status == 0:
-                led.status = _quarantine_status(toxic)
-                if led.status:
-                    _quarantine_note("bench", len(toxic), led.status,
-                                     journal)
-            if led.status:
-                return led.status
-        if args.compare:
-            baseline = bench.load_report(args.compare)
-            rows = bench.compare_reports(
-                report, baseline,
-                counter_threshold=args.counter_threshold,
-                time_threshold=args.time_threshold,
-            )
-            print(bench.render_compare(rows, verbose=args.verbose))
-            bad = bench.regressions(rows, include_timing=args.gate_timing)
-            if bad:
-                print(f"tangled bench: {len(bad)} regression(s) vs "
-                      f"{args.compare}", file=sys.stderr)
-                print(bench.render_regressions(bad), file=sys.stderr)
-                led.status = EXIT_REGRESSION
-                return EXIT_REGRESSION
     return EXIT_OK
 
 
@@ -930,25 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "ledger (~/.tangled/ledger.db, or "
                             "$TANGLED_LEDGER)")
 
-    def add_supervise_opts(p, what):
-        p.add_argument("--shard-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help=f"kill and retry a {what} whose worker runs "
-                            "longer than this (only with --jobs > 1)")
-        p.add_argument("--retries", type=int, default=2, metavar="N",
-                       help=f"retries per {what} (with backoff) before "
-                            "it is quarantined as toxic (default: 2)")
-        p.add_argument("--worker-mem-mib", type=int, default=None,
-                       metavar="MIB",
-                       help="address-space ceiling per worker process "
-                            "(RLIMIT_AS; exceeding it fails the shard, "
-                            "not the campaign)")
-        p.add_argument("--resume", metavar="RUN_ID",
-                       help="finish the journaled run RUN_ID (id or "
-                            "unique prefix): re-execute only its "
-                            "missing and toxic shards, byte-identical "
-                            "to a one-shot run")
-
     p = sub.add_parser("asm", help="assemble Tangled/Qat source to hex")
     p.add_argument("source", help="assembly file ('-' for stdin)")
     p.add_argument("-o", "--output", help="write hex words here")
@@ -1028,7 +877,22 @@ def build_parser() -> argparse.ArgumentParser:
                         "batched functional simulator (one process, "
                         "vectorized across machines; report stays "
                         "byte-identical to serial)")
-    add_supervise_opts(p, "run")
+    p.add_argument("--shard-timeout", type=float, default=None,
+                   metavar="SECONDS",
+                   help="kill and retry a run whose worker runs longer "
+                        "than this (only with --jobs > 1)")
+    p.add_argument("--retries", type=int, default=2, metavar="N",
+                   help="retries per run (with backoff) before it is "
+                        "quarantined as toxic (default: 2)")
+    p.add_argument("--worker-mem-mib", type=int, default=None,
+                   metavar="MIB",
+                   help="address-space ceiling per worker process "
+                        "(RLIMIT_AS; exceeding it fails the shard, not "
+                        "the campaign)")
+    p.add_argument("--resume", metavar="RUN_ID",
+                   help="finish the journaled run RUN_ID (id or unique "
+                        "prefix): re-execute only its missing and toxic "
+                        "shards, byte-identical to a one-shot run")
     p.add_argument("--stats", action="store_true",
                    help="print a telemetry report (fault counters, traps, ...)")
     p.add_argument("--trace-out", metavar="PATH",
@@ -1059,48 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(chrome://tracing / Perfetto)")
     add_ledger_opt(p)
     p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser(
-        "bench",
-        help="run the benchmark suite; write/compare BENCH_<label>.json",
-    )
-    p.add_argument("--label", default="local",
-                   help="report label (default: local)")
-    add_qat_backend(p)
-    p.add_argument("--out", metavar="PATH",
-                   help="report path (default: BENCH_<label>.json)")
-    p.add_argument("--rounds", type=int, default=5,
-                   help="measured rounds per bench (default: 5)")
-    p.add_argument("--warmup", type=int, default=1,
-                   help="unmeasured warmup rounds per bench (default: 1)")
-    p.add_argument("--quick", action="store_true",
-                   help="2 measured rounds (CI smoke mode)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="shard bench rounds across N supervised worker "
-                        "processes (counter sections stay "
-                        "byte-identical to serial)")
-    add_supervise_opts(p, "round")
-    p.add_argument("--only", metavar="NAMES",
-                   help="comma-separated bench names to run")
-    p.add_argument("--list", action="store_true",
-                   help="list bench names and exit")
-    p.add_argument("--input", metavar="PATH",
-                   help="compare an existing report instead of running")
-    p.add_argument("--compare", metavar="PATH",
-                   help="baseline BENCH json; exit 2 on counter regressions")
-    p.add_argument("--counter-threshold", type=float, default=0.05,
-                   help="relative counter change treated as neutral "
-                        "(default: 0.05)")
-    p.add_argument("--time-threshold", type=float, default=0.25,
-                   help="relative median-time change treated as neutral "
-                        "(default: 0.25)")
-    p.add_argument("--gate-timing", action="store_true",
-                   help="also fail on timing regressions (off by default: "
-                        "wall clock is machine-dependent)")
-    p.add_argument("--verbose", action="store_true",
-                   help="show neutral metrics in the comparison too")
-    add_ledger_opt(p)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "blackbox",

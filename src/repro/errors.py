@@ -24,10 +24,7 @@ from __future__ import annotations
 EXIT_OK = 0
 #: Generic failure: a :class:`ReproError`, OS error, or bad arguments.
 EXIT_FAILURE = 1
-#: ``tangled bench --compare``: the regression gate tripped (counter or
-#: opted-in timing regressions found).  Distinct from :data:`EXIT_FAILURE`
-#: so CI can tell "the benchmark got worse" from "the benchmark broke".
-EXIT_REGRESSION = 2
+#: (2 is argparse's own exit status for a command-line usage error.)
 #: Supervised fan-out: the whole run was dominated by shard deadline
 #: kills (every failure was a timeout).
 EXIT_TIMEOUT = 3

@@ -1,12 +1,10 @@
 """Persistent run ledger: every ``tangled`` invocation, queryable forever.
 
-The evaluation story so far was one-shot: a run's telemetry evaporated
-at process exit, and the only durable artifacts were loose
-``BENCH_*.json`` files.  This module gives the reproduction a memory --
-a small SQLite database (default ``~/.tangled/ledger.db``, overridable
-with the ``TANGLED_LEDGER`` environment variable) into which the CLI
-records one row per ``tangled run|fig10|faults|bench|profile``
-invocation:
+Without it a run's telemetry evaporates at process exit.  This module
+gives the reproduction a memory -- a small SQLite database (default
+``~/.tangled/ledger.db``, overridable with the ``TANGLED_LEDGER``
+environment variable) into which the CLI records one row per
+``tangled run|fig10|faults|profile`` invocation:
 
 - a unique run id and timestamp;
 - the full resolved configuration (simulator, ``--qat-backend``, ways,
@@ -17,22 +15,18 @@ invocation:
   volatile ``progress.*`` gauges are excluded, so two identical runs
   store identical snapshots;
 - per-worker fan-out gauges (from :mod:`repro.obs.progress`) and the
-  paths of emitted artifacts (trace / profile / bench JSON).
+  paths of emitted artifacts (trace / profile JSON, blackbox spills).
 
-``tangled bench`` additionally records one row per bench entry, labeled
-with the bench name (``fig10.re``, ...), carrying that bench's counter
-section and steps/sec rate -- which is what makes cross-version
-trajectories (`tangled report --label fig10.re`) possible without
-keeping the loose JSON files around.
+Rows written by older builds stay readable, including the per-entry
+rows of the retired ``tangled bench`` (labels such as ``fig10.re``).
 
 On top of the table, three read-side views power ``tangled report``:
 
 - :func:`runs_view` -- the recent-run listing;
 - :func:`trajectory_view` -- counter/rate series and first->last deltas
   across the last N recorded runs of one label;
-- :func:`compare_view` -- a side-by-side of two runs (ids or labels)
-  classified improved/regressed/neutral with the same logic as
-  ``tangled bench --compare``.
+- :func:`compare_view` -- a side-by-side of two runs (ids or labels),
+  every shared metric classified improved/regressed/neutral.
 
 Every view is a plain dict; :func:`export_json` serializes it with
 sorted keys so repeated exports of the same ledger are byte-identical.
@@ -168,7 +162,7 @@ class AmbiguousRunId(ReproError):
 
 @dataclass
 class RunRecord:
-    """One recorded invocation (or one bench entry of one invocation)."""
+    """One recorded invocation, or one bench entry from an older build."""
 
     id: str
     ts: float
@@ -420,10 +414,10 @@ def open_ledger(path: str | None = None) -> Ledger:
 class ShardJournal:
     """Per-shard result journal for one resumable fan-out.
 
-    The supervised campaign/bench runners record every shard's terminal
+    The supervised campaign runner records every shard's terminal
     state here as it completes, keyed by ``(run_id, shard)``: ``done``
     rows carry the exact payload that enters the merged report, so
-    ``tangled faults|bench --resume <run-id>`` can re-execute only the
+    ``tangled faults --resume <run-id>`` can re-execute only the
     missing and ``toxic`` shards and still emit byte-identical output.
     A ``meta`` row (shard ``-1``) pins the run's semantic fingerprint --
     a resume with different campaign arguments is refused rather than
@@ -705,17 +699,47 @@ def trajectory_view(ledger: Ledger, label: str, last: int = 10) -> dict:
     }
 
 
+#: Metrics where *larger* is the improvement; every other metric is
+#: treated as a cost (cycles, stalls, seconds, bit volume).
+HIGHER_IS_BETTER = (
+    "chunkstore.binop.hit",
+    "chunkstore.bytes_saved",
+    "pipeline.retired",
+    "faults.masked",
+    "rate.steps_per_second",
+)
+
+
+def _classify(metric: str, base: float, current: float,
+              threshold: float) -> str:
+    """``improved``/``regressed``/``neutral`` for one metric's change.
+
+    A relative change within ``threshold`` is neutral; a metric moving
+    off a zero baseline counts as a 100% change.
+    """
+    if base == current:
+        return "neutral"
+    if base == 0:
+        delta = 1.0 if current > 0 else -1.0
+    else:
+        delta = (current - base) / abs(base)
+    if abs(delta) <= threshold:
+        return "neutral"
+    worse = delta > 0
+    if metric in HIGHER_IS_BETTER:
+        worse = not worse
+    return "regressed" if worse else "improved"
+
+
 def compare_view(ledger: Ledger, ref_a: str, ref_b: str,
                  counter_threshold: float = 0.05,
                  time_threshold: float = 0.25) -> dict:
     """Side-by-side of two recorded runs (ids or labels, A = baseline).
 
-    Classification reuses the bench ``--compare`` logic: every shared
-    metric becomes improved/regressed/neutral, with the wall-clock
-    ``rate.*`` entries judged against the looser timing threshold.
+    Every shared metric becomes improved/regressed/neutral, with the
+    wall-clock ``rate.*`` entries judged against the looser timing
+    threshold.
     """
-    from repro.obs.bench import _classify
-
     a, b = ledger.resolve(ref_a), ledger.resolve(ref_b)
     metrics_a, metrics_b = a.metrics(), b.metrics()
     rows = []
@@ -731,11 +755,7 @@ def compare_view(ledger: Ledger, ref_a: str, ref_b: str,
             continue
         timing = name.startswith("rate.")
         threshold = time_threshold if timing else counter_threshold
-        # _classify treats unknown metrics as costs; steps/sec is a
-        # throughput, so its non-neutral verdicts flip.
         verdict = _classify(name, metrics_a[name], metrics_b[name], threshold)
-        if name == "rate.steps_per_second" and verdict != "neutral":
-            verdict = "improved" if verdict == "regressed" else "regressed"
         rows.append({
             "metric": name, "kind": "timing" if timing else "counter",
             "baseline": metrics_a[name], "current": metrics_b[name],

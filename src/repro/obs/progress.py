@@ -1,12 +1,12 @@
 """Live progress for the ``--jobs`` fan-out: per-worker heartbeats.
 
-The fault-campaign and bench runners shard their work across a
-``multiprocessing.Pool`` and merge the results back into byte-identical
+The fault-campaign runner shards its work across a
+``multiprocessing.Pool`` and merges the results back into byte-identical
 reports.  That determinism guarantee means the *reports* can never say
 how the fan-out is going -- so this module watches it from the side.
 
 A :class:`ProgressTracker` lives in the **parent** process.  Every time
-a sharded item (one faulted run, one bench round) completes, the runner
+a sharded item (one faulted run) completes, the runner
 calls :meth:`ProgressTracker.note` with the worker that produced it and
 the item's wall seconds; the tracker treats each completion as that
 worker's heartbeat and maintains

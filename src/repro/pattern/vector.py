@@ -44,11 +44,11 @@ def reset_default_stores() -> None:
 
     The shared stores accumulate interned chunks and memo hit/miss
     counts for the life of the process, which silently couples runs that
-    should be independent: a benchmark round warmed by the previous one,
+    should be independent: a counter capture warmed by the previous one,
     or a fault-campaign seed whose chunkstore counters depend on the
-    seeds run before it.  Callers that promise per-run isolation
-    (``tangled bench``'s fresh capture per round, campaign
-    byte-reproducibility) call this between runs; vectors built against
+    seeds run before it.  Callers that promise per-run isolation (the
+    exact counter-baseline test, campaign byte-reproducibility) call
+    this between runs; vectors built against
     a dropped store keep working -- they hold their own reference -- but
     new ``default_store()`` callers start from a pristine store.
     """

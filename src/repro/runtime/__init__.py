@@ -1,7 +1,6 @@
 """Hardened job-execution substrate for the ``--jobs`` fan-outs.
 
-The fault-campaign and bench runners shard pure tasks across worker
-processes.  :mod:`repro.runtime.supervisor` owns the part the raw
+The fault-campaign runner shards pure tasks across worker processes.  :mod:`repro.runtime.supervisor` owns the part the raw
 ``multiprocessing.Pool`` never did: per-shard wall-clock deadlines with
 hung-worker kill-and-replace, bounded retry with exponential backoff,
 poison-shard quarantine, opt-in per-worker memory ceilings, and the

@@ -100,19 +100,6 @@ class TestVerilogAndFig10:
 class TestExitTaxonomy:
     """The documented exit-status contract for supervised fan-outs."""
 
-    def test_exit_code_constants(self):
-        from repro.cli import (
-            EXIT_INTERRUPTED,
-            EXIT_REGRESSION,
-            EXIT_TIMEOUT,
-            EXIT_TOXIC_SHARDS,
-        )
-
-        assert EXIT_REGRESSION == 2
-        assert EXIT_TIMEOUT == 3
-        assert EXIT_TOXIC_SHARDS == 4
-        assert EXIT_INTERRUPTED == 130
-
     def test_toxic_crash_shards_exit_4(self, monkeypatch, capsys):
         from repro.cli import EXIT_TOXIC_SHARDS
 
@@ -192,18 +179,27 @@ class TestExitTaxonomy:
         assert resumed_out == serial_out
 
     def test_resume_refuses_the_wrong_command(self, capsys):
-        import os
-        import sqlite3
+        from repro.obs.ledger import ShardJournal
 
-        assert main(["faults", "--runs", "2", "--seed", "7"]) == 0
-        capsys.readouterr()
-        conn = sqlite3.connect(os.environ["TANGLED_LEDGER"])
-        run_id = conn.execute(
-            "SELECT DISTINCT run_id FROM shards").fetchone()[0]
-        conn.close()
-        assert main(["bench", "--resume", run_id]) == 1
+        # An older ledger can still hold the journal of a bench run.
+        ShardJournal("benchrun0001").begin(
+            "bench", {"label": "local", "benches": ["fig10.re"],
+                      "rounds": 5, "warmup": 1, "qat_backend": "dense"})
+        assert main(["faults", "--resume", "benchrun0001"]) == 1
         err = capsys.readouterr().err
-        assert "journaled a 'faults' run" in err
+        assert "journaled a 'bench' run" in err
+
+
+class TestRemovedSurface:
+    @pytest.mark.parametrize("argv, message", [
+        (["fig10", "--chunk-cache", "x"], "--chunk-cache"),
+        (["bench", "--quick"], "invalid choice"),
+    ], ids=["chunk-cache-flag", "bench-subcommand"])
+    def test_rejected_by_argparse(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestAmbiguousRunRefs:

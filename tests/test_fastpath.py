@@ -4,8 +4,8 @@ The contract of :mod:`repro.cpu.fastpath` is *architectural
 invisibility*: the stripped loop must be byte-identical to the
 observed loop in every observable (registers, memory, Qat state, trap
 records, cycle counts), the predecode cache must survive
-self-modifying code, and the ``--jobs`` fan-out of campaigns and
-benches must merge back to the serial report exactly.
+self-modifying code, and the ``--jobs`` fan-out of campaigns must
+merge back to the serial report exactly.
 """
 
 import numpy as np
@@ -271,36 +271,6 @@ class TestParallelCampaign:
 
         with pytest.raises(ReproError):
             run_campaign(runs=2, jobs=0)
-
-
-class TestParallelBench:
-    def test_jobs_counters_byte_identical(self):
-        import json
-
-        from repro.obs.bench import spec_by_name, run_suite
-
-        specs = [spec_by_name("fig10.functional"),
-                 spec_by_name("fig10.functional_fast")]
-        serial = run_suite(specs, rounds=2, warmup=0, jobs=1)
-        parallel = run_suite(specs, rounds=2, warmup=0, jobs=2)
-        assert serial["benches"].keys() == parallel["benches"].keys()
-        for name in serial["benches"]:
-            a, b = serial["benches"][name], parallel["benches"][name]
-            assert (json.dumps(a["counters"], sort_keys=True).encode()
-                    == json.dumps(b["counters"], sort_keys=True).encode()), name
-            # steps is deterministic; steps_per_second is timing-derived
-            assert (a.get("rate", {}).get("steps")
-                    == b.get("rate", {}).get("steps")), name
-
-    def test_fast_spec_reports_rate(self):
-        from repro.obs.bench import spec_by_name, run_suite
-
-        report = run_suite([spec_by_name("fig10.functional_fast")],
-                           rounds=2, warmup=0)
-        entry = report["benches"]["fig10.functional_fast"]
-        assert entry["counters"] == {}
-        assert entry["rate"]["steps"] > 0
-        assert entry["rate"]["steps_per_second"] > 0
 
 
 class TestChunkStoreMemoBound:

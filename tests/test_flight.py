@@ -452,7 +452,6 @@ class TestExitTaxonomy:
 
         assert errors.EXIT_OK == 0
         assert errors.EXIT_FAILURE == 1
-        assert errors.EXIT_REGRESSION == 2
         assert errors.EXIT_TIMEOUT == 3
         assert errors.EXIT_TOXIC_SHARDS == 4
         assert errors.EXIT_INTERRUPTED == 130
@@ -481,7 +480,6 @@ class TestExitTaxonomy:
     def test_cli_imports_the_taxonomy(self):
         from repro import cli, errors
 
-        assert cli.EXIT_REGRESSION is errors.EXIT_REGRESSION
         assert cli.EXIT_TOXIC_SHARDS is errors.EXIT_TOXIC_SHARDS
 
 

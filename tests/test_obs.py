@@ -20,6 +20,7 @@ from repro.obs import (
     Tracer,
 )
 from repro.obs import runtime
+from repro.obs.sinks import chrome_trace, render_report
 from repro.obs.spans import PID_PIPELINE, PID_WALL
 
 
@@ -424,3 +425,105 @@ class TestTraceMetadataInjection:
                  if e["ph"] == "M" and e["pid"] == PID_WORKERS]
         assert "--jobs workers (wall clock)" in names
         assert any(n.startswith("worker ") for n in names)
+
+
+class TestHistogramEdgeCases:
+    def test_empty_summary_is_all_zero(self):
+        s = Histogram("t").summary()
+        assert s == {"count": 0, "mean": 0.0, "min": 0.0, "p50": 0.0,
+                     "p90": 0.0, "p99": 0.0, "max": 0.0}
+
+    def test_single_sample_percentiles(self):
+        h = Histogram("t")
+        h.observe(4.2)
+        for p in (0, 50, 90, 99, 100):
+            assert h.percentile(p) == 4.2
+        assert h.summary()["p50"] == 4.2
+
+    def test_percentile_range_validated(self):
+        h = Histogram("t")
+        with pytest.raises(ValueError):
+            h.percentile(-1)
+        with pytest.raises(ValueError):
+            h.percentile(101)
+
+    def test_max_samples_validated(self):
+        with pytest.raises(ValueError, match="max_samples"):
+            Histogram("t", max_samples=0)
+
+    def test_reservoir_after_overflow_keeps_exact_aggregates(self):
+        h = Histogram("t", max_samples=16)
+        n = 1000
+        for i in range(n):
+            h.observe(float(i))
+        assert h.count == n
+        assert h.total == sum(range(n))
+        assert h.min == 0.0
+        assert h.max == float(n - 1)
+        assert len(h._samples) <= h.max_samples
+        assert h._stride > 1
+        # Sampled percentiles stay ordered and within the observed range.
+        p50, p90 = h.percentile(50), h.percentile(90)
+        assert 0.0 <= p50 <= p90 <= float(n - 1)
+
+    def test_merge_after_overflow_respects_cap(self):
+        a = Histogram("t", max_samples=8)
+        b = Histogram("t", max_samples=8)
+        for i in range(100):
+            a.observe(float(i))
+            b.observe(float(100 + i))
+        a.merge(b)
+        assert a.count == 200
+        assert a.max == 199.0
+        assert len(a._samples) <= a.max_samples
+
+
+class TestReportDeterminism:
+    def test_stats_report_metric_order_is_sorted(self):
+        metrics = MetricRegistry()
+        for name in ("z.last", "a.first", "m.middle"):
+            metrics.counter(name).inc()
+        text = render_report(metrics)
+        idx = {name: text.index(name) for name in
+               ("a.first", "m.middle", "z.last")}
+        assert idx["a.first"] < idx["m.middle"] < idx["z.last"]
+
+    def test_identical_runs_render_identical_reports(self):
+        def run():
+            t = Telemetry(enabled=True, tracing=False)
+            t.metrics.counter("pipeline.cycles").add(167)
+            t.metrics.gauge("pipeline.cpi").set(1.8152)
+            return t.report()
+
+        assert run() == run()
+
+
+class TestTraceTruncationMetadata:
+    def test_truncation_flag_surfaces_in_chrome_trace(self):
+        metrics = MetricRegistry()
+        tracer = Tracer(max_events=2)
+        for i in range(5):
+            tracer.complete(f"s{i}", ts_ns=i, dur_ns=1)
+        trace = chrome_trace(metrics, tracer)
+        assert trace["otherData"]["truncated"] is True
+        assert trace["otherData"]["events_dropped"] == tracer.dropped > 0
+
+    def test_untruncated_trace_reports_clean(self):
+        tracer = Tracer(max_events=100)
+        tracer.complete("s", ts_ns=0, dur_ns=1)
+        trace = chrome_trace(MetricRegistry(), tracer)
+        assert trace["otherData"]["truncated"] is False
+        assert trace["otherData"]["events_dropped"] == 0
+
+    def test_telemetry_trace_file_carries_metadata(self, tmp_path):
+        telemetry = Telemetry(enabled=True, tracing=True, max_events=2)
+        with telemetry.span("a"):
+            with telemetry.span("b"):
+                pass
+        with telemetry.span("c"):
+            pass
+        path = tmp_path / "trace.json"
+        telemetry.write_chrome_trace(str(path))
+        payload = json.loads(path.read_text())
+        assert "truncated" in payload["otherData"]
+        assert "events_dropped" in payload["otherData"]

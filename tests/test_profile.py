@@ -14,6 +14,7 @@ import pytest
 from repro import obs
 from repro.apps import fig10_program, profile_factor_program
 from repro.asm import assemble
+from repro.cli import main
 from repro.cpu import CycleCosts, PipelineConfig
 from repro.obs.profile import (
     REASONS,
@@ -184,3 +185,31 @@ class TestProfilerIsolation:
         assert prof.total_cycles == 3
         assert prof.blame[(1, 0)] == 2
         assert prof.blame_for(1) == [(0, 2)]
+
+
+class TestCli:
+    def test_profile_fig10_listing(self, capsys):
+        assert main(["profile", "fig10"]) == 0
+        out = capsys.readouterr().out
+        assert "total cycles 167" in out
+        assert "opcode histogram:" in out
+
+    def test_profile_json_sums(self, capsys):
+        assert main(["profile", "fig10", "--json", "-"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        per_pc = sum(sum(e["cycles"].values()) for e in data["pcs"].values())
+        assert per_pc == data["total_cycles"] == 167
+
+    def test_profile_multicycle_and_flamegraph(self, tmp_path, capsys):
+        trace = tmp_path / "flame.json"
+        assert main(["profile", "fig10", "--sim", "multicycle",
+                     "--trace-out", str(trace)]) == 0
+        payload = json.loads(trace.read_text())
+        assert payload["otherData"]["truncated"] is False
+        total = payload["otherData"]["profile"]["total_cycles"]
+        spans = [e for e in payload["traceEvents"] if e.get("cat") == "pc"]
+        assert sum(e["dur"] for e in spans) == total
+
+    def test_profile_example_file(self, capsys):
+        assert main(["profile", "examples/fig10.s"]) == 0
+        assert "aob bits" in capsys.readouterr().out

@@ -359,11 +359,3 @@ class TestCampaignAndBench:
         assert report["qat_backend"] == "re"
         assert sum(report["summary"][k]
                    for k in ("detected", "masked", "silent")) == 4
-
-    def test_bench_suite_includes_re_specs(self):
-        from repro.obs.bench import default_specs, spec_by_name
-
-        names = [spec.name for spec in default_specs()]
-        assert "fig10.re" in names
-        assert "fig10.re_ways24" in names
-        spec_by_name("fig10.re").fn()

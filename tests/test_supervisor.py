@@ -296,7 +296,7 @@ class TestChaosHook:
 
 
 # ---------------------------------------------------------------------------
-# Campaign / bench integration (the supervised report contracts)
+# Campaign integration (the supervised report contracts)
 # ---------------------------------------------------------------------------
 
 class TestCampaignIntegration:
@@ -406,89 +406,3 @@ class TestCampaignIntegration:
         assert report["interrupted"] is True
         assert stop.done == len(report["runs_detail"]) < 8
         assert all(d["run"] != 3 for d in report["runs_detail"])
-
-
-class TestBenchIntegration:
-    def _specs(self):
-        from repro.obs.bench import default_specs
-
-        wanted = ("factor.n221", "chunkstore.s12")
-        return [s for s in default_specs() if s.name in wanted]
-
-    def test_supervised_counters_match_serial(self):
-        from repro.obs.bench import run_suite
-
-        specs = self._specs()
-        serial = run_suite(specs=specs, rounds=2, warmup=0, jobs=1)
-        fanout = run_suite(specs=specs, rounds=2, warmup=0, jobs=2)
-        for name in serial["benches"]:
-            assert fanout["benches"][name]["counters"] == \
-                serial["benches"][name]["counters"]
-
-    def test_toxic_round_quarantines_the_bench(self, monkeypatch):
-        from repro.obs.bench import run_suite
-
-        # Shard 0 is factor.n221 round 0 (suite order x rounds).
-        monkeypatch.setenv(CHAOS_ENV, "crash:0:99")
-        report = run_suite(
-            specs=self._specs(), rounds=2, warmup=0, jobs=2,
-            supervise=SupervisorConfig(jobs=2, max_attempts=1,
-                                       backoff_base=0.01),
-        )
-        entry = report["benches"]["factor.n221"]
-        assert entry["toxic"] is True
-        assert entry["failures"] == ["crash"]
-        assert "counters" not in entry
-        assert "counters" in report["benches"]["chunkstore.s12"]
-
-    def test_compare_reports_guards_toxic_entries(self, monkeypatch):
-        from repro.obs.bench import compare_reports, regressions, run_suite
-
-        specs = self._specs()
-        healthy = run_suite(specs=specs, rounds=2, warmup=0, jobs=1)
-        monkeypatch.setenv(CHAOS_ENV, "crash:0:99")
-        toxic = run_suite(
-            specs=specs, rounds=2, warmup=0, jobs=2,
-            supervise=SupervisorConfig(jobs=2, max_attempts=1,
-                                       backoff_base=0.01),
-        )
-        rows = compare_reports(toxic, healthy)
-        toxic_rows = [r for r in rows if r["kind"] == "toxic"]
-        assert [r["bench"] for r in toxic_rows] == ["factor.n221"]
-        assert toxic_rows[0]["verdict"] == "regressed"
-        assert toxic_rows[0] in regressions(rows)
-        # The healthy bench still compares counter by counter.
-        assert any(r["bench"] == "chunkstore.s12" and r["kind"] == "counter"
-                   for r in rows)
-
-    def test_bench_journal_resume_reexecutes_missing_rounds(self, tmp_path):
-        from repro.obs.bench import run_suite
-        from repro.obs.ledger import SHARD_DONE, ShardJournal
-
-        ledger = str(tmp_path / "ledger.db")
-        specs = self._specs()
-        serial = run_suite(specs=specs, rounds=2, warmup=0, jobs=1,
-                           journal=ShardJournal("bench-run", path=ledger))
-        # Drop one journaled round to simulate an interrupt, then resume.
-        import sqlite3
-
-        conn = sqlite3.connect(ledger)
-        conn.execute(
-            "DELETE FROM shards WHERE run_id = 'bench-run' AND shard = 3"
-        )
-        conn.commit()
-        conn.close()
-        resumed = run_suite(
-            specs=specs, rounds=2, warmup=0, jobs=1,
-            journal=ShardJournal("bench-run", path=ledger, resume=True),
-        )
-        for name in serial["benches"]:
-            assert resumed["benches"][name]["counters"] == \
-                serial["benches"][name]["counters"]
-        conn = sqlite3.connect(ledger)
-        count = conn.execute(
-            "SELECT COUNT(*) FROM shards WHERE run_id = 'bench-run' "
-            "AND shard >= 0 AND status = ?", (SHARD_DONE,),
-        ).fetchone()[0]
-        conn.close()
-        assert count == 4  # the deleted round was re-journaled
