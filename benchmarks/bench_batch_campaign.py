@@ -64,7 +64,6 @@ def _time_fastpath_single() -> dict:
     t0 = time.perf_counter()
     for _ in range(RUNS):
         sim = FunctionalSimulator(ways=8)
-        sim.use_fastpath = True
         sim.load(program)
         sim.run(max_steps=100_000)
         steps += sim.machine.instret

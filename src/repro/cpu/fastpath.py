@@ -24,18 +24,15 @@ everything an unobserved run does not need:
   simulators.
 - **Selection** (:func:`eligible`): the stripped loop is only taken
   when telemetry capture, tracing, auto-checkpointing, and profiling
-  are all inactive; any observer keeps the observed loop.
-  ``sim.use_fastpath = False`` forces the observed loop;
-  ``sim.use_fastpath = True`` forces the stripped loop even when an
-  observer is attached (testing only -- the observer is then
-  bypassed).  The flight recorder (:mod:`repro.obs.flight`) is *not* an
-  observer in this sense: its retire append is cheap enough to stay
-  inside the stripped loop, so it never costs eligibility.
+  are all inactive; any observer keeps the observed loop.  The flight
+  recorder (:mod:`repro.obs.flight`) is *not* an observer in this
+  sense: its retire append is cheap enough to stay inside the stripped
+  loop, so it never costs eligibility.
 
 Both loops call the same handlers, so traps raise through the same
 :func:`repro.faults.traps.deliver` machinery with the same causes and
-detail strings; ``tests/test_fastpath.py`` still compares the two loops'
-final state digests and trap records on random programs.
+detail strings; ``tests/test_conformance.py`` holds both loops, and
+every other engine, to one reference on random programs.
 """
 
 from __future__ import annotations
@@ -141,28 +138,18 @@ class PredecodeCache:
         self.entries.clear()
 
 
-def cache_for(machine) -> PredecodeCache | None:
-    """The machine's predecode cache (``None`` when disabled on it)."""
-    if not machine.predecode_enabled:
-        return None
-    cache = machine._predecode
-    if cache is None:
-        cache = machine._predecode = PredecodeCache()
-    return cache
+def cache_for(machine) -> PredecodeCache:
+    """The machine's predecode cache."""
+    return machine._predecode
 
 
 def eligible(sim) -> bool:
     """Should ``sim.run()`` take the stripped fast loop right now?
 
-    ``sim.use_fastpath`` (True/False) overrides everything; otherwise
-    the fast loop requires *no* observer -- telemetry capture, an
-    execution trace, an auto-checkpointer, or a profiler -- attached to
-    the simulator (or, for the multi-cycle model, its inner functional
-    simulator).
+    Only when *no* observer -- telemetry capture, an execution trace, an
+    auto-checkpointer, or a profiler -- is attached to the simulator (or,
+    for the multi-cycle model, its inner functional simulator).
     """
-    forced = getattr(sim, "use_fastpath", None)
-    if forced is not None:
-        return bool(forced)
     if _obs.active:
         return False
     inner = getattr(sim, "_inner", None)
@@ -195,8 +182,7 @@ def run_functional(sim, max_steps: int, costs=None) -> int:
                else {m: costs.cycles_for(m) for m in FAST_HANDLERS})
     trap_cost = costs.sys if costs is not None else 0
     mem = machine.mem
-    cache = cache_for(machine)
-    entries = cache.entries if cache is not None else None
+    entries = cache_for(machine).entries
     # Flight-recorder hot-path state: a bound ``list.append`` and a
     # countdown to the next trim, so a retire costs one branch, one
     # tuple, one append, and one integer compare -- no ``len()`` global
@@ -215,12 +201,9 @@ def run_functional(sim, max_steps: int, costs=None) -> int:
             except TrapDelivered:
                 break
         pc = machine.pc
-        if entries is not None:
-            entry = entries.get(pc)
-            if entry is None:
-                entry = entries[pc] = _predecode(mem, pc)
-        else:
-            entry = _predecode(mem, pc)
+        entry = entries.get(pc)
+        if entry is None:
+            entry = entries[pc] = _predecode(mem, pc)
         handler = entry.handler
         if handler is None:
             try:

@@ -25,20 +25,14 @@ from repro.cpu import fastpath as _fastpath
 from repro.cpu.exec_core import TRAP_MNEMONIC, Effects, execute
 from repro.cpu.state import MachineState
 from repro.cpu.syscalls import SyscallHandler
-from repro.errors import EncodingError, HaltedError
+from repro.errors import HaltedError
 from repro.faults.traps import TrapCause, TrapDelivered, TrapPolicy
-from repro.isa.encoding import decode
-from repro.isa.instructions import Instr
 from repro.obs import runtime as _obs
 from repro.obs.spans import NULL_SPAN
 
 
 class FunctionalSimulator:
     """Executes a program image one instruction at a time."""
-
-    #: Fast-path override: ``None`` auto-selects (fast loop when no
-    #: observer is attached), ``False``/``True`` force slow/fast.
-    use_fastpath: bool | None = None
 
     def __init__(
         self,
@@ -62,16 +56,12 @@ class FunctionalSimulator:
         self.machine.load_program(words, origin=0 if origin is None else origin)
         self.machine.pc = entry
 
-    def fetch_decode(self) -> tuple[Instr, int]:
-        """Decode the instruction at the current PC."""
-        return decode(self.machine.mem, self.machine.pc)
-
     def _trapped_effects(self) -> Effects:
         """Synthetic effects for an instruction consumed by a trap."""
         return Effects(mnemonic=TRAP_MNEMONIC, next_pc=self.machine.pc)
 
     def step(self) -> Effects:
-        """Fetch, decode and execute one instruction.
+        """Fetch (through the predecode cache) and execute one instruction.
 
         An instruction that traps under the halt/vector policy returns a
         synthetic :class:`Effects` with mnemonic ``"trap"``; under the
@@ -81,11 +71,11 @@ class FunctionalSimulator:
         if machine.halted:
             raise HaltedError("machine is halted", pc=machine.pc)
         pc = machine.pc
-        try:
-            instr, _ = self.fetch_decode()
-        except EncodingError as exc:
+        entry = _fastpath.cache_for(machine).lookup(machine.mem, pc)
+        instr = entry.instr
+        if instr is None:
             try:
-                machine.trap(TrapCause.ILLEGAL_OPCODE, detail=str(exc))
+                machine.trap(TrapCause.ILLEGAL_OPCODE, detail=entry.error)
             except TrapDelivered:
                 return self._trapped_effects()
         try:

@@ -75,10 +75,6 @@ class CycleCosts:
 class MultiCycleSimulator:
     """Functional execution plus a per-instruction cycle charge."""
 
-    #: Fast-path override: ``None`` auto-selects (fast loop when no
-    #: observer is attached), ``False``/``True`` force slow/fast.
-    use_fastpath: bool | None = None
-
     def __init__(
         self,
         ways: int = QAT_WAYS,
@@ -121,12 +117,16 @@ class MultiCycleSimulator:
 
     def step(self) -> int:
         """Execute one instruction; returns the cycles it cost."""
-        if self.machine.halted:
-            raise HaltedError("machine is halted", pc=self.machine.pc,
+        machine = self.machine
+        if machine.halted:
+            raise HaltedError("machine is halted", pc=machine.pc,
                               cycle=self.cycles)
         prof = self.profiler
-        pc = self.machine.pc
+        pc = machine.pc
         if prof is not None:
+            # Label with the word that executes, not whatever a store
+            # leaves behind at ``pc``.
+            instr = _fastpath.cache_for(machine).lookup(machine.mem, pc).instr
             prof.current_pc = pc
         try:
             effects = self._inner.step()
@@ -136,21 +136,9 @@ class MultiCycleSimulator:
         cost = self.costs.cycles_for(effects.mnemonic)
         self.cycles += cost
         if prof is not None:
-            instr = self._decoded_at(pc)
             for reason, cycles in self.costs.breakdown(effects.mnemonic):
                 prof.attribute(pc, reason, cycles=cycles, instr=instr)
         return cost
-
-    def _decoded_at(self, pc: int):
-        """Best-effort re-decode at ``pc`` for profiler labels."""
-        from repro.errors import EncodingError
-        from repro.isa.encoding import decode
-
-        try:
-            instr, _ = decode(self.machine.mem, pc)
-            return instr
-        except EncodingError:
-            return None
 
     def run(self, max_steps: int = 1_000_000) -> int:
         """Run to halt; returns total cycles.

@@ -22,9 +22,10 @@ calls out are all modeled:
   instead (the section-5 ablation).
 
 Architectural state changes happen exactly once, in program order, when
-an instruction enters EX, so the pipelined model is state-equivalent to
-the functional simulator by construction -- the test suite checks this on
-random programs anyway.
+an instruction enters EX, and a store that rewrites a word already in ID
+or IF squashes and refetches it, so the pipelined model is
+state-equivalent to the functional simulator by construction --
+``tests/test_conformance.py`` checks this on random programs anyway.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ from dataclasses import dataclass, field
 
 from repro.aob.bitvector import QAT_WAYS
 from repro.cpu import fastpath as _fastpath
-from repro.cpu.exec_core import execute, static_effects
+from repro.cpu.exec_core import execute
+from repro.cpu.fastpath import Predecoded
 from repro.cpu.state import MachineState
 from repro.cpu.syscalls import SyscallHandler
-from repro.errors import EncodingError, HaltedError
+from repro.errors import HaltedError
 from repro.faults.traps import TrapCause, TrapDelivered, TrapPolicy
-from repro.isa.encoding import decode
 from repro.isa.instructions import Instr
 from repro.obs import runtime as _obs
 from repro.obs.spans import PID_PIPELINE
@@ -96,6 +97,7 @@ class _InFlight:
     """One instruction (or fetch error) moving through the pipe."""
 
     pc: int
+    entry: Predecoded  # what IF read; stale once a store evicts it
     instr: Instr | None  # None = fetched garbage (wrong-path data)
     words: int = 1
     fetch_left: int = 0
@@ -172,26 +174,17 @@ class PipelinedSimulator:
 
     def _start_fetch(self) -> _InFlight:
         pc = self._fetch_pc
-        cache = _fastpath.cache_for(self.machine)
-        if cache is not None:
-            entry = cache.lookup(self.machine.mem, pc)
-            if entry.error is not None:
-                instr, words, stat = None, 1, None
-            else:
-                instr, words, stat = entry.instr, entry.words, entry.static
-        else:
-            try:
-                instr, words = decode(self.machine.mem, pc)
-                stat = static_effects(instr)
-            except EncodingError:
-                instr, words, stat = None, 1, None
+        entry = _fastpath.cache_for(self.machine).lookup(self.machine.mem, pc)
+        instr = entry.instr
         if instr is None:
             # Wrong-path fetch of data; becomes an error only if executed.
             self._fetch_pc = (pc + 1) & 0xFFFF
-            rec = _InFlight(pc=pc, instr=None, words=1, fetch_left=1)
+            rec = _InFlight(pc=pc, entry=entry, instr=None, words=1,
+                            fetch_left=1)
             if self._obs is not None:
                 rec.stage_entries = [("IF", self.stats.cycles)]
             return rec
+        words, stat = entry.words, entry.static
         self._fetch_pc = (pc + words) & 0xFFFF
         ex_left = 1
         if not self.config.second_qat_write_port and instr.mnemonic in (
@@ -202,6 +195,7 @@ class PipelinedSimulator:
             ex_left = 2
         rec = _InFlight(
             pc=pc,
+            entry=entry,
             instr=instr,
             words=words,
             fetch_left=words,
@@ -343,11 +337,8 @@ class PipelinedSimulator:
                     prof.current_pc = entering.pc
                 try:
                     if entering.instr is None:
-                        self.machine.trap(
-                            TrapCause.ILLEGAL_OPCODE,
-                            detail=f"executed undecodable word at "
-                                   f"{entering.pc:#06x}",
-                        )
+                        self.machine.trap(TrapCause.ILLEGAL_OPCODE,
+                                          detail=entering.entry.error)
                     effects = execute(self.machine, entering.instr, self.syscalls)
                 except TrapDelivered:
                     if prof is not None:
@@ -358,16 +349,7 @@ class PipelinedSimulator:
                         return
                     # Vectored: flush the wrong-path stages and refetch
                     # from the handler address the trap installed.
-                    if pipe[_ID] is not None:
-                        self.stats.squashed += 1
-                    pipe[_ID] = None
-                    if self._fetch_current is not None:
-                        self.stats.squashed += 1
-                    self._fetch_current = None
-                    self._fetch_pc = self.machine.pc
-                    self._flush_refill = 2
-                    self._flush_pc = entering.pc
-                    self._flush_instr = entering.instr
+                    self._flush_front(self.machine.pc, entering)
                     return  # redirect lands next cycle (2-cycle penalty)
                 if prof is not None:
                     prof.current_pc = None
@@ -377,16 +359,12 @@ class PipelinedSimulator:
                     # Flush the two younger stages; the fetch redirect takes
                     # effect at the end of this cycle (2-cycle penalty).
                     self.stats.branch_flushes += 1
-                    if pipe[_ID] is not None:
-                        self.stats.squashed += 1
-                    pipe[_ID] = None
-                    if self._fetch_current is not None:
-                        self.stats.squashed += 1
-                    self._fetch_current = None
-                    self._fetch_pc = effects.next_pc
-                    self._flush_refill = 2
-                    self._flush_pc = entering.pc
-                    self._flush_instr = entering.instr
+                    self._flush_front(effects.next_pc, entering)
+                    redirected = True
+                elif effects.is_store and self._front_end_stale():
+                    # The store rewrote a word already fetched: refetch
+                    # it, at the same penalty as a taken branch.
+                    self._flush_front(effects.next_pc, entering)
                     redirected = True
             elif prof is not None and stall is None:
                 # Bubble: the backend had nothing to issue.  Charge the
@@ -421,6 +399,25 @@ class PipelinedSimulator:
         # IF: progress the in-flight fetch / start the next one.
         if not redirected:
             self._fetch_progress()
+
+    def _flush_front(self, target: int, cause: _InFlight) -> None:
+        """Squash ID and the fetch in progress; refetch from ``target``."""
+        if self._pipe[_ID] is not None:
+            self.stats.squashed += 1
+        self._pipe[_ID] = None
+        if self._fetch_current is not None:
+            self.stats.squashed += 1
+        self._fetch_current = None
+        self._fetch_pc = target
+        self._flush_refill = 2
+        self._flush_pc = cause.pc
+        self._flush_instr = cause.instr
+
+    def _front_end_stale(self) -> bool:
+        """Did a store evict the predecode entry of a fetched word?"""
+        entries = _fastpath.cache_for(self.machine).entries
+        return any(rec is not None and entries.get(rec.pc) is not rec.entry
+                   for rec in (self._pipe[_ID], self._fetch_current))
 
     def _fetch_progress(self) -> None:
         """One cycle of instruction fetch work."""

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.aob import AoB
 from repro.aob.bitvector import QAT_WAYS
+from repro.cpu.fastpath import PredecodeCache
 from repro.cpu.qat_backend import make_qat_backend
 from repro.errors import SimulatorError
 from repro.faults.traps import TrapCause, TrapPolicy, TrapRecord, deliver
@@ -48,11 +49,10 @@ class MachineState:
         self.traps: list[TrapRecord] = []
         #: set by timing simulators so trap records carry the clock
         self.cycle_provider = None
-        #: per-machine predecoded-instruction cache, created lazily by
-        #: :mod:`repro.cpu.fastpath`; ``None`` until a simulator runs
-        self._predecode = None
-        #: set False to force per-step ``decode`` (differential testing)
-        self.predecode_enabled = True
+        #: per-machine predecoded-instruction cache
+        #: (:class:`repro.cpu.fastpath.PredecodeCache`), the only fetch
+        #: path of every scalar simulator
+        self._predecode = PredecodeCache()
 
     def trap(self, cause: TrapCause, detail: str = "",
              instruction: str | None = None, resume_pc: int | None = None,
@@ -89,8 +89,7 @@ class MachineState:
         the predecoded-instruction cache is precisely invalidated here.
         """
         self.mem[addr & 0xFFFF] = value & 0xFFFF
-        if self._predecode is not None:
-            self._predecode.invalidate(addr & 0xFFFF)
+        self._predecode.invalidate(addr & 0xFFFF)
 
     def invalidate_predecode(self, addr: int | None = None) -> None:
         """Drop predecoded instructions after a direct ``mem`` mutation.
@@ -99,11 +98,10 @@ class MachineState:
         restore, tests poking ``machine.mem`` arrays) must call this with
         the touched address, or with no argument to flush everything.
         """
-        if self._predecode is not None:
-            if addr is None:
-                self._predecode.invalidate_all()
-            else:
-                self._predecode.invalidate(addr & 0xFFFF)
+        if addr is None:
+            self._predecode.invalidate_all()
+        else:
+            self._predecode.invalidate(addr & 0xFFFF)
 
     def load_program(self, words, origin: int = 0) -> None:
         """Copy a program image into memory and point the PC at it."""
@@ -114,8 +112,7 @@ class MachineState:
             raise SimulatorError("program image exceeds memory")
         self.mem[origin : origin + words.size] = words
         self.pc = origin
-        if self._predecode is not None:
-            self._predecode.invalidate_all()
+        self._predecode.invalidate_all()
 
     # -- Qat register access --------------------------------------------------------
 

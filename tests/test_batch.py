@@ -20,7 +20,7 @@ from repro.faults.campaign import render_report, run_campaign
 from repro.faults.inject import FaultEvent, FaultPlan, apply_event
 from repro.faults.traps import TrapCause, TrapDelivered
 
-from tests.test_pipeline import random_program
+from tests.conformance import programs
 
 BACKENDS = ["dense", "re"]
 
@@ -36,7 +36,6 @@ def _serial_run(words, plan, *, ways, backend, max_steps):
     for a run that died (what the batch engine parks the lane with).
     """
     sim = FunctionalSimulator(ways=ways, qat_backend=backend)
-    sim.use_fastpath = False  # step() loop so events land between steps
     sim.load(list(words))
     error = None
     step = 0
@@ -96,15 +95,14 @@ def _assert_lane_matches(sim, error, batch, lane) -> None:
 class TestBatchVsSerialState:
     @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=10, deadline=None)
-    @given(data=st.data())
-    def test_random_programs_lockstep(self, backend, data):
-        words = random_program(data)
+    @given(program=programs())
+    def test_random_programs_lockstep(self, backend, program):
         lanes = 5
         plans = [None] * lanes
-        batch = _batch_run(words, plans, ways=6, backend=backend,
-                           max_steps=2000)
-        sim, error = _serial_run(words, None, ways=6, backend=backend,
-                                 max_steps=2000)
+        batch = _batch_run(program.words, plans, ways=program.ways,
+                           backend=backend, max_steps=2000)
+        sim, error = _serial_run(program.words, None, ways=program.ways,
+                                 backend=backend, max_steps=2000)
         for lane in range(lanes):
             _assert_lane_matches(sim, error, batch, lane)
 
@@ -113,19 +111,20 @@ class TestBatchVsSerialState:
     @given(data=st.data())
     def test_random_programs_with_fault_plans(self, backend, data):
         """Each lane gets its own plan; serial lanes must match 1:1."""
-        words = random_program(data)
+        program = data.draw(programs())
+        words, ways = program.words, program.ways
         plans = [
-            FaultPlan.from_seed(seed, n_faults=2, max_step=64, ways=6,
+            FaultPlan.from_seed(seed, n_faults=2, max_step=64, ways=ways,
                                 targets=("gpr", "mem", "qreg", "pc"))
             for seed in (data.draw(st.integers(0, 2**31)),
                          data.draw(st.integers(0, 2**31)),
                          None)
             if seed is not None
         ] + [None]
-        batch = _batch_run(words, plans, ways=6, backend=backend,
+        batch = _batch_run(words, plans, ways=ways, backend=backend,
                            max_steps=400)
         for lane, plan in enumerate(plans):
-            sim, error = _serial_run(words, plan, ways=6, backend=backend,
+            sim, error = _serial_run(words, plan, ways=ways, backend=backend,
                                      max_steps=400)
             _assert_lane_matches(sim, error, batch, lane)
 

@@ -1,17 +1,15 @@
-"""Fast-path execution engine: equivalence, invalidation, and fan-out.
+"""Fast-path execution engine: loop selection, invalidation, and fan-out.
 
 The contract of :mod:`repro.cpu.fastpath` is *architectural
-invisibility*: the stripped loop must be byte-identical to the
-observed loop in every observable (registers, memory, Qat state, trap
-records, cycle counts), the predecode cache must survive
-self-modifying code, and the ``--jobs`` fan-out of campaigns must
-merge back to the serial report exactly.
+invisibility*: the stripped loop must match the observed loop in every
+observable (``tests/test_conformance.py`` checks that on random
+programs), the predecode cache must survive self-modifying code, and
+the ``--jobs`` fan-out of campaigns must merge back to the serial
+report exactly.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.asm import assemble
 from repro.cpu import (
@@ -20,96 +18,14 @@ from repro.cpu import (
     PipelinedSimulator,
     fastpath,
 )
-from repro.faults.traps import TrapPolicy
 from repro.isa import INSTRUCTIONS
 
-from tests.test_pipeline import random_program
+from tests.conformance import STORE_AT_ZERO, store_ahead
 
 SIMS = [FunctionalSimulator, MultiCycleSimulator, PipelinedSimulator]
-BACKENDS = ["dense", "re"]
 
 
-def _snap(sim) -> dict:
-    snap = sim.machine.snapshot()
-    # Backend-agnostic Qat readout (the RE backend has no dense matrix).
-    snap["qregs"] = [sim.machine.read_qreg(i) for i in range(256)]
-    snap["traps"] = [record.as_dict() for record in sim.machine.traps]
-    snap["instret"] = sim.machine.instret
-    return snap
-
-
-def _assert_same_state(a: dict, b: dict) -> None:
-    assert np.array_equal(a["regs"], b["regs"])
-    assert np.array_equal(a["mem"], b["mem"])
-    assert a["pc"] == b["pc"]
-    assert a["halted"] == b["halted"]
-    assert a["output"] == b["output"]
-    assert a["instret"] == b["instret"]
-    assert a["traps"] == b["traps"]
-    assert a["qregs"] == b["qregs"]
-
-
-def _run_both(sim_cls, words, *, ways=6, qat_backend="dense",
-              trap_policy=None, max_steps=5000):
-    """Run ``words`` down the slow and fast paths; return both sims."""
-    out = []
-    for fast in (False, True):
-        sim = sim_cls(ways=ways, trap_policy=trap_policy,
-                      qat_backend=qat_backend)
-        sim.use_fastpath = fast
-        sim.load(list(words))
-        if sim_cls is PipelinedSimulator:
-            # The pipeline has no separate stripped loop; exercise the
-            # predecode cache against uncached decoding instead.
-            sim.machine.predecode_enabled = fast
-            sim.run(max_cycles=max_steps * 10)
-        else:
-            sim.run(max_steps=max_steps)
-        out.append(sim)
-    return out
-
-
-class TestDifferentialFastVsSlow:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("sim_cls", SIMS)
-    @settings(max_examples=15, deadline=None)
-    @given(data=st.data())
-    def test_random_programs_identical(self, sim_cls, backend, data):
-        words = random_program(data)
-        slow, fast = _run_both(sim_cls, words, qat_backend=backend)
-        _assert_same_state(_snap(slow), _snap(fast))
-
-    @pytest.mark.parametrize("sim_cls", [FunctionalSimulator,
-                                         MultiCycleSimulator])
-    def test_return_value_matches(self, sim_cls):
-        words = assemble("lex $0, 7\nadd $0, $0\nlex $rv, 0\nsys\n").words
-        slow, fast = _run_both(sim_cls, words)
-        if sim_cls is MultiCycleSimulator:
-            assert slow.cycles == fast.cycles > 0
-        assert slow.machine.read_reg(0) == fast.machine.read_reg(0) == 14
-
-    @pytest.mark.parametrize("sim_cls", [FunctionalSimulator,
-                                         MultiCycleSimulator])
-    def test_trap_records_identical_under_halt_policy(self, sim_cls):
-        # Illegal opcode mid-stream: the trap record (cause, pc,
-        # instret, cycle, detail) must match the slow path exactly.
-        words = assemble("lex $0, 1\nlex $1, 2\n").words + [0x6000]
-        slow, fast = _run_both(sim_cls, words,
-                               trap_policy=TrapPolicy.halting())
-        snap_slow, snap_fast = _snap(slow), _snap(fast)
-        assert snap_slow["traps"], "expected an illegal-opcode trap"
-        _assert_same_state(snap_slow, snap_fast)
-
-    @pytest.mark.parametrize("sim_cls", [FunctionalSimulator,
-                                         MultiCycleSimulator])
-    def test_watchdog_identical_under_halt_policy(self, sim_cls):
-        words = assemble("spin: br spin\n").words
-        slow, fast = _run_both(sim_cls, words, max_steps=64,
-                               trap_policy=TrapPolicy.halting())
-        snap_slow, snap_fast = _snap(slow), _snap(fast)
-        assert snap_slow["traps"][0]["cause"] == "watchdog"
-        _assert_same_state(snap_slow, snap_fast)
-
+class TestLoopSelection:
     def test_observer_forces_slow_path(self):
         from repro import obs
 
@@ -179,64 +95,18 @@ class TestPredecodeCache:
     def test_self_modifying_store_to_address_zero(self):
         # Behavioral check for the same regression: rewriting word 0
         # (already executed) must not disturb later execution.
-        src = """
-            lex $0, 0
-            lex $1, 0
-            store $0, $1
-            lex $3, 9
-            lex $rv, 0
-            sys
-        """
-        program = assemble(src)
-        results = []
-        for predecode in (True, False):
-            sim = FunctionalSimulator(ways=6)
-            sim.load(program)
-            sim.machine.predecode_enabled = predecode
-            sim.run(max_steps=100)
-            results.append(_snap(sim))
-        _assert_same_state(results[0], results[1])
-        assert results[0]["regs"][3] == 9
+        sim = FunctionalSimulator(ways=6)
+        sim.load(assemble(STORE_AT_ZERO))
+        sim.run(max_steps=100)
+        assert sim.machine.read_reg(3) == 9
 
     @pytest.mark.parametrize("sim_cls", SIMS)
     def test_self_modifying_program(self, sim_cls):
-        """A program that rewrites an upcoming instruction word.
-
-        The store overwrites the word at ``target`` (originally
-        ``lex $3, 2``) with the encoding of ``lex $3, 42`` well before
-        fetch reaches it; differentially compare a predecoding
-        simulator against one decoding every fetch.
-        """
-        from repro.isa import Instr, encode
-
-        (word,) = encode(Instr("lex", (3, 42)))
-        filler = "\n".join("lex $4, 0" for _ in range(8))
-        src = f"""
-            lex $0, {word & 0xFF}
-            lhi $0, {(word >> 8) & 0xFF}
-            lex $1, target
-            store $0, $1
-        {filler}
-        target:
-            lex $3, 2
-            lex $rv, 0
-            sys
-        """
-        program = assemble(src)
-
-        results = []
-        for predecode in (True, False):
-            sim = sim_cls(ways=6)
-            sim.load(program)
-            sim.machine.predecode_enabled = predecode
-            if sim_cls is PipelinedSimulator:
-                sim.run(max_cycles=500)
-            else:
-                sim.run(max_steps=200)
-            results.append(_snap(sim))
-        _assert_same_state(results[0], results[1])
-        # Both actually executed the patched instruction.
-        assert results[0]["regs"][3] == 42
+        """A store rewrites ``lex $3, 2`` well before fetch reaches it."""
+        sim = sim_cls(ways=6)
+        sim.load(assemble(store_ahead(8)))
+        sim.run()
+        assert sim.machine.read_reg(3) == 42
 
     def test_fault_injection_invalidates(self):
         from repro.faults.inject import FaultEvent, apply_event
@@ -250,11 +120,6 @@ class TestPredecodeCache:
         apply_event(sim.machine,
                     FaultEvent(step=0, target="mem", index=0, word=0, bit=3))
         assert 0 not in cache.entries
-
-    def test_disabled_machine_has_no_cache(self):
-        sim = FunctionalSimulator(ways=6)
-        sim.machine.predecode_enabled = False
-        assert fastpath.cache_for(sim.machine) is None
 
 
 class TestParallelCampaign:

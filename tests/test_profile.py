@@ -26,6 +26,8 @@ from repro.obs.profile import (
 )
 from repro.obs.spans import PID_PROFILE
 
+from tests.conformance import PATCH
+
 
 def _program(body: str):
     return assemble(body + "\nlex $rv, 0\nsys\n")
@@ -117,6 +119,16 @@ class TestBlameAndReasons:
         program = _program("loadi $1, 0x100\nlex $0, 7\nstore $0, $1\nload $2, $1")
         _, prof = profile_program(program, simulator="multicycle")
         assert prof.reason_totals().get("memory", 0) > 0
+
+    @pytest.mark.parametrize("simulator", ["pipelined", "multicycle"])
+    def test_self_overwriting_store_labelled_as_store(self, simulator):
+        # The store at pc 3 rewrites its own word to ``lex $3, 42``;
+        # the label names what executed there, not what is left.
+        program = _program(f"lex $0, {PATCH & 0xFF}\nlhi $0, {PATCH >> 8}\n"
+                           "lex $1, 3\nstore $0, $1")
+        sim, prof = profile_program(program, simulator=simulator)
+        assert sim.machine.read_mem(3) == PATCH
+        assert prof.label_by_pc[3] == "store\t$0, $1"
 
     def test_qat_bits_attributed_per_pc(self):
         _, prof = profile_factor_program(ways=8)
