@@ -3,8 +3,10 @@
 Three models of increasing timing fidelity, all sharing one architectural
 state (:class:`~repro.cpu.state.MachineState`) and one table of
 instruction semantics (:data:`repro.cpu.exec_core.FAST_HANDLERS`), run
-by two loops: the observed step :func:`~repro.cpu.exec_core.execute`
-and the stripped loop :func:`repro.cpu.fastpath.run_functional`.  The
+by the observed step :func:`~repro.cpu.exec_core.execute` and, when
+nothing observes a ``run()``, by a stripped loop
+(:func:`repro.cpu.fastpath.run_functional`, or the pipeline's own
+scoreboard-timed loop).  The
 models mirror the course's project sequence (multi-cycle design, then
 pipelined, then pipelined with Qat):
 
@@ -16,7 +18,8 @@ pipelined, then pipelined with Qat):
 - :class:`~repro.cpu.pipeline.PipelinedSimulator` -- a cycle-stepped
   4- or 5-stage pipeline with RAW interlocks, optional forwarding,
   branch flushes, and the two-word Qat fetch penalty the paper says
-  generated "the most common student questions".
+  generated "the most common student questions"; unobserved runs
+  replay its timing exactly without stepping the latches.
 
 A fourth, orthogonal strategy batches *machines* rather than refining
 timing: :class:`~repro.cpu.batch.BatchFunctionalSimulator` runs N

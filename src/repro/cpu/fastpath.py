@@ -22,9 +22,12 @@ everything an unobserved run does not need:
   :class:`~repro.cpu.multicycle.CycleCosts` it also charges the
   multi-cycle model's cycles, so it serves both untimed and multi-cycle
   simulators.
-- **Selection** (:func:`eligible`): the stripped loop is only taken
+- **Selection** (:func:`eligible`): a stripped loop is only taken
   when telemetry capture, tracing, auto-checkpointing, and profiling
-  are all inactive; any observer keeps the observed loop.  The flight
+  are all inactive; any observer keeps the observed loop.  The
+  pipelined simulator's stripped loop lives in
+  :mod:`repro.cpu.pipeline`: it runs the same handlers but also times
+  each instruction, which this loop must not pay for.  The flight
   recorder (:mod:`repro.obs.flight`) is *not* an observer in this
   sense: its retire append is cheap enough to stay inside the stripped
   loop, so it never costs eligibility.
@@ -54,7 +57,7 @@ class Predecoded:
     """One decoded program word (or decode error), ready to dispatch."""
 
     __slots__ = ("instr", "ops", "mnemonic", "words", "handler", "static",
-                 "raw", "error")
+                 "raw", "error", "timing")
 
     def __init__(self, instr, words, handler, static, raw=(), error=None):
         self.instr = instr
@@ -69,6 +72,9 @@ class Predecoded:
         self.raw = raw
         #: the EncodingError text when the word(s) do not decode
         self.error = error
+        #: per-configuration scoreboard timing, memoized by the pipeline's
+        #: stripped loop (:func:`repro.cpu.pipeline._timing`)
+        self.timing = None
 
 
 #: Process-wide intern table: word (or ``(word1, word2)``) -> entry.
@@ -144,11 +150,14 @@ def cache_for(machine) -> PredecodeCache:
 
 
 def eligible(sim) -> bool:
-    """Should ``sim.run()`` take the stripped fast loop right now?
+    """Should ``sim.run()`` take a stripped loop right now?
 
     Only when *no* observer -- telemetry capture, an execution trace, an
     auto-checkpointer, or a profiler -- is attached to the simulator (or,
-    for the multi-cycle model, its inner functional simulator).
+    for the multi-cycle model, its inner functional simulator).  The
+    functional and multi-cycle simulators then run :func:`run_functional`;
+    the pipelined simulator runs its own stripped loop, and only from a
+    freshly loaded pipeline (``PipelinedSimulator.run``).
     """
     if _obs.active:
         return False

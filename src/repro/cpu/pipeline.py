@@ -1,4 +1,5 @@
-"""Cycle-stepped pipelined Tangled/Qat simulator.
+"""Pipelined Tangled/Qat simulator: a cycle-stepped reference loop and a
+stripped loop that replays its timing.
 
 Models the student/author pipelines of paper section 3.1: a 4-stage
 (IF, ID, EX, WB) or 5-stage (IF, ID, EX, MEM, WB) in-order pipeline that
@@ -26,6 +27,20 @@ an instruction enters EX, and a store that rewrites a word already in ID
 or IF squashes and refetches it, so the pipelined model is
 state-equivalent to the functional simulator by construction --
 ``tests/test_conformance.py`` checks this on random programs anyway.
+
+Two loops run the model.  :meth:`PipelinedSimulator.cycle` steps the
+stage latches one clock at a time and executes through
+:func:`repro.cpu.exec_core.execute`; it is the reference, and the only
+loop for ``step()``/``cycle()``, telemetry (stage spans, ``--stats``,
+``--trace-out``), profilers, checkpointers and ``latch`` fault
+injection.  Because state changes only at EX, every
+:class:`PipelineStats` field and trap clock is a function of the
+retired stream and each instruction's static register use, so an
+unobserved ``run()`` on a freshly loaded pipeline takes
+:meth:`PipelinedSimulator._run_stripped` instead: the bare
+``FAST_HANDLERS`` in retire order, with each instruction's fetch, ID and
+EX cycles computed by a scoreboard.  The conformance harness holds the
+two loops to identical statistics, trap records and flight streams.
 """
 
 from __future__ import annotations
@@ -41,6 +56,8 @@ from repro.cpu.syscalls import SyscallHandler
 from repro.errors import HaltedError
 from repro.faults.traps import TrapCause, TrapDelivered, TrapPolicy
 from repro.isa.instructions import Instr
+from repro.isa.registers import NUM_GPRS, NUM_QAT_REGS
+from repro.obs import flight as _flight
 from repro.obs import runtime as _obs
 from repro.obs.spans import PID_PIPELINE
 
@@ -114,6 +131,43 @@ class _InFlight:
 
 
 _IF, _ID, _EX = 0, 1, 2
+
+#: Scoreboard slots of the stripped loop: the GPRs, then the Qat registers.
+_SCOREBOARD = NUM_GPRS + NUM_QAT_REGS
+#: Stripped-loop ``kind`` of an entry that may redirect fetch at EX.
+_BRANCH, _JUMP, _STORE = 1, 2, 3
+
+
+def _timing(entry: Predecoded) -> tuple:
+    """``entry``'s stripped-loop timing for each of the 8 configurations.
+
+    Indexed by ``stages == 5, not forwarding, not second_qat_write_port``
+    as a 3-bit number; each item is ``(reads, writes, delay, length,
+    kind)``: scoreboard slots read and written, the cycles from EX until
+    a written value is readable, the cycles the instruction holds EX,
+    and what can redirect fetch.  Memoized on the (interned) entry.
+    """
+    stat = entry.static
+    if stat is None:  # undecodable: traps at EX, reads and writes nothing
+        entry.timing = (((), (), 1, 1, 0),) * 8
+        return entry.timing
+    reads = (*sorted(stat.reads_gpr),
+             *(NUM_GPRS + q for q in sorted(stat.reads_qreg)))
+    writes = (*sorted(stat.writes_gpr),
+              *(NUM_GPRS + q for q in sorted(stat.writes_qreg)))
+    kind = (_BRANCH if stat.is_branch else _JUMP if stat.is_jump
+            else _STORE if stat.is_store else 0)
+    swap = entry.mnemonic in ("qswap", "qcswap")
+    timing = []
+    for cfg in range(8):
+        length = 2 if swap and cfg & 1 else 1
+        if cfg & 2:  # no forwarding: readable once the producer is in WB
+            delay = length + 1
+        else:  # forwarded from the end of EX, or of MEM for a 5-stage load
+            delay = 2 if cfg & 4 and stat.is_load else 1
+        timing.append((reads, writes, delay, length, kind))
+    entry.timing = tuple(timing)
+    return entry.timing
 
 
 class PipelinedSimulator:
@@ -458,6 +512,11 @@ class PipelinedSimulator:
         is wrapped in a ``pipeline.run`` span, per-stage occupancy is
         traced on the cycle timebase, and the final
         :class:`PipelineStats` are published into the metric registry.
+
+        With no observer attached (:func:`repro.cpu.fastpath.eligible`)
+        and the pipeline fresh from :meth:`load`, the stripped loop
+        :meth:`_run_stripped` replays the cycle-stepped loop's timing
+        without stepping the latches.
         """
         telemetry = _obs.current() if _obs.active else None
         self._obs = telemetry if (telemetry is not None and telemetry.tracing) else None
@@ -470,13 +529,17 @@ class PipelinedSimulator:
                     forwarding=self.config.forwarding,
                 ):
                     self._run_to_halt(max_cycles)
+            elif (self.stats.cycles == 0 and self._fetch_current is None
+                  and _fastpath.eligible(self)):
+                self._run_stripped(max_cycles)
             else:
                 self._run_to_halt(max_cycles)
         finally:
             self._obs = None
-        # Every executed instruction would drain to WB; count them all so
-        # CPI is consistent with the functional instruction count.
-        self.stats.retired = self.machine.instret
+            # Every executed instruction would drain to WB; count them
+            # all so CPI is consistent with the functional instruction
+            # count, also when a trap or error escapes.
+            self.stats.retired = self.machine.instret
         if telemetry is not None:
             telemetry.publish_pipeline(self.stats)
         return self.stats
@@ -495,6 +558,142 @@ class PipelinedSimulator:
             self.cycle()
             if checkpointer is not None:
                 checkpointer.tick(self.machine, cycle=self.stats.cycles)
+
+    def _run_stripped(self, max_cycles: int) -> None:
+        """The stripped loop: handlers in retire order, timing by scoreboard.
+
+        Architectural state changes once per instruction, at EX, so the
+        cycle-stepped loop's :class:`PipelineStats` and trap clocks are
+        a function of the retired stream.  For each instruction this
+        computes the cycle its fetch starts (``fetch``), its ID and EX
+        entry cycles, and the cycle each register it writes becomes
+        readable (``ready``), then runs its handler bare with
+        ``stats.cycles`` already at EX -- where trap records and the
+        cycle-counter syscall read the clock.
+        """
+        machine = self.machine
+        stats = self.stats
+        syscalls = self.syscalls
+        mem = machine.mem
+        cache = _fastpath.cache_for(machine)
+        entries = cache.entries
+        predecode = _fastpath._predecode
+        config = self.config
+        cfg = ((config.stages == 5) << 2 | (not config.forwarding) << 1
+               | (not config.second_qat_write_port))
+        recorder = _flight.RECORDER
+        fr_append = recorder.events.append if recorder.enabled else None
+        fr_room = recorder.limit - len(recorder.events)
+        ready = [0] * _SCOREBOARD
+        stalls = structural = fetch_extra = flushes = squashed = traps = 0
+        pc = self._fetch_pc
+        entry = cache.lookup(mem, pc)
+        fetch_extra += entry.words == 2
+        fetch = 1  # the cycle the fetch of ``entry`` started
+        ex = 0     # EX cycle of the previous instruction
+        free = 0   # first cycle EX can take the next instruction
+        try:
+            while not machine.halted:
+                words = entry.words
+                timing = entry.timing
+                if timing is None:
+                    timing = _timing(entry)
+                reads, writes, delay, length, kind = timing[cfg]
+                idc = fetch + words
+                if idc < ex:
+                    idc = ex
+                start = idc + 1 if idc >= free else free
+                at = start
+                for reg in reads:
+                    if ready[reg] > at:
+                        at = ready[reg]
+                # Entering ID started the fall-through fetch.
+                seq = (pc + words) & 0xFFFF
+                nxt = entries.get(seq)
+                if nxt is None:
+                    nxt = entries[seq] = predecode(mem, seq)
+                if at > max_cycles:
+                    # The watchdog fires at max_cycles, before this
+                    # instruction reaches EX: keep the events up to then.
+                    stalls += max(0, max_cycles + 1 - start)
+                    fetch_extra += ((idc <= max_cycles and nxt.words == 2)
+                                    - (fetch > max_cycles and words == 2))
+                    structural -= max(0, free - 1 - max_cycles)
+                    stats.cycles = max_cycles
+                    try:
+                        machine.trap(
+                            TrapCause.WATCHDOG,
+                            detail=f"exceeded {max_cycles} cycles without halting",
+                        )
+                    except TrapDelivered:
+                        break
+                stalls += at - start
+                if nxt.words == 2:
+                    fetch_extra += 1
+                ex = stats.cycles = at
+                machine.pc = pc
+                try:
+                    handler = entry.handler
+                    if handler is None:
+                        machine.trap(TrapCause.ILLEGAL_OPCODE,
+                                     detail=entry.error)
+                    npc = machine.pc = handler(machine, entry.instr, entry.ops,
+                                               seq, syscalls)
+                except TrapDelivered:
+                    # The trapped instruction writes nothing; a vectored
+                    # trap refetches from the handler.
+                    traps += 1
+                    if machine.halted:
+                        break
+                    npc = machine.pc
+                else:
+                    machine.instret += 1
+                    if fr_append is not None:
+                        fr_append((0, pc, entry.raw))
+                        fr_room -= 1
+                        if fr_room <= 0:
+                            recorder._trim()
+                            fr_room = recorder.limit - len(recorder.events)
+                    done = at + delay
+                    for reg in writes:
+                        ready[reg] = done
+                    free = at + length
+                    structural += length - 1
+                    if not kind:
+                        redirect = False
+                    elif kind == _BRANCH:
+                        # Taken by its condition: a zero offset flushes too.
+                        redirect = npc != seq or (not entry.ops[1] and (
+                            int(machine.regs[entry.ops[0]]) != 0)
+                            == (entry.mnemonic == "brt"))
+                        flushes += redirect
+                    elif kind == _JUMP:
+                        redirect = True
+                        flushes += 1
+                    else:  # a store that evicted the fall-through's entry
+                        redirect = entries.get(seq) is not nxt
+                    if not redirect:
+                        pc, entry, fetch = seq, nxt, idc
+                        continue
+                # A redirect at EX kills the fall-through fetch; the
+                # fetch of ``npc`` starts next cycle.
+                squashed += 1
+                pc = npc
+                entry = cache.lookup(mem, pc)
+                fetch_extra += entry.words == 2
+                fetch = at + 1
+        finally:
+            if config.forwarding:
+                stats.stall_load_use += stalls
+            else:
+                stats.stall_data += stalls
+            stats.stall_structural += structural
+            stats.fetch_extra += fetch_extra
+            stats.branch_flushes += flushes
+            stats.squashed += squashed
+            stats.traps += traps
+            # Anything stepped after this refetches from the PC.
+            self._fetch_pc = machine.pc
 
     def step(self) -> None:
         """Advance one clock (alias of :meth:`cycle`).

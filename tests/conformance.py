@@ -7,7 +7,9 @@ batch and two Qat substrates.  All of them are checked the same way:
 one reference (a ``FunctionalSimulator.step()`` loop, i.e. ``execute``
 over ``FAST_HANDLERS``), and :func:`check` runs every engine in
 :data:`ENGINES` on both Qat backends under the raise, halt and vector
-trap policies against it.
+trap policies against it.  Pipelined timing has a second reference:
+each configuration's ``run()`` must match its ``cycle()``-driven loop
+field by field -- ``PipelineStats``, trap clocks and the flight stream.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ MEM_WORDS = 1 << 16
 BACKENDS = ("dense", "re")
 #: Step budget of every run; the pipeline gets ten cycles per step.
 MAX_STEPS = 400
+MAX_CYCLES = 10 * MAX_STEPS
 #: The vector-policy handler, the last word of every image: resume
 #: after the trapped instruction (the trap put that address in $14).
 HANDLER_STUB = tuple(encode(Instr("jumpr", (14,))))
@@ -210,6 +213,27 @@ def _step_loop(sim) -> None:
         steps += 1
 
 
+def _pipeline_run(sim, max_cycles=MAX_CYCLES) -> None:
+    sim.run(max_cycles)
+
+
+def _cycle_loop(sim, max_cycles=MAX_CYCLES) -> None:
+    """``PipelinedSimulator.run()``'s cycle-stepped loop, one ``cycle()``
+    at a time (``run()`` itself takes the stripped loop here)."""
+    machine = sim.machine
+    try:
+        while not machine.halted:
+            if sim.stats.cycles >= max_cycles:
+                try:
+                    machine.trap(TrapCause.WATCHDOG, detail=f"exceeded "
+                                 f"{max_cycles} cycles without halting")
+                except TrapDelivered:
+                    break
+            sim.cycle()
+    finally:
+        sim.stats.retired = machine.instret
+
+
 def _run_to_halt(sim) -> None:
     sim.run(MAX_STEPS)
 
@@ -245,6 +269,10 @@ def _run(make, drive, program, backend, policy) -> list:
         for kind, pc, p in flight.RECORDER.events]
     if isinstance(sim, MultiCycleSimulator):
         state["cycles"] = sim.cycles
+    if isinstance(sim, PipelinedSimulator):
+        state["timing"] = (sim.stats.as_dict(),
+                           [t.as_dict() for t in machine.traps],
+                           list(flight.RECORDER.events))
     return [state]
 
 
@@ -252,25 +280,42 @@ def oracle(program, policy) -> dict:
     return _run(FunctionalSimulator, _step_loop, program, "dense", policy)[0]
 
 
+#: Every pipeline configuration, by engine-name stem.
+PIPELINES = {
+    f"pipelined.{c.stages}{'fwd' if c.forwarding else 'nofwd'}"
+    f"{'' if c.second_qat_write_port else '.1port'}": c
+    for c in (PipelineConfig(stages, fwd, port) for stages in (4, 5)
+              for fwd in (True, False) for port in (True, False))}
+
 #: name -> (simulator factory, driver).  Pipelines' watchdogs count
-#: cycles, so they are skipped once the oracle's step watchdog fires.
+#: cycles, so they are only held to the oracle while its step watchdog
+#: stays quiet; ``<stem>`` and ``<stem>.cycle`` are always held to each
+#: other.
 ENGINES = {
     "functional.run": (FunctionalSimulator, _run_to_halt),
     "functional.observed": (FunctionalSimulator, _observed),
     "multicycle.step": (MultiCycleSimulator, _step_loop),
     "multicycle.run": (MultiCycleSimulator, _run_to_halt),
-    **{f"pipelined.{c.stages}{'fwd' if c.forwarding else 'nofwd'}"
-       f"{'' if c.second_qat_write_port else '.1port'}": (
+    **{f"{stem}{suffix}": (
            partial(PipelinedSimulator, config=c, syscalls=SyscallHandler()),
-           lambda sim: sim.run(max_cycles=10 * MAX_STEPS))
-       for c in (PipelineConfig(stages, fwd, port) for stages in (4, 5)
-                 for fwd in (True, False) for port in (True, False))},
+           drive)
+       for stem, c in PIPELINES.items()
+       for suffix, drive in (("", _pipeline_run), (".cycle", _cycle_loop))},
     "batch.3lanes": (partial(BatchFunctionalSimulator, 3), _run_to_halt),
 }
 
 
 def run_engine(name, program, backend, policy) -> list:
     return _run(*ENGINES[name], program, backend, policy)
+
+
+def pipeline_timing(stem, program, policy, max_cycles) -> tuple:
+    """``(run(), cycle())`` timing of one pipeline at a cycle budget:
+    ``PipelineStats``, trap records with their cycles, flight stream."""
+    make = ENGINES[stem][0]
+    return tuple(_run(make, partial(drive, max_cycles=max_cycles), program,
+                      "dense", policy)[0]["timing"]
+                 for drive in (_pipeline_run, _cycle_loop))
 
 
 def check(program: Program) -> None:
@@ -284,16 +329,25 @@ def check(program: Program) -> None:
                            for t in expected["traps"])
             for backend in BACKENDS:
                 cycles = set()  # the two multicycle loops must agree
+                timing = {}  # and each pipeline's run() and cycle() loops
                 for name in ENGINES:
-                    if watchdog and name.startswith("pipelined"):
-                        continue
                     for got in run_engine(name, program, backend, policy):
                         if "cycles" in got:
                             cycles.add(got.pop("cycles"))
+                        if "timing" in got:
+                            timing.setdefault(name.removesuffix(".cycle"),
+                                              []).append(got.pop("timing"))
+                            if watchdog:
+                                continue
                         for key in got:
                             assert got[key] == expected[key], (
                                 f"{name}/{backend}/{policy_name}: {key}")
                 assert len(cycles) == 1, f"multicycle cycles {cycles}"
+                for stem, (run, stepped) in timing.items():
+                    for part, a, b in zip(("stats", "traps", "events"),
+                                          run, stepped):
+                        assert a == b, (f"{stem}/{backend}/{policy_name}: "
+                                        f"run() vs cycle() {part}")
     finally:
         recorder.enabled = enabled
         recorder.reset()

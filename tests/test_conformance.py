@@ -11,15 +11,43 @@ from repro.apps import fig10_program
 from repro.faults.traps import TrapPolicy
 from repro.isa import Instr, encode
 
-from tests.conformance import (BACKENDS, ENGINES, HANDLER_STUB, STORE_AT_ZERO,
-                               Program, check, programs, run_engine,
+from tests.conformance import (BACKENDS, ENGINES, HANDLER_STUB, PIPELINES,
+                               STORE_AT_ZERO, Program, check,
+                               pipeline_timing, programs, run_engine,
                                store_ahead)
 
 LEX = encode(Instr("lex", (0, 1)))[0]
+#: Steady-state hazards random draws never reach, run six times round a
+#: counted loop: a store into data, a load-use pair, a RAW chain, the
+#: two-word qswap/qcswap (single-port structural stall) and Qat fetch,
+#: and a taken and an untaken branch per trip.
+HAZARD_LOOP = """\
+lex $15, 6
+lex $13, -1
+loadi $1, 0x4000
+loop:
+store $15, $1
+load $2, $1
+add $2, $2
+add $3, $2
+add $4, $3
+had @1, 2
+swap @1, @2
+cswap @1, @2, @3
+and @4, @1, @2
+brf $15, skip
+lex $5, 1
+skip:
+add $15, $13
+brt $15, loop
+lex $rv, 0
+sys
+"""
 
 
 @settings(max_examples=10, deadline=None)
 @given(programs())
+@example(Program.from_asm(HAZARD_LOOP))
 # A store into the instruction already latched in ID (the pipeline used
 # to run the old word), and one far enough ahead that IF has not read it.
 @example(Program.from_asm(store_ahead(0)))
@@ -45,3 +73,14 @@ def test_fig10_factors_15_everywhere(engine, backend):
     for state in run_engine(engine, program, backend, TrapPolicy()):
         assert state["halted"] and not state["traps"]
         assert sorted(state["regs"][:2]) == [3, 5]
+
+
+@pytest.mark.parametrize("stem", PIPELINES)
+def test_every_watchdog_budget_cuts_both_pipeline_loops_alike(stem):
+    """The stripped loop keeps exactly the stalls, fetches and structural
+    cycles the stepped loop counted up to its watchdog's cycle."""
+    program = Program.from_asm(HAZARD_LOOP)
+    for budget in range(160):  # every configuration halts by cycle 152
+        run, stepped = pipeline_timing(stem, program, TrapPolicy.halting(),
+                                       budget)
+        assert run == stepped, f"budget {budget}"

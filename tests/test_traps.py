@@ -1,11 +1,15 @@
 """Architectural trap model: causes, policies, and handler programs."""
 
+from contextlib import nullcontext
+
 import pytest
 
+from repro import obs
 from repro.asm import assemble
 from repro.cpu import (
     FunctionalSimulator,
     MultiCycleSimulator,
+    PipelineConfig,
     PipelinedSimulator,
     TrapAction,
     TrapCause,
@@ -183,3 +187,21 @@ class TestPipelineTrapAccounting:
         # after it did.
         assert sim.machine.read_reg(0) == 7
         assert sim.machine.read_reg(1) == 9
+
+    @pytest.mark.parametrize("observed", [False, True],
+                             ids=["stripped", "stepped"])
+    @pytest.mark.parametrize("stages", [4, 5])
+    @pytest.mark.parametrize("source, budget", [
+        ("lex $0, 7\nlex $1, 9\n.word 0x6000\nlex $0, 99\n" + HALT, 10_000),
+        ("spin: br spin\n", 100),
+    ], ids=["illegal", "watchdog"])
+    def test_escaping_trap_leaves_retired_at_instret(self, source, budget,
+                                                     stages, observed):
+        # An errored `tangled run` records retired and CPI in the ledger.
+        sim = PipelinedSimulator(ways=6, config=PipelineConfig(stages=stages))
+        sim.load(assemble(source))
+        with obs.capture() if observed else nullcontext():
+            with pytest.raises(TrapError):
+                sim.run(budget)
+        assert sim.stats.retired == sim.machine.instret > 0
+        assert sim.stats.cpi == sim.stats.cycles / sim.machine.instret
