@@ -5,11 +5,10 @@ The paper's Tangled host uses bfloat16 (1 sign / 8 exponent / 7 mantissa)
 operations that can be treated as single-cycle delay", and its reciprocal
 hardware uses "a lookup table for computing fraction reciprocals".
 
-This package provides bit-exact scalar operations (:mod:`repro.bf16.scalar`),
-the reciprocal fraction LUT (:mod:`repro.bf16.table`), and vectorized NumPy
-batch versions (:mod:`repro.bf16.vector`).  Values are carried as ``int``
-bit patterns (0..0xFFFF); a bfloat16 becomes an IEEE float32 by catenating
-sixteen zero bits, exactly as the paper notes.
+This package provides bit-exact scalar operations (:mod:`repro.bf16.scalar`)
+and the reciprocal fraction LUT (:mod:`repro.bf16.table`).  Values are
+carried as ``int`` bit patterns (0..0xFFFF); a bfloat16 becomes an IEEE
+float32 by catenating sixteen zero bits, exactly as the paper notes.
 """
 
 from repro.bf16.scalar import (

@@ -873,9 +873,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "processes (report stays byte-identical to "
                         "serial)")
     p.add_argument("--batch", type=int, default=1, metavar="N",
-                   help="pack runs into N-lane batches on the NumPy-"
-                        "batched functional simulator (one process, "
-                        "vectorized across machines; report stays "
+                   help="pack runs into N-lane batches of functional "
+                        "machines run in one process (RE lanes share a "
+                        "chunk store and gate memo; report stays "
                         "byte-identical to serial)")
     p.add_argument("--shard-timeout", type=float, default=None,
                    metavar="SECONDS",

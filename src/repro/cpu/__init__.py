@@ -21,11 +21,11 @@ pipelined, then pipelined with Qat):
   generated "the most common student questions"; unobserved runs
   replay its timing exactly without stepping the latches.
 
-A fourth, orthogonal strategy batches *machines* rather than refining
-timing: :class:`~repro.cpu.batch.BatchFunctionalSimulator` runs N
-functional machines in
-lockstep over NumPy arrays with divergence-grouped dispatch -- the
-engine behind ``tangled faults --batch N``.
+:class:`~repro.cpu.batch.BatchFunctionalSimulator`, the engine behind
+``tangled faults --batch N``, adds no semantics of its own: it loads one
+image into N functional machines ("lanes") and runs them one after
+another on the stripped loop, sharing the predecoded image and, on the
+``re`` backend, one chunk store and gate memo.
 
 All three take a ``trap_policy`` (:class:`~repro.faults.TrapPolicy`)
 controlling whether architectural traps raise, halt, or vector to a
@@ -35,7 +35,7 @@ re-exported here for convenience.  They also take a ``qat_backend``
 :mod:`repro.cpu.qat_backend`.
 """
 
-from repro.cpu.batch import BatchFunctionalSimulator, BatchMachines
+from repro.cpu.batch import BatchFunctionalSimulator
 from repro.cpu.functional import FunctionalSimulator
 from repro.cpu.multicycle import CycleCosts, MultiCycleSimulator
 from repro.cpu.pipeline import PipelineConfig, PipelinedSimulator, PipelineStats
@@ -54,7 +54,6 @@ from repro.faults.traps import TrapAction, TrapCause, TrapPolicy, TrapRecord
 __all__ = [
     "BACKENDS",
     "BatchFunctionalSimulator",
-    "BatchMachines",
     "CycleCosts",
     "DenseQatBackend",
     "FunctionalSimulator",

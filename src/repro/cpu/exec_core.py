@@ -1,12 +1,11 @@
 """Tangled/Qat instruction semantics, shared by every scalar simulator.
 
 :data:`FAST_HANDLERS` holds one handler per mnemonic and is the only
-statement of the scalar ISA semantics.  Two loops run it: the observed
-step :func:`execute` (the pipeline, single-stepping, and any run with an
-observer attached) and the stripped loop
-:func:`repro.cpu.fastpath.run_functional`.  The NumPy lockstep handlers
-in :mod:`repro.cpu.batch` are a second, independent implementation that
-the batch differential tests check against this one.
+statement of the ISA semantics, for every engine.  Two loops run it: the
+observed step :func:`execute` (the pipeline, single-stepping, and any
+run with an observer attached) and the stripped loops --
+:func:`repro.cpu.fastpath.run_functional`, which also runs every lane of
+a ``--batch`` campaign, and the pipeline's scoreboard-timed loop.
 
 Semantics follow Tables 1 and 3 exactly where the paper specifies them;
 where it leaves detail to the implementer the choices are documented

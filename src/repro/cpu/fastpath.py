@@ -21,7 +21,9 @@ everything an unobserved run does not need:
   dispatch through the predecoded table.  Given a
   :class:`~repro.cpu.multicycle.CycleCosts` it also charges the
   multi-cycle model's cycles, so it serves both untimed and multi-cycle
-  simulators.
+  simulators.  It stops at a step count and leaves the watchdog to its
+  callers, so the lanes of a batch (:mod:`repro.cpu.batch`) run it in
+  segments, with their fault events applied in between.
 - **Selection** (:func:`eligible`): a stripped loop is only taken
   when telemetry capture, tracing, auto-checkpointing, and profiling
   are all inactive; any observer keeps the observed loop.  The
@@ -173,11 +175,14 @@ def eligible(sim) -> bool:
 
 
 def run_functional(sim, max_steps: int, costs=None) -> int:
-    """Stripped equivalent of ``FunctionalSimulator.run``.
+    """Stripped equivalent of ``FunctionalSimulator.run``'s step loop.
 
-    Same contract: runs to halt, fires the ``watchdog`` trap when the
-    step budget is exhausted, returns the number of steps (trapped
-    instructions included).  With ``costs`` (a
+    Runs until the machine halts or ``max_steps`` steps have run and
+    returns the number of steps (trapped instructions included).  It
+    fires no watchdog: a caller whose machine still runs when the budget
+    is spent decides what that means -- ``run()`` fires the ``watchdog``
+    trap (:func:`repro.faults.traps.fire_watchdog`), a batch lane applies
+    its next fault events and carries on.  With ``costs`` (a
     :class:`~repro.cpu.multicycle.CycleCosts`) it also charges
     ``sim.cycles`` like ``MultiCycleSimulator.run``: per retired
     instruction by mnemonic, and ``costs.sys`` per trap.  The charge is
@@ -200,15 +205,7 @@ def run_functional(sim, max_steps: int, costs=None) -> int:
     fr_append = recorder.events.append if recorder.enabled else None
     fr_room = recorder.limit - len(recorder.events)
     steps = 0
-    while not machine.halted:
-        if steps >= max_steps:
-            try:
-                machine.trap(
-                    TrapCause.WATCHDOG,
-                    detail=f"exceeded {max_steps} steps without halting",
-                )
-            except TrapDelivered:
-                break
+    while steps < max_steps and not machine.halted:
         pc = machine.pc
         entry = entries.get(pc)
         if entry is None:

@@ -6,8 +6,9 @@ Figure 6 single-cycle datapath.  Each instruction runs its handler from
 semantics, through one of two loops: the observed loop (:meth:`step`,
 via :func:`~repro.cpu.exec_core.execute`) whenever telemetry, a trace,
 a checkpointer, or a profiler is attached, and otherwise the stripped
-loop :func:`repro.cpu.fastpath.run_functional`.  The timing models and
-the batch simulator are checked against this one on random programs.
+loop :func:`repro.cpu.fastpath.run_functional`.  The lanes of a batch
+(:mod:`repro.cpu.batch`) are instances of this simulator, and the
+timing models are checked against it on random programs.
 
 Abnormal events route through the trap model
 (:mod:`repro.faults.traps`): an undecodable word is an
@@ -26,7 +27,8 @@ from repro.cpu.exec_core import TRAP_MNEMONIC, Effects, execute
 from repro.cpu.state import MachineState
 from repro.cpu.syscalls import SyscallHandler
 from repro.errors import HaltedError
-from repro.faults.traps import TrapCause, TrapDelivered, TrapPolicy
+from repro.faults.traps import (TrapCause, TrapDelivered, TrapPolicy,
+                               fire_watchdog)
 from repro.obs import runtime as _obs
 from repro.obs.spans import NULL_SPAN
 
@@ -100,26 +102,23 @@ class FunctionalSimulator:
         With no observer attached the stripped loop in
         :mod:`repro.cpu.fastpath` runs the same handlers instead.
         """
+        machine = self.machine
         if _fastpath.eligible(self):
-            return _fastpath.run_functional(self, max_steps)
-        telemetry = _obs.current() if _obs.active else None
-        steps = 0
-        checkpointer = self.checkpointer
-        with (telemetry.span("cpu.run", cat="cpu", sim="functional")
-              if telemetry is not None else NULL_SPAN):
-            while not self.machine.halted:
-                if steps >= max_steps:
-                    try:
-                        self.machine.trap(
-                            TrapCause.WATCHDOG,
-                            detail=f"exceeded {max_steps} steps without halting",
-                        )
-                    except TrapDelivered:
-                        break
-                self.step()
-                steps += 1
-                if checkpointer is not None:
-                    checkpointer.tick(self.machine)
-        if telemetry is not None:
-            telemetry.metrics.counter("cpu.instructions").add(steps)
+            steps = _fastpath.run_functional(self, max_steps)
+        else:
+            telemetry = _obs.current() if _obs.active else None
+            steps = 0
+            checkpointer = self.checkpointer
+            with (telemetry.span("cpu.run", cat="cpu", sim="functional")
+                  if telemetry is not None else NULL_SPAN):
+                while steps < max_steps and not machine.halted:
+                    self.step()
+                    steps += 1
+                    if checkpointer is not None:
+                        checkpointer.tick(machine)
+            if telemetry is not None:
+                telemetry.metrics.counter("cpu.instructions").add(steps)
+        if not machine.halted:
+            fire_watchdog(machine,
+                          f"exceeded {max_steps} steps without halting")
         return steps

@@ -20,7 +20,7 @@ from repro.cpu import fastpath as _fastpath
 from repro.cpu.functional import FunctionalSimulator
 from repro.cpu.syscalls import SyscallHandler
 from repro.errors import HaltedError, SimulatorError
-from repro.faults.traps import TrapCause, TrapDelivered, TrapPolicy
+from repro.faults.traps import TrapPolicy, fire_watchdog
 from repro.isa.instructions import INSTRUCTIONS
 
 
@@ -151,24 +151,20 @@ class MultiCycleSimulator:
         telemetry) the stripped loop in :mod:`repro.cpu.fastpath` runs
         instead, charging the same :class:`CycleCosts`.
         """
+        machine = self.machine
         if _fastpath.eligible(self):
             _fastpath.run_functional(self, max_steps, costs=self.costs)
-            return self.cycles
-        steps = 0
-        checkpointer = self._inner.checkpointer
-        while not self.machine.halted:
-            if steps >= max_steps:
-                try:
-                    self.machine.trap(
-                        TrapCause.WATCHDOG,
-                        detail=f"exceeded {max_steps} steps without halting",
-                    )
-                except TrapDelivered:
-                    break
-            self.step()
-            steps += 1
-            if checkpointer is not None:
-                checkpointer.tick(self.machine)
+        else:
+            steps = 0
+            checkpointer = self._inner.checkpointer
+            while steps < max_steps and not machine.halted:
+                self.step()
+                steps += 1
+                if checkpointer is not None:
+                    checkpointer.tick(machine)
+        if not machine.halted:
+            fire_watchdog(machine,
+                          f"exceeded {max_steps} steps without halting")
         return self.cycles
 
     @property

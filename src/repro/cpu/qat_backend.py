@@ -15,7 +15,9 @@ per-machine choice:
   :class:`~repro.pattern.ChunkStore`; gates walk runs and memoize
   distinct chunk pairs, so ``had(k)`` and constant registers cost
   O(runs) and entanglement up to :data:`MAX_RE_WAYS` runs in bounded
-  memory.
+  memory.  The lanes of a ``--batch`` campaign share one store and one
+  gate memo (:class:`SharedREStore`), so a gate runs once per distinct
+  operand tuple across the batch.
 
 Both backends expose the full Table 3 op set used by
 :mod:`repro.cpu.exec_core` plus snapshot/restore (checkpointing) and
@@ -213,70 +215,131 @@ def re_chunk_store(ways: int, chunk_ways: int | None = None) -> ChunkStore:
     return ChunkStore(chunk_ways)
 
 
+class SharedREStore:
+    """One chunk store and gate memo shared by the RE lanes of a batch.
+
+    Registers stay per lane; what the lanes share is the store (so equal
+    chunks intern to one symbol) and a memo keyed on the *identity* of a
+    gate's operands.  Lanes whose Qat state has not diverged hand a gate
+    the very same operand objects, get the first lane's result objects
+    back, and so run each distinct gate once per batch, not once per
+    lane.  A lane that diverged -- a fault flip is a copy-on-write new
+    vector -- misses the memo and computes its own exact value.  The memo
+    holds every operand it keys on, so no ``id`` in a key can be recycled
+    while the memo lives.
+    """
+
+    def __init__(self, ways: int):
+        self.store = re_chunk_store(ways)
+        #: every lane's registers start as this one zero vector
+        self.zero = PatternVector.zeros(ways, self.store)
+        #: ``(op, *operand ids) -> (operands, results)``; see
+        #: :meth:`REQatBackend._apply`
+        self.memo: dict = {}
+
+
 class REQatBackend(QatBackend):
-    """Run-length compressed register file over its own chunk store.
+    """Run-length compressed register file over a chunk store.
 
     Every register is a :class:`PatternVector`.  The ownership rule: a
     store belongs to one simulation, never to the process-global
     default.  A serial machine owns its store, so two machines -- or two
     rounds of a benchmark, or two seeds of a fault campaign -- never
-    leak interned chunks or memo hit counts into each other; the lanes
-    of one :class:`~repro.cpu.batch.BatchREQat` share a single store
-    (values stay per lane, only symbols and gate memos are shared).
+    leak interned chunks or memo hit counts into each other.  The lanes
+    of one batch (:mod:`repro.cpu.batch`) pass one ``shared``
+    :class:`SharedREStore`: values stay per lane, only symbols and gate
+    results are shared.
     """
 
     name = "re"
 
-    def __init__(self, ways: int, chunk_ways: int | None = None):
-        self.store = re_chunk_store(ways, chunk_ways)
+    def __init__(self, ways: int, chunk_ways: int | None = None,
+                 shared: SharedREStore | None = None):
+        if shared is None:
+            self.store = re_chunk_store(ways, chunk_ways)
+            zero = PatternVector.zeros(ways, self.store)
+            self._memo = None
+        else:
+            self.store = shared.store
+            zero = shared.zero
+            self._memo = shared.memo
         self.ways = ways
         self.nbits = 1 << ways
-        zero = PatternVector.zeros(ways, self.store)
         self.regs: list[PatternVector] = [zero] * NUM_QAT_REGS
         self._tag_metrics()
+
+    def _apply(self, key: tuple, gate, *args) -> tuple:
+        """``gate(*args)``'s results, counted as one ``key[0]`` op (see
+        :func:`count_re_volume`) and looked up in the shared memo first.
+
+        ``key`` is the op name, the ``id`` of each vector operand and
+        ``had``'s ``k``; the memo entry holds the operands themselves.
+        """
+        memo = self._memo
+        if memo is None:
+            results = gate(*args)
+        else:
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = (args, gate(*args))
+            results = hit[1]
+        if _obs.active:
+            count_re_volume(key[0], 1, results[0].num_runs)
+        return results
 
     # -- gates --------------------------------------------------------------
 
     def binary(self, op: str, d: int, a: int, b: int) -> None:
         regs = self.regs
-        regs[d] = regs[a].binop(op, regs[b])
-        self._volume(op, regs[d])
+        x, y = regs[a], regs[b]
+        regs[d], = self._apply((op, id(x), id(y)), _RE_GATES[op], x, y)
 
     def ccnot(self, d: int, b: int, c: int) -> None:
         regs = self.regs
-        regs[d] = regs[d].ccnot(regs[b], regs[c])
-        self._volume("ccnot", regs[d])
+        x, y, z = regs[d], regs[b], regs[c]
+        regs[d], = self._apply(("ccnot", id(x), id(y), id(z)),
+                               _RE_GATES["ccnot"], x, y, z)
 
     def cnot(self, d: int, c: int) -> None:
         regs = self.regs
-        regs[d] = regs[d] ^ regs[c]
-        self._volume("cnot", regs[d])
+        x, y = regs[d], regs[c]
+        regs[d], = self._apply(("cnot", id(x), id(y)), _RE_GATES["cnot"],
+                               x, y)
 
     def cswap(self, a: int, b: int, ctrl: int) -> None:
         regs = self.regs
-        regs[a], regs[b] = regs[a].cswap(regs[b], regs[ctrl])
-        self._volume("cswap", regs[a])
+        x, y, z = regs[a], regs[b], regs[ctrl]
+        regs[a], regs[b] = self._apply(("cswap", id(x), id(y), id(z)),
+                                       _RE_GATES["cswap"], x, y, z)
 
     def swap(self, a: int, b: int) -> None:
         regs = self.regs
-        regs[a], regs[b] = regs[b], regs[a]
-        self._volume("swap", regs[a])
+        x, y = regs[a], regs[b]
+        regs[a], regs[b] = self._apply(("swap", id(x), id(y)),
+                                       _RE_GATES["swap"], x, y)
 
     def invert(self, d: int) -> None:
-        self.regs[d] = ~self.regs[d]
-        self._volume("not", self.regs[d])
+        regs = self.regs
+        x = regs[d]
+        regs[d], = self._apply(("not", id(x)), _RE_GATES["not"], x)
 
     def zero(self, d: int) -> None:
-        self.regs[d] = PatternVector.zeros(self.ways, self.store)
-        self._volume("zero", self.regs[d])
+        self.regs[d], = self._apply(("zero",), self._zeros)
 
     def one(self, d: int) -> None:
-        self.regs[d] = PatternVector.ones(self.ways, self.store)
-        self._volume("one", self.regs[d])
+        self.regs[d], = self._apply(("one",), self._ones)
 
     def had(self, d: int, k: int) -> None:
-        self.regs[d] = PatternVector.hadamard(self.ways, k, self.store)
-        self._volume("had", self.regs[d])
+        self.regs[d], = self._apply(("had", k), self._hadamard, k)
+
+    def _zeros(self) -> tuple:
+        return (PatternVector.zeros(self.ways, self.store),)
+
+    def _ones(self) -> tuple:
+        return (PatternVector.ones(self.ways, self.store),)
+
+    def _hadamard(self, k: int) -> tuple:
+        return (PatternVector.hadamard(self.ways, k, self.store),)
 
     # -- measurement ---------------------------------------------------------
 
@@ -356,9 +419,19 @@ class REQatBackend(QatBackend):
         out.update(self.store.stats())
         return out
 
-    def _volume(self, op: str, result: PatternVector) -> None:
-        if _obs.active:
-            count_re_volume(op, 1, result.num_runs)
+
+#: RE gate bodies by op, each returning its results as a tuple (see
+#: :meth:`REQatBackend._apply`).
+_RE_GATES = {
+    "and": lambda x, y: (x & y,),
+    "or": lambda x, y: (x | y,),
+    "xor": lambda x, y: (x ^ y,),
+    "ccnot": lambda d, b, c: (d.ccnot(b, c),),
+    "cnot": lambda d, c: (d ^ c,),
+    "cswap": PatternVector.cswap,
+    "swap": lambda a, b: (b, a),
+    "not": lambda d: (~d,),
+}
 
 
 def count_re_volume(op: str, ops: int, runs: int) -> None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.faults.inject import FaultPlan, apply_event
-from repro.faults.traps import TrapPolicy
+from repro.faults.traps import TrapPolicy, fire_watchdog
 from repro.obs import flight as _flight
 from repro.obs import runtime as _obs
 from repro.runtime.supervisor import chaos_hook
@@ -111,23 +111,17 @@ def _drive(sim, plan: FaultPlan | None, max_steps: int) -> int:
     from repro.cpu import PipelinedSimulator
 
     pipeline = sim if isinstance(sim, PipelinedSimulator) else None
+    machine = sim.machine
     step = 0
-    while not sim.machine.halted:
-        if step >= max_steps:
-            from repro.faults.traps import TrapCause, TrapDelivered
-
-            try:
-                sim.machine.trap(
-                    TrapCause.WATCHDOG,
-                    detail=f"campaign watchdog: exceeded {max_steps} steps",
-                )
-            except TrapDelivered:
-                break
+    while step < max_steps and not machine.halted:
         if plan is not None:
             for event in plan.due(step):
-                apply_event(sim.machine, event, pipeline=pipeline)
+                apply_event(machine, event, pipeline=pipeline)
         sim.step()
         step += 1
+    if not machine.halted:
+        fire_watchdog(machine,
+                      f"campaign watchdog: exceeded {max_steps} steps")
     return step
 
 
@@ -170,6 +164,63 @@ def _worker_init() -> None:
     _WORKER_IMAGES.clear()
 
 
+def _enter_run(task: tuple, attempt: int = 0) -> None:
+    """Open one run for the flight recorder.
+
+    A boundary mark (the ring spans runs, so a post-mortem can tell
+    whose events the tail belongs to) plus fresh spill context.
+    """
+    run, program, _, sim, ways, _, _, qat_backend = task[:8]
+    if _flight.RECORDER.enabled:
+        _flight.RECORDER.mark(
+            "campaign.run", f"run={run} attempt={attempt} sim={sim}"
+        )
+    _flight.WORKER_CONTEXT.clear()
+    _flight.WORKER_CONTEXT.update(
+        program=program, sim=sim, ways=ways, qat_backend=qat_backend,
+        run=run, attempt=attempt,
+    )
+
+
+def _fault_plan(task: tuple) -> FaultPlan:
+    """The run's seeded plan (the same on every execution strategy)."""
+    (run, _, seed, _, ways, faults_per_run, targets, _, _, golden_steps,
+     mem_span, _) = task
+    return FaultPlan.from_seed(
+        seed * 1_000_003 + run,
+        faults_per_run,
+        max_step=golden_steps,
+        ways=ways,
+        targets=tuple(targets),
+        mem_span=mem_span,
+    )
+
+
+def _classify(task: tuple, plan: FaultPlan, machine,
+              error: str | None) -> dict:
+    """The report entry of one finished run.
+
+    A raised error or any trap record is ``detected``; otherwise the
+    architectural result against the golden run decides ``masked`` or
+    ``silent``.
+    """
+    run, golden = task[0], task[8]
+    if error is not None or machine.traps:
+        outcome = DETECTED
+    elif _architectural_result(machine) == golden:
+        outcome = MASKED
+    else:
+        outcome = SILENT
+    return RunResult(
+        run=run,
+        seed=plan.seed,
+        outcome=outcome,
+        events=[e.as_dict() for e in plan.events],
+        traps=[r.as_dict() for r in machine.traps],
+        error=error,
+    ).as_dict()
+
+
 def _single_run(task: tuple, attempt: int = 0) -> tuple[int, dict, float, int, int]:
     """Execute one faulted run; pure function of its task tuple.
 
@@ -181,59 +232,25 @@ def _single_run(task: tuple, attempt: int = 0) -> tuple[int, dict, float, int, i
     independent, but the chaos hook uses it to model faults that heal
     on retry.
     """
-    (run, program, seed, sim, ways, faults_per_run, targets, qat_backend,
-     golden, golden_steps, mem_span, watchdog) = task
-    # Flight recorder: a boundary mark per run (the worker's ring spans
-    # runs, so a post-mortem can tell whose events the tail belongs to)
-    # plus fresh spill context -- recorded *before* the chaos hook so a
-    # chaos crash spills a ring already labeled with this run.
-    if _flight.RECORDER.enabled:
-        _flight.RECORDER.mark(
-            "campaign.run", f"run={run} attempt={attempt} sim={sim}"
-        )
-    _flight.WORKER_CONTEXT.clear()
-    _flight.WORKER_CONTEXT.update(
-        program=program, sim=sim, ways=ways, qat_backend=qat_backend,
-        run=run, attempt=attempt,
-    )
+    from repro.obs.progress import worker_ident
+
+    (run, program, _, sim, ways, _, _, qat_backend, _, _, _,
+     watchdog) = task
+    # Recorded *before* the chaos hook so a chaos crash spills a ring
+    # already labeled with this run.
+    _enter_run(task, attempt)
     chaos_hook(run, attempt)
-    image = _worker_image(program)
-    run_seed = seed * 1_000_003 + run
-    plan = FaultPlan.from_seed(
-        run_seed,
-        faults_per_run,
-        max_step=golden_steps,
-        ways=ways,
-        targets=tuple(targets),
-        mem_span=mem_span,
-    )
+    plan = _fault_plan(task)
     subject = _new_simulator(sim, ways, None, qat_backend=qat_backend)
-    subject.load(image)
-    result = RunResult(
-        run=run,
-        seed=run_seed,
-        outcome=MASKED,
-        events=[e.as_dict() for e in plan.events],
-    )
+    subject.load(_worker_image(program))
     t0 = time.perf_counter()
-    steps = 0
+    steps, error = 0, None
     try:
         steps = _drive(subject, plan, watchdog)
     except ReproError as exc:
-        result.outcome = DETECTED
-        result.error = str(exc)
-    else:
-        if subject.machine.traps:
-            result.outcome = DETECTED
-        elif _architectural_result(subject.machine) == golden:
-            result.outcome = MASKED
-        else:
-            result.outcome = SILENT
-    from repro.obs.progress import worker_ident
-
-    result.traps = [r.as_dict() for r in subject.machine.traps]
-    return (run, result.as_dict(), time.perf_counter() - t0, steps,
-            worker_ident())
+        error = str(exc)
+    detail = _classify(task, plan, subject.machine, error)
+    return run, detail, time.perf_counter() - t0, steps, worker_ident()
 
 
 def _batch_pending(pending: list, batch: int, image, settle) -> None:
@@ -241,48 +258,33 @@ def _batch_pending(pending: list, batch: int, image, settle) -> None:
 
     Each chunk of up to ``batch`` tasks becomes one
     :class:`~repro.cpu.batch.BatchFunctionalSimulator`: every run is a
-    lane with its own per-run :class:`FaultPlan` (the same
-    ``seed * 1_000_003 + run`` derivation as the serial and ``--jobs``
-    paths), fault events are injected on the lane's array slices, and
-    classification -- parked-lane error text => ``detected``, trap
-    records => ``detected``, architectural result vs golden =>
-    ``masked``/``silent`` -- matches :func:`_single_run` field for
-    field, so the merged report is byte-identical to the serial
-    campaign.  Wall seconds are apportioned evenly across the chunk's
-    lanes for the progress heartbeats (never part of the report).
+    lane with its own :class:`FaultPlan`, opened for the flight recorder
+    and classified exactly like :func:`_single_run`, so the merged
+    report is byte-identical to the serial campaign.  Wall seconds are
+    apportioned evenly across the chunk's lanes for the progress
+    heartbeats (never part of the report).
     """
     from repro.cpu.batch import BatchFunctionalSimulator
     from repro.obs.progress import worker_ident
 
+    class CampaignBatch(BatchFunctionalSimulator):
+        """One lane per task; each opens as its run, like a serial run."""
+
+        def __init__(self, chunk):
+            super().__init__(len(chunk), ways=chunk[0][4],
+                             qat_backend=chunk[0][7])
+            self.chunk = chunk
+
+        def run_lane(self, lane, *args):
+            _enter_run(self.chunk[lane])
+            return super().run_lane(lane, *args)
+
     worker = worker_ident()
     for chunk_start in range(0, len(pending), batch):
         chunk = pending[chunk_start:chunk_start + batch]
-        (_, program, seed, sim, ways, faults_per_run, targets, qat_backend,
-         golden, golden_steps, mem_span, watchdog) = chunk[0]
-        if _flight.RECORDER.enabled:
-            _flight.RECORDER.mark(
-                "campaign.batch",
-                f"runs={chunk[0][0]}..{chunk[-1][0]} lanes={len(chunk)} "
-                f"sim={sim}",
-            )
-        _flight.WORKER_CONTEXT.clear()
-        _flight.WORKER_CONTEXT.update(
-            program=program, sim=sim, ways=ways, qat_backend=qat_backend,
-            run=chunk[0][0], batch=len(chunk),
-        )
-        plans = [
-            FaultPlan.from_seed(
-                seed * 1_000_003 + task[0],
-                faults_per_run,
-                max_step=golden_steps,
-                ways=ways,
-                targets=tuple(targets),
-                mem_span=mem_span,
-            )
-            for task in chunk
-        ]
-        subject = BatchFunctionalSimulator(len(chunk), ways=ways,
-                                           qat_backend=qat_backend)
+        watchdog = chunk[0][11]
+        plans = [_fault_plan(task) for task in chunk]
+        subject = CampaignBatch(chunk)
         subject.load(image)
         t0 = time.perf_counter()
         lane_steps = subject.run(
@@ -290,30 +292,13 @@ def _batch_pending(pending: list, batch: int, image, settle) -> None:
             watchdog_detail=f"campaign watchdog: exceeded {watchdog} steps",
         )
         seconds = (time.perf_counter() - t0) / len(chunk)
-        machines = subject.machines
         for lane, task in enumerate(chunk):
-            run = task[0]
-            result = RunResult(
-                run=run,
-                seed=seed * 1_000_003 + run,
-                outcome=MASKED,
-                events=[e.as_dict() for e in plans[lane].events],
-            )
-            steps = int(lane_steps[lane])
-            if machines.errors[lane] is not None:
-                result.outcome = DETECTED
-                result.error = machines.errors[lane]
-                # The serial run's exception path never assigns steps.
-                steps = 0
-            elif machines.traps[lane]:
-                result.outcome = DETECTED
-            elif (tuple(int(r) for r in machines.regs[lane]),
-                  tuple(machines.output[lane])) == golden:
-                result.outcome = MASKED
-            else:
-                result.outcome = SILENT
-            result.traps = [r.as_dict() for r in machines.traps[lane]]
-            settle(run, result.as_dict(), seconds, steps, 1, worker)
+            error = subject.errors[lane]
+            detail = _classify(task, plans[lane], subject.lanes[lane].machine,
+                               error)
+            # A run that raised reports no steps, as the serial path does.
+            steps = 0 if error is not None else int(lane_steps[lane])
+            settle(task[0], detail, seconds, steps, 1, worker)
 
 
 class CampaignInterrupted(ReproError):
@@ -433,12 +418,12 @@ def run_campaign(
     identical with or without it.
 
     ``batch > 1`` is the third execution strategy: runs are packed into
-    lane batches on the NumPy-batched functional simulator
-    (:mod:`repro.cpu.batch`), one process, vectorized across machines.
-    Classification is per lane and the merged report is byte-identical
-    to the serial and ``--jobs`` paths.  Batch mode requires the
-    functional simulator (the timing models have no batched
-    counterpart) and is mutually exclusive with ``jobs > 1``.
+    lane batches (:mod:`repro.cpu.batch`), one process, each lane a
+    functional machine on the stripped loop; RE lanes share one chunk
+    store and gate memo.  Classification is per lane and the merged
+    report is byte-identical to the serial and ``--jobs`` paths.  Batch
+    mode requires the functional simulator (the timing models have no
+    batched counterpart) and is mutually exclusive with ``jobs > 1``.
     """
     if runs <= 0:
         raise ReproError(f"runs must be positive, got {runs}")

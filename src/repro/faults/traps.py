@@ -215,3 +215,15 @@ def deliver(machine, cause: TrapCause, detail: str = "",
     machine.write_reg(policy.epc_reg, resume_pc)
     machine.pc = policy.handler_for(cause)
     raise TrapDelivered(record)
+
+
+def fire_watchdog(machine, detail: str) -> None:
+    """Fire the ``watchdog`` trap on a machine whose step budget ran out.
+
+    A ``halt`` or ``vector`` action returns normally: either way the
+    run that spent its budget stops stepping.
+    """
+    try:
+        deliver(machine, TrapCause.WATCHDOG, detail=detail)
+    except TrapDelivered:
+        pass

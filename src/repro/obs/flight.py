@@ -33,12 +33,11 @@ quarantined shards into the campaign report and the run ledger's
 ``artifacts`` column.
 
 Batched campaigns (``tangled faults --batch N``,
-:mod:`repro.cpu.batch`) run in a *downgraded* recording mode: campaign
-marks, fault notes, trap notes, and syscall notes still land in the
-ring, but the per-instruction retire stream is dropped -- recording one
-event per lane per step would serialize the vectorized dispatch.  A
-blackbox spilled from a batch campaign therefore carries breadcrumbs
-and trap context, not an instruction listing.
+:mod:`repro.cpu.batch`) record exactly like serial ones: each lane is a
+functional machine on the stripped loop, opens with its run's
+``campaign.run`` mark and spill context, and records its own retire,
+fault, trap and syscall events, so the ring holds the same stream a
+serial campaign leaves.
 
 Like :mod:`repro.obs.runtime`, this module imports nothing from the rest
 of ``repro`` at module level so every layer can record into it without

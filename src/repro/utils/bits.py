@@ -46,6 +46,18 @@ def ctz64(word: int) -> int:
     return (word & -word).bit_length() - 1
 
 
+#: The repeating 64-bit word of ``H(k)`` for each ``k < 6``: runs of
+#: :math:`2^k` zeros then :math:`2^k` ones, starting at channel 0.
+_HADAMARD_WORDS = tuple(np.uint64(word) for word in (
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+))
+
+
 def hadamard_word(k: int) -> np.uint64:
     """The repeating 64-bit word of the Hadamard pattern ``H(k)`` for k < 6.
 
@@ -56,11 +68,7 @@ def hadamard_word(k: int) -> np.uint64:
     """
     if not 0 <= k < 6:
         raise ValueError(f"hadamard_word needs 0 <= k < 6, got {k}")
-    value = 0
-    for bit in range(WORD_BITS):
-        if (bit >> k) & 1:
-            value |= 1 << bit
-    return np.uint64(value)
+    return _HADAMARD_WORDS[k]
 
 
 def popcount_words(words: np.ndarray) -> int:

@@ -1,8 +1,8 @@
 """One conformance harness for every execution engine.
 
 Paper section 3.1 implements one ISA (Tables 1 and 3) several ways, and
-this package adds a stripped and an observed run loop, a lockstep NumPy
-batch and two Qat substrates.  All of them are checked the same way:
+this package adds a stripped and an observed run loop, batch lanes and
+two Qat substrates.  All of them are checked the same way:
 :func:`programs` is the one random-program strategy, :func:`oracle` the
 one reference (a ``FunctionalSimulator.step()`` loop, i.e. ``execute``
 over ``FAST_HANDLERS``), and :func:`check` runs every engine in
@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from types import SimpleNamespace
 
 from hypothesis import strategies as st
 
@@ -187,15 +186,21 @@ def programs(draw, max_items: int = 24) -> Program:
 
 # -- the oracle and the engine registry ----------------------------------------
 
-def _state(machine, read_qreg, error) -> dict:
+def _state(machine, error, events) -> dict:
     """Everything an engine must agree on; trap clocks are per engine."""
+    for pc, entry in fastpath.cache_for(machine).entries.items():
+        assert entry is fastpath._predecode(machine.mem, pc), f"stale {pc:#x}"
     return {
         "regs": tuple(int(r) for r in machine.regs), "mem": bytes(machine.mem),
         "pc": int(machine.pc), "halted": bool(machine.halted),
         "output": list(machine.output), "instret": int(machine.instret),
-        "qregs": b"".join(read_qreg(q).words.tobytes() for q in range(256)),
+        "qregs": b"".join(machine.read_qreg(q).words.tobytes()
+                          for q in range(256)),
         "traps": [{**t.as_dict(), "cycle": None} for t in machine.traps],
         "error": error and re.sub(r", cycle=\d+", "", error),
+        "events": [  # the flight-recorder stream, trap clocks dropped
+            (kind, pc, (p[0], None) + p[2:] if kind == flight.TRAP else p)
+            for kind, pc, p in events],
     }
 
 
@@ -253,20 +258,15 @@ def _run(make, drive, program, backend, policy) -> list:
         drive(sim)
     except SimulatorError as exc:
         error = str(exc)
+    events = list(flight.RECORDER.events)
     if isinstance(sim, BatchFunctionalSimulator):
-        bm = sim.machines
-        fields = ("regs", "mem", "pc", "halted", "output", "instret", "traps")
-        return [_state(SimpleNamespace(**{f: getattr(bm, f)[lane]
-                                          for f in fields}),
-                       partial(bm.read_qreg, lane), bm.errors[lane])
-                for lane in range(bm.n)]
+        # Lanes run one after another, each recording its own stream.
+        size = len(events) // sim.n
+        assert events == events[:size] * sim.n, "lane streams differ"
+        return [_state(lane.machine, lane_error, events[:size])
+                for lane, lane_error in zip(sim.lanes, sim.errors)]
     machine = sim.machine
-    for pc, entry in fastpath.cache_for(machine).entries.items():
-        assert entry is fastpath._predecode(machine.mem, pc), f"stale {pc:#x}"
-    state = _state(machine, machine.read_qreg, error)
-    state["events"] = [  # the flight-recorder stream, trap clocks dropped
-        (kind, pc, (p[0], None) + p[2:] if kind == flight.TRAP else p)
-        for kind, pc, p in flight.RECORDER.events]
+    state = _state(machine, error, events)
     if isinstance(sim, MultiCycleSimulator):
         state["cycles"] = sim.cycles
     if isinstance(sim, PipelinedSimulator):

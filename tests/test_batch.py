@@ -1,11 +1,11 @@
-"""Batched simulator: lockstep equivalence with the serial fast path.
+"""Batched simulator: every lane matches a serial functional run.
 
-The contract of :mod:`repro.cpu.batch` is that N lanes stepped in
-lockstep over NumPy arrays are architecturally indistinguishable from
-N serial :class:`~repro.cpu.FunctionalSimulator` runs: same registers,
-memory, Qat state, output, trap records (mapped per lane), same error
-strings for parked lanes, and -- the bar the campaign driver relies on
--- byte-identical campaign reports for ``--batch N`` vs serial.
+The contract of :mod:`repro.cpu.batch` is that N lanes loaded with one
+image are architecturally indistinguishable from N serial
+:class:`~repro.cpu.FunctionalSimulator` runs driven the way the
+campaign driver drives them: same registers, memory, Qat state, output,
+trap records and error strings -- and, the bar the campaign driver
+relies on, byte-identical campaign reports for ``--batch N`` vs serial.
 """
 
 import numpy as np
@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asm import assemble
-from repro.cpu import BatchFunctionalSimulator, FunctionalSimulator
+from repro.cpu import BatchFunctionalSimulator, FunctionalSimulator, fastpath
 from repro.errors import ReproError, SimulatorError
 from repro.faults.campaign import render_report, run_campaign
 from repro.faults.inject import FaultEvent, FaultPlan, apply_event
-from repro.faults.traps import TrapCause, TrapDelivered
+from repro.faults.traps import TrapCause, fire_watchdog
 
 from tests.conformance import programs
 
@@ -30,31 +30,25 @@ BACKENDS = ["dense", "re"]
 # ---------------------------------------------------------------------------
 
 def _serial_run(words, plan, *, ways, backend, max_steps):
-    """One serial lane: campaign-style drive with per-step fault events.
+    """One serial run: campaign-style drive with per-step fault events.
 
     Returns ``(sim, error)`` where ``error`` is the stringified trap
-    for a run that died (what the batch engine parks the lane with).
+    for a run that died (what the batch records for its lane).
     """
     sim = FunctionalSimulator(ways=ways, qat_backend=backend)
     sim.load(list(words))
     error = None
     step = 0
     try:
-        while not sim.machine.halted:
-            if step >= max_steps:
-                try:
-                    sim.machine.trap(
-                        TrapCause.WATCHDOG,
-                        detail=f"exceeded {max_steps} steps without halting",
-                    )
-                except TrapDelivered:
-                    pass
-                break
+        while step < max_steps and not sim.machine.halted:
             if plan is not None:
                 for event in plan.due(step):
                     apply_event(sim.machine, event)
             sim.step()
             step += 1
+        if not sim.machine.halted:
+            fire_watchdog(sim.machine,
+                          f"exceeded {max_steps} steps without halting")
     except SimulatorError as exc:
         error = str(exc)
     return sim, error
@@ -69,23 +63,17 @@ def _batch_run(words, plans, *, ways, backend, max_steps):
 
 
 def _assert_lane_matches(sim, error, batch, lane) -> None:
-    bm = batch.machines
-    m = sim.machine
-    assert np.array_equal(np.asarray(m.regs, dtype=np.uint16),
-                          bm.regs[lane])
-    assert np.array_equal(np.asarray(m.mem, dtype=np.uint16), bm.mem[lane])
-    assert [r.as_dict() for r in m.traps] == \
-        [r.as_dict() for r in bm.traps[lane]]
-    assert list(m.output) == list(bm.output[lane])
-    assert error == bm.errors[lane]
-    if error is None:
-        # A parked lane's pc/instret freeze where the trap fired, which
-        # for a raising trap the serial path never observes.
-        assert m.pc == int(bm.pc[lane])
-        assert m.instret == int(bm.instret[lane])
-        assert m.halted == bool(bm.halted[lane])
-        assert [m.read_qreg(i) for i in range(256)] == \
-            [bm.read_qreg(lane, i) for i in range(256)]
+    m, got = sim.machine, batch.lanes[lane].machine
+    assert np.array_equal(m.regs, got.regs)
+    assert np.array_equal(m.mem, got.mem)
+    assert [r.as_dict() for r in m.traps] == [r.as_dict() for r in got.traps]
+    assert m.output == got.output
+    assert error == batch.errors[lane]
+    assert m.pc == got.pc
+    assert m.instret == got.instret
+    assert m.halted == got.halted
+    assert [m.read_qreg(i) for i in range(256)] == \
+        [got.read_qreg(i) for i in range(256)]
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +98,7 @@ class TestBatchVsSerialState:
     @settings(max_examples=8, deadline=None)
     @given(data=st.data())
     def test_random_programs_with_fault_plans(self, backend, data):
-        """Each lane gets its own plan; serial lanes must match 1:1."""
+        """Each lane gets its own plan; serial runs must match 1:1."""
         program = data.draw(programs())
         words, ways = program.words, program.ways
         plans = [
@@ -129,7 +117,7 @@ class TestBatchVsSerialState:
             _assert_lane_matches(sim, error, batch, lane)
 
     def test_divergent_lanes_park_independently(self):
-        """A lane that traps parks; the others run to completion."""
+        """A lane whose trap raises stops; the others run to completion."""
         words = assemble(
             "lex $1, 40\n"
             "load $2, $1\n"       # word 40 differs per lane after injection
@@ -138,30 +126,76 @@ class TestBatchVsSerialState:
             "sys\n"
             "bad:\n"
         ).words + [0x6000]        # illegal opcode on the poisoned path
-        from repro.faults.inject import FaultEvent
         poison = FaultPlan(seed=0, events=(
             FaultEvent(step=0, target="mem", index=40, word=0, bit=0),))
         batch = _batch_run(words, [None, poison, None],
                            ways=6, backend="dense", max_steps=100)
-        bm = batch.machines
-        assert bool(bm.halted[0]) and bool(bm.halted[2])
-        assert bool(bm.parked[1]) and not bm.halted[1]
-        assert "unassigned major opcode" in bm.errors[1]
-        assert [r.cause.value for r in bm.traps[1]] == ["illegal_opcode"]
+        halted = [lane.machine.halted for lane in batch.lanes]
+        assert halted == [True, False, True]
+        assert batch.errors[0] is None and batch.errors[2] is None
+        assert "unassigned major opcode" in batch.errors[1]
+        assert [r.cause.value for r in batch.lanes[1].machine.traps] == \
+            ["illegal_opcode"]
 
     def test_watchdog_parks_all_active_lanes(self):
         words = assemble("spin: br spin\n").words
         batch = _batch_run(words, [None] * 3, ways=6,
                            backend="dense", max_steps=10)
-        bm = batch.machines
-        assert bm.parked.all()
         for lane in range(3):
-            assert "exceeded 10 steps" in bm.errors[lane]
-            assert bm.traps[lane][-1].cause is TrapCause.WATCHDOG
+            assert "exceeded 10 steps" in batch.errors[lane]
+            assert batch.lanes[lane].machine.traps[-1].cause is \
+                TrapCause.WATCHDOG
+
+    def test_events_apply_in_step_order_whatever_the_plan_order(self):
+        """A hand-built plan need not be sorted: each event still lands
+        after exactly ``event.step`` steps, as ``FaultPlan.due`` does."""
+        words = assemble("lex $1, 0\nlex $2, 0\nlex $3, 0\n"
+                         "lex $rv, 0\nsys\n").words
+        events = (FaultEvent(step=3, target="gpr", index=2, word=0, bit=1),
+                  FaultEvent(step=1, target="gpr", index=1, word=0, bit=0))
+        plans = [FaultPlan(seed=0, events=events)]
+        batch = _batch_run(words, plans, ways=6, backend="dense",
+                           max_steps=100)
+        sim, error = _serial_run(words, plans[0], ways=6, backend="dense",
+                                 max_steps=100)
+        _assert_lane_matches(sim, error, batch, 0)
+        # $1 was reset by its lex after the flip; $2's flip came after.
+        assert int(sim.machine.regs[2]) == 2
+
+    def test_lanes_run_on_the_stripped_loop(self, monkeypatch):
+        """No second loop: every lane segment is ``run_functional``."""
+        calls = []
+        original = fastpath.run_functional
+
+        def counting(sim, max_steps, costs=None):
+            calls.append(sim)
+            return original(sim, max_steps, costs)
+
+        monkeypatch.setattr(fastpath, "run_functional", counting)
+        plan = FaultPlan(seed=0, events=(
+            FaultEvent(step=2, target="gpr", index=5, word=0, bit=0),))
+        from repro.apps import fig10_program
+
+        batch = _batch_run(fig10_program().words, [None, plan], ways=8,
+                           backend="dense", max_steps=1000)
+        assert calls == [batch.lanes[0], batch.lanes[1], batch.lanes[1]]
+
+    def test_lanes_start_from_one_predecoded_image(self):
+        from repro.apps import fig10_program
+
+        words = fig10_program().words
+        batch = BatchFunctionalSimulator(3, ways=8)
+        batch.load(words)
+        caches = [fastpath.cache_for(lane.machine).entries
+                  for lane in batch.lanes]
+        assert sorted(caches[0]) == list(range(len(words)))
+        for entries in caches[1:]:
+            assert entries is not caches[0]
+            assert all(entries[pc] is caches[0][pc] for pc in caches[0])
 
 
 # ---------------------------------------------------------------------------
-# RE lanes: one shared chunk store, gates grouped by operand identity
+# RE lanes: one shared chunk store, gates memoized by operand identity
 # ---------------------------------------------------------------------------
 
 #: Every RE gate kind, then readouts that all run *after* the flip steps
@@ -202,17 +236,44 @@ def _qreg_flip(step, reg, word, bit):
         FaultEvent(step=step, target="qreg", index=reg, word=word, bit=bit),))
 
 
+def _qat(batch, lane):
+    return batch.lanes[lane].machine.qat
+
+
 class TestBatchREQat:
+    """RE lanes: one :class:`~repro.cpu.qat_backend.SharedREStore`."""
+
     def test_lanes_share_one_chunk_store(self):
         from repro.apps import fig10_program
 
         batch = _batch_run(fig10_program().words, [None] * 4, ways=8,
                            backend="re", max_steps=1000)
-        qat = batch.machines.qat
-        assert all(vector.store is qat.store
-                   for row in qat.regs for vector in row)
+        store = _qat(batch, 0).store
+        assert all(vector.store is store
+                   for lane in range(4) for vector in _qat(batch, lane).regs)
         # Lanes that never diverged hold the very same result objects.
-        assert all(a is b for a, b in zip(qat.regs[0], qat.regs[3]))
+        assert all(a is b for a, b in zip(_qat(batch, 0).regs,
+                                          _qat(batch, 3).regs))
+
+    def test_memo_holds_the_operands_it_keys_on(self):
+        """No ``id`` in a memo key can be recycled while the batch lives."""
+        plans = [None, _qreg_flip(3, 1, 1, 7), None]
+        batch = _batch_run(_RE_READOUT, plans, ways=8, backend="re",
+                           max_steps=100)
+        memo = _qat(batch, 0)._memo
+        assert memo and all(_qat(batch, lane)._memo is memo
+                            for lane in range(3))
+        for (op, *rest), (operands, _) in memo.items():
+            # ``had`` keys on its ``k`` by value; every other op on the
+            # identity of the vectors it was handed.
+            expected = operands if op == "had" else map(id, operands)
+            assert rest == list(expected)
+
+    def test_serial_machines_own_private_stores(self):
+        a, b = (FunctionalSimulator(ways=8, qat_backend="re")
+                for _ in range(2))
+        assert a.machine.qat.store is not b.machine.qat.store
+        assert a.machine.qat._memo is None
 
     def test_flip_in_one_lane_leaves_the_others_unfaulted(self):
         plans = [None, _qreg_flip(3, 1, 1, 7), None, None]
@@ -222,9 +283,9 @@ class TestBatchREQat:
                                max_steps=100)
         expected = [clean.machine.read_qreg(i) for i in range(256)]
         for lane in (0, 2, 3):
-            assert [batch.machines.read_qreg(lane, i)
+            assert [batch.lanes[lane].machine.read_qreg(i)
                     for i in range(256)] == expected
-        assert [batch.machines.read_qreg(1, i)
+        assert [batch.lanes[1].machine.read_qreg(i)
                 for i in range(256)] != expected
 
     def test_divergent_lanes_match_serial_measurements(self):
@@ -245,7 +306,7 @@ class TestBatchREQat:
                                      backend="re", max_steps=100)
             assert error is None
             _assert_lane_matches(sim, error, batch, lane)
-        regs = batch.machines.regs
+        regs = [lane.machine.regs for lane in batch.lanes]
         diverged = [lane for lane in range(len(plans))
                     if not np.array_equal(regs[lane], regs[0])]
         assert diverged == [1, 2, 3, 4, 5]

@@ -1,11 +1,10 @@
-"""bfloat16 ALU tests: bit-exactness, LUT reciprocal, vector parity."""
+"""bfloat16 ALU tests: bit-exactness and the LUT reciprocal."""
 
 import math
 import struct
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.bf16 import (
@@ -19,7 +18,6 @@ from repro.bf16 import (
     bf16_to_float,
     bf16_to_int,
 )
-from repro.bf16 import vector
 from repro.bf16.scalar import (
     NAN,
     NEG_INF,
@@ -170,21 +168,3 @@ class TestIntConversion:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             bf16_from_int(1 << 17)
-
-
-class TestVectorParity:
-    @settings(max_examples=20)
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_add_mul_neg_match_scalar(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.integers(0, 0x10000, 256).astype(np.uint16)
-        b = rng.integers(0, 0x10000, 256).astype(np.uint16)
-        va, vm, vn = vector.add(a, b), vector.mul(a, b), vector.neg(a)
-        for i in range(256):
-            assert int(va[i]) == bf16_add(int(a[i]), int(b[i]))
-            assert int(vm[i]) == bf16_mul(int(a[i]), int(b[i]))
-            assert int(vn[i]) == bf16_neg(int(a[i]))
-
-    def test_encode_decode_roundtrip(self):
-        bits = np.array([0x3F80, 0x4000, 0xC0A0], dtype=np.uint16)
-        assert np.array_equal(vector.encode(vector.decode(bits)), bits)

@@ -101,6 +101,11 @@ class TestHadamardWord:
         with pytest.raises(ValueError):
             hadamard_word(6)
 
+    def test_rejects_negative_k(self):
+        """A table lookup must not wrap ``k = -1`` to the last entry."""
+        with pytest.raises(ValueError):
+            hadamard_word(-1)
+
 
 class TestPopcountWords:
     def test_empty(self):

@@ -4,12 +4,18 @@ See :mod:`tests.conformance` for the strategy, the oracle and the
 engine registry.  The ``@example`` programs pin past divergences.
 """
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
 from repro.apps import fig10_program
+from repro.asm import assemble
+from repro.cpu import FunctionalSimulator
 from repro.faults.traps import TrapPolicy
 from repro.isa import Instr, encode
+from repro.quantum import QuantumSimulator
 
 from tests.conformance import (BACKENDS, ENGINES, HANDLER_STUB, PIPELINES,
                                STORE_AT_ZERO, Program, check,
@@ -84,3 +90,43 @@ def test_every_watchdog_budget_cuts_both_pipeline_loops_alike(stem):
         run, stepped = pipeline_timing(stem, program, TrapPolicy.halting(),
                                        budget)
         assert run == stepped, f"budget {budget}"
+
+
+#: Table 3's permutation gates: qubit count, Qat assembly, and the
+#: ``repro.quantum`` gate with the same operand order.
+TABLE3_GATES = {
+    "not": (1, "not @{0}", "x"),
+    "cnot": (2, "cnot @{0}, @{1}", "cnot"),
+    "ccnot": (3, "ccnot @{0}, @{1}, @{2}", "ccnot"),
+    "swap": (2, "swap @{0}, @{1}", "swap"),
+    "cswap": (3, "cswap @{0}, @{1}, @{2}", "cswap"),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("backend,ways", [("dense", 3), ("dense", 4),
+                                          ("dense", 5), ("dense", 6),
+                                          ("re", 6)])
+def test_table3_gates_match_the_state_vector_baseline(backend, ways, seed):
+    """Anchor: after ``had @q, q`` channel ``e`` of ``@0..@w-1`` spells
+    basis state ``e``, and each Table 3 gate must move every channel to
+    the basis state a quantum computer reaches from ``e``."""
+    rng = random.Random(seed)
+    gates = []
+    for _ in range(40):
+        name = rng.choice(sorted(TABLE3_GATES))
+        gates.append((name, rng.sample(range(ways), TABLE3_GATES[name][0])))
+    source = "".join(f"had @{q}, {q}\n" for q in range(ways))
+    source += "".join(TABLE3_GATES[name][1].format(*qubits) + "\n"
+                      for name, qubits in gates)
+    sim = FunctionalSimulator(ways=ways, qat_backend=backend)
+    sim.load(assemble(source + "lex $rv, 0\nsys\n"))
+    sim.run()
+    qregs = [sim.machine.read_qreg(q) for q in range(ways)]
+    quantum = QuantumSimulator(ways)
+    for e in range(1 << ways):
+        quantum.reset(e)
+        for name, qubits in gates:
+            getattr(quantum, TABLE3_GATES[name][2])(*qubits)
+        (basis,) = np.flatnonzero(quantum.state)
+        assert sum(qregs[q][e] << q for q in range(ways)) == basis, e

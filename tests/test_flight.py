@@ -139,6 +139,30 @@ class TestEventOrder:
         assert kinds.index(flight.SYSCALL) == len(kinds) - 2
         assert kinds[-1] == flight.RETIRE
 
+    def test_batch_lanes_record_like_serial_runs(self):
+        """Each lane of a batch campaign opens with its run's mark, then
+        records that run's retire, fault and trap events -- the very
+        stream a serial campaign leaves."""
+        from repro.faults.campaign import run_campaign
+
+        kwargs = dict(program="fig10", runs=3, seed=7, faults_per_run=2,
+                      targets=("gpr", "mem", "qreg", "pc"))
+        run_campaign(**kwargs)
+        serial = list(flight.RECORDER.events)
+        flight.RECORDER.reset()
+        run_campaign(batch=3, **kwargs)
+        events = flight.RECORDER.events
+        marks = [i for i, event in enumerate(events)
+                 if event[0] == flight.MARK]
+        assert [events[i][2] for i in marks] == [
+            ("campaign.run", f"run={run} attempt=0 sim=functional")
+            for run in range(3)]
+        for start, end in zip(marks, marks[1:] + [len(events)]):
+            assert events[start + 1][0] in (flight.RETIRE, flight.FAULT)
+            assert any(event[0] == flight.RETIRE
+                       for event in events[start:end])
+        assert events == serial
+
 
 # ---------------------------------------------------------------------------
 # Worker spool protocol
