@@ -509,7 +509,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                         f"{stats['fetch_extra']} fetch, "
                         f"{stats['branch_flushes']} flushes"
                     )
-                else:
+                if args.sim != "pipelined":
                     print(f"instructions: {machine.instret}")
         finally:
             # Even a run that dies mid-flight (trap escalated to an

@@ -5,7 +5,11 @@ statement of the ISA semantics, for every engine.  Two loops run it: the
 observed step :func:`execute` (the pipeline, single-stepping, and any
 run with an observer attached) and the stripped loops --
 :func:`repro.cpu.fastpath.run_functional`, which also runs every lane of
-a ``--batch`` campaign, and the pipeline's scoreboard-timed loop.
+a ``--batch`` campaign, and the pipeline's scoreboard-timed loop.  The
+handlers of every instruction but ``sys`` and the Qat ops are built
+from :data:`TEMPLATES`, one Python expression per mnemonic, which the
+stripped functional loop's translated tier also inlines into its
+compiled blocks -- so that tier adds no second copy of the semantics.
 
 Semantics follow Tables 1 and 3 exactly where the paper specifies them;
 where it leaves detail to the implementer the choices are documented
@@ -234,205 +238,96 @@ def execute(machine, instr: Instr, syscalls=None) -> Effects:
 # Signature: ``handler(machine, instr, ops, pc_next, syscalls) -> next_pc``.
 # The caller owns ``machine.pc = next_pc`` and the ``instret`` increment.
 
-def _fast_add(machine, instr, ops, pc_next, syscalls):
-    regs = machine.regs
-    d = ops[0]
-    regs[d] = (int(regs[d]) + int(regs[ops[1]])) & 0xFFFF
-    return pc_next
+#: The semantics of every instruction but ``sys`` and the Qat ops, one
+#: row per mnemonic: ``(writes, expression, trap)``.  ``writes`` says
+#: where the expression's value goes: ``"d"`` into register ``$d``,
+#: ``"pc"`` into the PC, ``None`` nowhere (it runs for its effect).  In
+#: the expression ``{d}``, ``{s}``, ``{c}`` and ``{a}`` stand for the
+#: 16-bit value of the operand register of that kind, ``{i}`` and ``{o}``
+#: for the immediate and the branch offset, and ``{n}`` for the address
+#: of the following instruction.  ``trap`` names the trap the
+#: instruction can take: ``"bf16"`` (a non-finite result, under
+#: ``trap_bf16``) or ``"fence"`` (an address at or above ``mem_fence``).
+#: :func:`_template_handler` builds each row's :data:`FAST_HANDLERS`
+#: entry, and :mod:`repro.cpu.fastpath` inlines the same expressions into
+#: translated blocks, which only hold rows whose trap the policy rules out.
+TEMPLATES = {
+    "add": ("d", "({d} + {s}) & 0xFFFF", None),
+    "addf": ("d", "bf16_add({d}, {s})", "bf16"),
+    "and": ("d", "{d} & {s}", None),
+    "brf": ("pc", "({n} + {o}) & 0xFFFF if {c} == 0 else {n}", None),
+    "brt": ("pc", "({n} + {o}) & 0xFFFF if {c} != 0 else {n}", None),
+    "copy": ("d", "{s}", None),
+    "float": ("d", "bf16_from_int({d}) & 0xFFFF", None),
+    "int": ("d", "bf16_to_int({d}) & 0xFFFF", None),
+    "jumpr": ("pc", "{a}", None),
+    "lex": ("d", "(({i} & 0xFF) ^ 0x80) - 0x80 & 0xFFFF", None),
+    "lhi": ("d", "{d} & 0xFF | ({i} & 0xFF) << 8", None),
+    "load": ("d", "machine.mem.item({s})", "fence"),
+    "mul": ("d", "{d} * {s} & 0xFFFF", None),
+    "mulf": ("d", "bf16_mul({d}, {s})", "bf16"),
+    "neg": ("d", "-{d} & 0xFFFF", None),
+    "negf": ("d", "bf16_neg({d}) & 0xFFFF", None),
+    "not": ("d", "~{d} & 0xFFFF", None),
+    "or": ("d", "{d} | {s}", None),
+    "recip": ("d", "bf16_recip({d})", "bf16"),
+    # $s is signed: 0..15 shift left, 0xFFF1..0xFFFF (-15..-1) right.
+    "shift": ("d", "{d} << {s} & 0xFFFF if {s} < 16 else "
+                   "{d} >> 0x10000 - {s} if {s} > 0xFFF0 else 0", None),
+    # Flipping the sign bit maps signed order onto unsigned order.
+    "slt": ("d", "1 if {d} ^ 0x8000 < {s} ^ 0x8000 else 0", None),
+    "store": (None, "machine.write_mem({s}, {d})", "fence"),
+    "xor": ("d", "{d} ^ {s}", None),
+}
+
+#: Names a template expression may use besides its operands and ``machine``.
+TEMPLATE_GLOBALS = {f.__name__: f for f in (bf16_add, bf16_from_int, bf16_mul,
+                                            bf16_neg, bf16_recip, bf16_to_int)}
+
+_TRAP_CALL = ('machine.trap(TrapCause.{}, detail=f"{}", '
+              'instruction=instr.render(), resume_pc=pc_next)')
 
 
-def _fast_addf(machine, instr, ops, pc_next, syscalls):
-    regs = machine.regs
-    d = ops[0]
-    result = bf16_add(int(regs[d]), int(regs[ops[1]]))
-    if machine.trap_policy.trap_bf16 and (result & _BF16_EXP_MASK) == _BF16_EXP_MASK:
-        machine.trap(
-            TrapCause.BF16_FAULT,
-            detail=f"addf produced non-finite bf16 {result:#06x}",
-            instruction=instr.render(),
-            resume_pc=pc_next,
-        )
-    regs[d] = result & 0xFFFF
-    return pc_next
-
-
-def _fast_and(machine, instr, ops, pc_next, syscalls):
-    regs = machine.regs
-    d = ops[0]
-    regs[d] = (int(regs[d]) & int(regs[ops[1]])) & 0xFFFF
-    return pc_next
-
-
-def _fast_brf(machine, instr, ops, pc_next, syscalls):
-    if int(machine.regs[ops[0]]) == 0:
-        return (pc_next + ops[1]) & 0xFFFF
-    return pc_next
-
-
-def _fast_brt(machine, instr, ops, pc_next, syscalls):
-    if int(machine.regs[ops[0]]) != 0:
-        return (pc_next + ops[1]) & 0xFFFF
-    return pc_next
-
-
-def _fast_copy(machine, instr, ops, pc_next, syscalls):
-    regs = machine.regs
-    regs[ops[0]] = regs[ops[1]]
-    return pc_next
-
-
-def _fast_float(machine, instr, ops, pc_next, syscalls):
-    regs = machine.regs
-    d = ops[0]
-    regs[d] = bf16_from_int(int(regs[d])) & 0xFFFF
-    return pc_next
-
-
-def _fast_int(machine, instr, ops, pc_next, syscalls):
-    regs = machine.regs
-    d = ops[0]
-    regs[d] = bf16_to_int(int(regs[d])) & 0xFFFF
-    return pc_next
-
-
-def _fast_jumpr(machine, instr, ops, pc_next, syscalls):
-    return int(machine.regs[ops[0]])
-
-
-def _fast_lex(machine, instr, ops, pc_next, syscalls):
-    imm = ops[1]
-    machine.regs[ops[0]] = imm & 0xFF if (imm & 0x80) == 0 else (imm & 0xFF) | 0xFF00
-    return pc_next
-
-
-def _fast_lhi(machine, instr, ops, pc_next, syscalls):
-    regs = machine.regs
-    d = ops[0]
-    regs[d] = (int(regs[d]) & 0x00FF) | ((ops[1] & 0xFF) << 8)
-    return pc_next
-
-
-def _fast_load(machine, instr, ops, pc_next, syscalls):
-    addr = int(machine.regs[ops[1]])
-    fence = machine.trap_policy.mem_fence
-    if fence is not None and addr >= fence:
-        machine.trap(
-            TrapCause.MEM_FAULT,
-            detail=f"load from {addr:#06x} beyond fence {fence:#06x}",
-            instruction=instr.render(),
-            resume_pc=pc_next,
-        )
-    machine.regs[ops[0]] = machine.mem[addr & 0xFFFF]
-    return pc_next
-
-
-def _fast_mul(machine, instr, ops, pc_next, syscalls):
-    regs = machine.regs
-    d = ops[0]
-    regs[d] = (int(regs[d]) * int(regs[ops[1]])) & 0xFFFF
-    return pc_next
-
-
-def _fast_mulf(machine, instr, ops, pc_next, syscalls):
-    regs = machine.regs
-    d = ops[0]
-    result = bf16_mul(int(regs[d]), int(regs[ops[1]]))
-    if machine.trap_policy.trap_bf16 and (result & _BF16_EXP_MASK) == _BF16_EXP_MASK:
-        machine.trap(
-            TrapCause.BF16_FAULT,
-            detail=f"mulf produced non-finite bf16 {result:#06x}",
-            instruction=instr.render(),
-            resume_pc=pc_next,
-        )
-    regs[d] = result & 0xFFFF
-    return pc_next
-
-
-def _fast_neg(machine, instr, ops, pc_next, syscalls):
-    regs = machine.regs
-    d = ops[0]
-    regs[d] = (-int(regs[d])) & 0xFFFF
-    return pc_next
-
-
-def _fast_negf(machine, instr, ops, pc_next, syscalls):
-    regs = machine.regs
-    d = ops[0]
-    regs[d] = bf16_neg(int(regs[d])) & 0xFFFF
-    return pc_next
-
-
-def _fast_not(machine, instr, ops, pc_next, syscalls):
-    regs = machine.regs
-    d = ops[0]
-    regs[d] = (~int(regs[d])) & 0xFFFF
-    return pc_next
-
-
-def _fast_or(machine, instr, ops, pc_next, syscalls):
-    regs = machine.regs
-    d = ops[0]
-    regs[d] = (int(regs[d]) | int(regs[ops[1]])) & 0xFFFF
-    return pc_next
-
-
-def _fast_recip(machine, instr, ops, pc_next, syscalls):
-    regs = machine.regs
-    d = ops[0]
-    result = bf16_recip(int(regs[d]))
-    if machine.trap_policy.trap_bf16 and (result & _BF16_EXP_MASK) == _BF16_EXP_MASK:
-        machine.trap(
-            TrapCause.BF16_FAULT,
-            detail=f"recip produced non-finite bf16 {result:#06x}",
-            instruction=instr.render(),
-            resume_pc=pc_next,
-        )
-    regs[d] = result & 0xFFFF
-    return pc_next
-
-
-def _fast_shift(machine, instr, ops, pc_next, syscalls):
-    regs = machine.regs
-    d = ops[0]
-    amount = int(regs[ops[1]])
-    if amount >= 0x8000:
-        amount -= 0x10000
-    value = int(regs[d])
-    if amount >= 16 or amount <= -16:
-        result = 0
-    elif amount >= 0:
-        result = value << amount
+def _template_handler(mnemonic: str, writes, expr: str, trap) -> str:
+    """Source of the :data:`FAST_HANDLERS` entry of a :data:`TEMPLATES` row."""
+    fields = {"n": "pc_next"}
+    body = ["regs = machine.regs"]
+    for pos, kind in enumerate(INSTRUCTIONS[mnemonic].operands):
+        if kind in "io":
+            fields[kind] = f"ops[{pos}]"
+        elif "{%s}" % kind in expr:
+            fields[kind] = kind
+            body.append(f"{kind} = regs.item(ops[{pos}])")
+    value = expr.format(**fields)
+    if trap == "fence":
+        verb = "load from" if mnemonic == "load" else "store to"
+        body += ["fence = machine.trap_policy.mem_fence",
+                 "if fence is not None and s >= fence:",
+                 "    " + _TRAP_CALL.format("MEM_FAULT", f"{verb} {{s:#06x}} "
+                                           "beyond fence {fence:#06x}")]
+    elif trap == "bf16":
+        body += [f"result = {value}",
+                 "if machine.trap_policy.trap_bf16 and "
+                 f"result & {_BF16_EXP_MASK:#x} == {_BF16_EXP_MASK:#x}:",
+                 "    " + _TRAP_CALL.format(
+                     "BF16_FAULT",
+                     f"{mnemonic} produced non-finite bf16 {{result:#06x}}")]
+        value = "result"
+    if writes == "pc":
+        body.append(f"return {value}")
     else:
-        result = value >> (-amount)
-    regs[d] = result & 0xFFFF
-    return pc_next
+        body += [f"regs[ops[0]] = {value}" if writes == "d" else value,
+                 "return pc_next"]
+    return (f"def _fast_{mnemonic}(machine, instr, ops, pc_next, syscalls):\n"
+            + "".join(f"    {line}\n" for line in body))
 
 
-def _fast_slt(machine, instr, ops, pc_next, syscalls):
-    regs = machine.regs
-    d = ops[0]
-    a = int(regs[d])
-    b = int(regs[ops[1]])
-    if a >= 0x8000:
-        a -= 0x10000
-    if b >= 0x8000:
-        b -= 0x10000
-    regs[d] = 1 if a < b else 0
-    return pc_next
-
-
-def _fast_store(machine, instr, ops, pc_next, syscalls):
-    addr = int(machine.regs[ops[1]])
-    fence = machine.trap_policy.mem_fence
-    if fence is not None and addr >= fence:
-        machine.trap(
-            TrapCause.MEM_FAULT,
-            detail=f"store to {addr:#06x} beyond fence {fence:#06x}",
-            instruction=instr.render(),
-            resume_pc=pc_next,
-        )
-    machine.write_mem(addr, int(machine.regs[ops[0]]))
-    return pc_next
+def _template_handlers() -> dict:
+    namespace = {**TEMPLATE_GLOBALS, "TrapCause": TrapCause}
+    source = "\n".join(_template_handler(m, *row)
+                       for m, row in TEMPLATES.items())
+    exec(compile(source, "<exec_core.TEMPLATES>", "exec"), namespace)
+    return {m: namespace[f"_fast_{m}"] for m in TEMPLATES}
 
 
 def _fast_sys(machine, instr, ops, pc_next, syscalls):
@@ -440,13 +335,6 @@ def _fast_sys(machine, instr, ops, pc_next, syscalls):
         syscalls.handle(machine)
     else:
         machine.halted = True
-    return pc_next
-
-
-def _fast_xor(machine, instr, ops, pc_next, syscalls):
-    regs = machine.regs
-    d = ops[0]
-    regs[d] = (int(regs[d]) ^ int(regs[ops[1]])) & 0xFFFF
     return pc_next
 
 
@@ -570,30 +458,8 @@ def _fast_qpop(machine, instr, ops, pc_next, syscalls):
 
 #: mnemonic -> fast handler; covers every entry of :data:`INSTRUCTIONS`.
 FAST_HANDLERS = {
-    "add": _fast_add,
-    "addf": _fast_addf,
-    "and": _fast_and,
-    "brf": _fast_brf,
-    "brt": _fast_brt,
-    "copy": _fast_copy,
-    "float": _fast_float,
-    "int": _fast_int,
-    "jumpr": _fast_jumpr,
-    "lex": _fast_lex,
-    "lhi": _fast_lhi,
-    "load": _fast_load,
-    "mul": _fast_mul,
-    "mulf": _fast_mulf,
-    "neg": _fast_neg,
-    "negf": _fast_negf,
-    "not": _fast_not,
-    "or": _fast_or,
-    "recip": _fast_recip,
-    "shift": _fast_shift,
-    "slt": _fast_slt,
-    "store": _fast_store,
+    **_template_handlers(),
     "sys": _fast_sys,
-    "xor": _fast_xor,
     "qand": _fast_qand,
     "qccnot": _fast_qccnot,
     "qcnot": _fast_qcnot,

@@ -1,4 +1,4 @@
-"""Predecode cache and the stripped run loop.
+"""Predecode cache and the stripped run loop with its translated tier.
 
 The ISA semantics live in one table, :data:`repro.cpu.exec_core.FAST_HANDLERS`,
 and two loops run it.  :func:`repro.cpu.exec_core.execute` is the
@@ -14,8 +14,9 @@ everything an unobserved run does not need:
   functions of their bit patterns, so they are interned process-wide
   and shared by all three simulators.  Stores invalidate precisely
   (``MachineState.write_mem`` drops the entry at the written address
-  plus a two-word entry starting one word earlier), so self-modifying
-  code simply re-decodes the rewritten words.
+  plus a two-word entry starting one word earlier, and every translated
+  block holding the word), so self-modifying code simply re-decodes the
+  rewritten words.
 - **Stripped run loop** (:func:`run_functional`): no span enter/exit,
   no per-step ``Effects`` allocation, locals-bound state, and handler
   dispatch through the predecoded table.  Given a
@@ -24,6 +25,15 @@ everything an unobserved run does not need:
   simulators.  It stops at a step count and leaves the watchdog to its
   callers, so the lanes of a batch (:mod:`repro.cpu.batch`) run it in
   segments, with their fault events applied in between.
+- **Translated blocks** (:func:`_translate`): once a leader pc has been
+  visited :data:`HOT_THRESHOLD` times, the run of instructions from it
+  that cannot trap under the machine's trap policy, up to and including
+  the next branch, jump or store, is compiled into one Python closure
+  that keeps the registers in locals.  The instructions are inlined
+  from :data:`repro.cpu.exec_core.TEMPLATES`, the table that also
+  builds their handlers; Qat ops call their handlers.  Compiled code is
+  cached process-wide (:data:`CODE_CACHE_LIMIT`), so every machine
+  loaded with the same program reuses it.
 - **Selection** (:func:`eligible`): a stripped loop is only taken
   when telemetry capture, tracing, auto-checkpointing, and profiling
   are all inactive; any observer keeps the observed loop.  The
@@ -32,20 +42,24 @@ everything an unobserved run does not need:
   each instruction, which this loop must not pay for.  The flight
   recorder (:mod:`repro.obs.flight`) is *not* an observer in this
   sense: its retire append is cheap enough to stay inside the stripped
-  loop, so it never costs eligibility.
+  loop (a translated block extends the ring with its precomputed
+  records), so it never costs eligibility.
 
 Both loops call the same handlers, so traps raise through the same
 :func:`repro.faults.traps.deliver` machinery with the same causes and
-detail strings; ``tests/test_conformance.py`` holds both loops, and
-every other engine, to one reference on random programs.
+detail strings; ``tests/test_conformance.py`` holds both loops, the
+translated blocks, and every other engine, to one reference on random
+programs.
 """
 
 from __future__ import annotations
 
-from repro.cpu.exec_core import FAST_HANDLERS, static_effects
+from repro.cpu.exec_core import (FAST_HANDLERS, TEMPLATE_GLOBALS, TEMPLATES,
+                                 static_effects)
 from repro.errors import EncodingError
 from repro.faults.traps import TrapCause, TrapDelivered
 from repro.isa.encoding import decode
+from repro.isa.instructions import INSTRUCTIONS
 from repro.obs import flight as _flight
 from repro.obs import runtime as _obs
 
@@ -54,12 +68,27 @@ _TWO_WORD_MAJORS = (0x8, 0x9)
 
 _MEM_WORDS = 1 << 16
 
+#: Leader visits after which :func:`run_functional` translates the block
+#: starting there.
+HOT_THRESHOLD = 8
+#: Longest translated block, in instructions.
+MAX_BLOCK = 64
+#: Compiled blocks kept process-wide; the oldest is dropped first.
+CODE_CACHE_LIMIT = 1024
+
+#: Mnemonics that end a block, which includes them.
+_BLOCK_ENDS = frozenset(("brf", "brt", "jumpr", "store"))
+#: Mnemonics whose successor is a leader (``None``: an undecodable word).
+_LEADS = _BLOCK_ENDS | {"sys", None}
+#: The Qat ops that can trap under ``strict_qat``.
+_STRICT_QAT = frozenset(("qhad", "qmeas", "qnext", "qpop"))
+
 
 class Predecoded:
     """One decoded program word (or decode error), ready to dispatch."""
 
     __slots__ = ("instr", "ops", "mnemonic", "words", "handler", "static",
-                 "raw", "error", "timing")
+                 "raw", "error", "timing", "leads")
 
     def __init__(self, instr, words, handler, static, raw=(), error=None):
         self.instr = instr
@@ -77,6 +106,8 @@ class Predecoded:
         #: per-configuration scoreboard timing, memoized by the pipeline's
         #: stripped loop (:func:`repro.cpu.pipeline._timing`)
         self.timing = None
+        #: the next instruction is a leader (see :func:`run_functional`)
+        self.leads = self.mnemonic in _LEADS
 
 
 #: Process-wide intern table: word (or ``(word1, word2)``) -> entry.
@@ -109,12 +140,22 @@ def _predecode(mem, pc: int) -> Predecoded:
 
 
 class PredecodeCache:
-    """Per-machine ``pc -> Predecoded`` map with precise invalidation."""
+    """Per-machine ``pc -> Predecoded`` map and translated blocks, with
+    precise invalidation."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "blocks", "covers", "heat", "stamp")
 
     def __init__(self):
         self.entries: dict[int, Predecoded] = {}
+        #: leader pc -> translated block ``(run, n, records, cycles)``, or
+        #: ``()`` where none can start
+        self.blocks: dict[int, tuple] = {}
+        #: word address -> leader pcs of the blocks holding that word
+        self.covers: dict[int, set] = {}
+        #: leader pc -> visits so far (see :data:`HOT_THRESHOLD`)
+        self.heat: dict[int, int] = {}
+        #: ``(untranslatable mnemonics, CycleCosts)`` the blocks were built for
+        self.stamp = None
 
     def lookup(self, mem, pc: int) -> Predecoded:
         entry = self.entries.get(pc)
@@ -123,7 +164,7 @@ class PredecodeCache:
         return entry
 
     def invalidate(self, addr: int) -> None:
-        """Drop entries covering ``addr`` after a store there.
+        """Drop entries and blocks covering ``addr`` after a store there.
 
         An instruction is at most two words long, so only the entry at
         ``addr`` itself and a two-word entry starting at ``addr - 1``
@@ -131,10 +172,17 @@ class PredecodeCache:
         predecessor: probing ``addr - 1`` must not wrap to the top of
         memory (a two-word entry at ``_MEM_WORDS - 1`` cannot exist --
         its second word would be off the end -- but the wrapped probe
-        used to evict whatever entry lived there).
+        used to evict whatever entry lived there).  A dropped block also
+        loses its heat, so code that keeps rewriting itself stays
+        interpreted.
         """
         entries = self.entries
         entries.pop(addr, None)
+        starts = self.covers.pop(addr, None)
+        if starts:
+            for start in starts:
+                self.blocks.pop(start, None)
+                self.heat.pop(start, None)
         if addr == 0:
             return
         prev = addr - 1
@@ -144,6 +192,16 @@ class PredecodeCache:
 
     def invalidate_all(self) -> None:
         self.entries.clear()
+        self.blocks.clear()
+        self.covers.clear()
+        self.heat.clear()
+
+    def retarget(self, stamp) -> None:
+        """Drop blocks built for another trap policy or cycle model."""
+        if stamp != self.stamp:
+            self.blocks.clear()
+            self.covers.clear()
+            self.stamp = stamp
 
 
 def cache_for(machine) -> PredecodeCache:
@@ -174,6 +232,118 @@ def eligible(sim) -> bool:
     return True
 
 
+def _untranslatable(policy) -> frozenset:
+    """Mnemonics no block may hold under ``policy``: ``sys`` and every
+    instruction that can trap there."""
+    traps = {"bf16": policy.trap_bf16, "fence": policy.mem_fence is not None}
+    unsafe = {m for m, (_, _, trap) in TEMPLATES.items()
+              if trap and traps[trap]}
+    if policy.strict_qat:
+        unsafe |= _STRICT_QAT
+    return frozenset(unsafe | {"sys"})
+
+
+#: ``(leader pc, untranslatable mnemonics, entries) -> (run, records)``,
+#: shared by every machine: a block is a pure function of its words,
+#: its address and the trap policy.
+_CODE: dict = {}
+
+
+def _compile(start: int, chain: list) -> tuple:
+    """One block's closure ``run(machine) -> next pc`` and its retire records.
+
+    Registers live in locals ``r0``..``r15``: each is read from
+    ``machine.regs`` before its first use and written back once, at the
+    end.  :data:`TEMPLATES` rows are inlined; any other instruction (a
+    Qat op) calls its :data:`FAST_HANDLERS` entry, with the GPRs its
+    :class:`~repro.cpu.exec_core.StaticEffects` name synced around the call.
+    """
+    namespace = dict(TEMPLATE_GLOBALS)
+    body, dirty, have = [], set(), set()
+    records = []
+    pc = start
+    tail = None
+    for k, entry in enumerate(chain):
+        records.append((_flight.RETIRE, pc, entry.raw))
+        pc_next = (pc + entry.words) & 0xFFFF
+        row = TEMPLATES.get(entry.mnemonic)
+        if row is None:
+            stat = entry.static
+            body += [f"regs[{r}] = r{r}"
+                     for r in sorted(stat.reads_gpr & dirty)]
+            dirty -= stat.reads_gpr
+            namespace.update({f"h{k}": entry.handler, f"i{k}": entry.instr,
+                              f"o{k}": entry.ops})
+            body.append(f"h{k}(machine, i{k}, o{k}, {pc_next}, None)")
+            body += [f"r{r} = regs.item({r})" for r in sorted(stat.writes_gpr)]
+            have |= stat.writes_gpr
+            dirty -= stat.writes_gpr
+        else:
+            writes, expr, _ = row
+            fields = {"n": str(pc_next)}
+            for kind, value in zip(INSTRUCTIONS[entry.mnemonic].operands,
+                                   entry.ops):
+                if kind in "io":
+                    fields[kind] = f"({value})"
+                    continue
+                fields[kind] = f"r{value}"
+                if "{%s}" % kind in expr and value not in have:
+                    body.append(f"r{value} = regs.item({value})")
+                    have.add(value)
+            text = expr.format(**fields)
+            if writes == "d":
+                body.append(f"r{entry.ops[0]} = {text}")
+                have.add(entry.ops[0])
+                dirty.add(entry.ops[0])
+            elif writes == "pc":
+                tail = f"return {text}"
+            else:
+                body.append(text)
+        pc = pc_next
+    lines = (["regs = machine.regs"] + body
+             + [f"regs[{r}] = r{r}" for r in sorted(dirty)]
+             + [tail or f"return {pc}"])
+    source = "def run(machine):\n" + "".join(f"    {line}\n" for line in lines)
+    exec(compile(source, f"<block {start:#06x}>", "exec"), namespace)
+    return namespace["run"], tuple(records)
+
+
+def _translate(cache: PredecodeCache, mem, start: int, unsafe: frozenset,
+               cost_of) -> tuple:
+    """Map the block that starts at ``start`` in ``cache``; returns it.
+
+    The block runs from ``start`` up to and including the first branch,
+    jump or store, and stops before any ``unsafe`` instruction, any
+    undecodable word, and at :data:`MAX_BLOCK` instructions.  ``()``
+    marks a leader where no block can start.
+    """
+    chain = []
+    pc = start
+    while len(chain) < MAX_BLOCK:
+        entry = cache.lookup(mem, pc)
+        if entry.handler is None or entry.mnemonic in unsafe:
+            break
+        chain.append(entry)
+        pc = (pc + entry.words) & 0xFFFF
+        if entry.mnemonic in _BLOCK_ENDS:
+            break
+    block = ()
+    if chain:
+        key = (start, unsafe, tuple(chain))
+        code = _CODE.get(key)
+        if code is None:
+            if len(_CODE) >= CODE_CACHE_LIMIT:
+                del _CODE[next(iter(_CODE))]
+            code = _CODE[key] = _compile(start, chain)
+        cycles = (0 if cost_of is None
+                  else sum(cost_of[e.mnemonic] for e in chain))
+        block = (code[0], len(chain), code[1], cycles)
+    cache.blocks[start] = block
+    for addr in range(start, start + max(1, (pc - start) & 0xFFFF)):
+        cache.covers.setdefault(addr & 0xFFFF, set()).add(start)
+    return block
+
+
 def run_functional(sim, max_steps: int, costs=None) -> int:
     """Stripped equivalent of ``FunctionalSimulator.run``'s step loop.
 
@@ -189,6 +359,15 @@ def run_functional(sim, max_steps: int, costs=None) -> int:
     made after every step (not batched) because trap records read the
     clock through ``machine.cycle_provider`` at delivery time, and the
     observed loop charges a trapping instruction only *after* delivery.
+
+    The loop has two tiers.  At a *leader* -- where the run starts, and
+    after a block, a branch, jump, store, ``sys`` or delivered trap -- it
+    counts a visit, and once the count reaches :data:`HOT_THRESHOLD` it
+    runs the translated block starting there (:func:`_translate`) in one
+    call, provided the block fits in the steps left.  A block holds no
+    instruction that can trap, so it retires whole: ``instret``, the
+    cycle charge and the flight records are added after it.  Every
+    other step is interpreted one handler at a time.
     """
     machine = sim.machine
     syscalls = sim.syscalls
@@ -196,20 +375,49 @@ def run_functional(sim, max_steps: int, costs=None) -> int:
                else {m: costs.cycles_for(m) for m in FAST_HANDLERS})
     trap_cost = costs.sys if costs is not None else 0
     mem = machine.mem
-    entries = cache_for(machine).entries
-    # Flight-recorder hot-path state: a bound ``list.append`` and a
-    # countdown to the next trim, so a retire costs one branch, one
-    # tuple, one append, and one integer compare -- no ``len()`` global
-    # lookup, no method resolution.
+    cache = cache_for(machine)
+    unsafe = _untranslatable(machine.trap_policy)
+    cache.retarget((unsafe, costs))
+    entries = cache.entries
+    blocks = cache.blocks
+    heat = cache.heat
+    hot = HOT_THRESHOLD
+    # Flight-recorder hot-path state: a bound ``list.append`` (and
+    # ``list.extend`` for a block's records) and a countdown to the next
+    # trim, so a retire costs one branch, one tuple, one append, and one
+    # integer compare -- no ``len()`` global lookup, no method resolution.
     recorder = _flight.RECORDER
     fr_append = recorder.events.append if recorder.enabled else None
+    fr_extend = recorder.events.extend
     fr_room = recorder.limit - len(recorder.events)
     steps = 0
+    leader = True
     while steps < max_steps and not machine.halted:
         pc = machine.pc
+        if leader:
+            block = blocks.get(pc)
+            if block is None:
+                visits = heat[pc] = heat.get(pc, 0) + 1
+                if visits >= hot:
+                    block = _translate(cache, mem, pc, unsafe, cost_of)
+            if block and steps + block[1] <= max_steps:
+                run, n, records, cycles = block
+                machine.pc = run(machine)
+                machine.instret += n
+                steps += n
+                if cost_of is not None:
+                    sim.cycles += cycles
+                if fr_append is not None:
+                    fr_extend(records)
+                    fr_room -= n
+                    if fr_room <= 0:
+                        recorder._trim()
+                        fr_room = recorder.limit - len(recorder.events)
+                continue
         entry = entries.get(pc)
         if entry is None:
             entry = entries[pc] = _predecode(mem, pc)
+        leader = entry.leads
         handler = entry.handler
         if handler is None:
             try:
@@ -232,6 +440,7 @@ def run_functional(sim, max_steps: int, costs=None) -> int:
                     recorder._trim()
                     fr_room = recorder.limit - len(recorder.events)
         except TrapDelivered:
+            leader = True
             if cost_of is not None:
                 sim.cycles += trap_cost
         steps += 1

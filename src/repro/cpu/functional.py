@@ -6,9 +6,11 @@ Figure 6 single-cycle datapath.  Each instruction runs its handler from
 semantics, through one of two loops: the observed loop (:meth:`step`,
 via :func:`~repro.cpu.exec_core.execute`) whenever telemetry, a trace,
 a checkpointer, or a profiler is attached, and otherwise the stripped
-loop :func:`repro.cpu.fastpath.run_functional`.  The lanes of a batch
-(:mod:`repro.cpu.batch`) are instances of this simulator, and the
-timing models are checked against it on random programs.
+loop :func:`repro.cpu.fastpath.run_functional`, whose translated tier
+runs hot blocks as compiled closures built from the same table.  The
+lanes of a batch (:mod:`repro.cpu.batch`) are instances of this
+simulator, and the timing models are checked against it on random
+programs.
 
 Abnormal events route through the trap model
 (:mod:`repro.faults.traps`): an undecodable word is an
@@ -100,7 +102,8 @@ class FunctionalSimulator:
         machine periodically so a watchdog expiry is recoverable.
 
         With no observer attached the stripped loop in
-        :mod:`repro.cpu.fastpath` runs the same handlers instead.
+        :mod:`repro.cpu.fastpath` runs the same handlers instead, and
+        runs hot blocks as translated closures.
         """
         machine = self.machine
         if _fastpath.eligible(self):

@@ -9,6 +9,11 @@ extra state cycles, and two-word Qat instructions pay an extra fetch.
 The default costs are a plausible rendering of the course design (the
 paper reports team scores, not cycle tables, for the multi-cycle project)
 and are swappable for sensitivity studies.
+
+An unobserved :meth:`MultiCycleSimulator.run` takes the functional
+simulator's stripped loop (:func:`repro.cpu.fastpath.run_functional`)
+with its :class:`CycleCosts`, translated tier included: a translated
+block charges the sum of its instructions' cycles when it retires.
 """
 
 from __future__ import annotations
@@ -148,8 +153,9 @@ class MultiCycleSimulator:
         a clean stop under ``halt``.
 
         With no observer attached (no profiler, trace, checkpointer, or
-        telemetry) the stripped loop in :mod:`repro.cpu.fastpath` runs
-        instead, charging the same :class:`CycleCosts`.
+        telemetry) the stripped loop in :mod:`repro.cpu.fastpath`, with
+        its translated blocks, runs instead, charging the same
+        :class:`CycleCosts`.
         """
         machine = self.machine
         if _fastpath.eligible(self):

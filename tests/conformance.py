@@ -7,14 +7,19 @@ two Qat substrates.  All of them are checked the same way:
 one reference (a ``FunctionalSimulator.step()`` loop, i.e. ``execute``
 over ``FAST_HANDLERS``), and :func:`check` runs every engine in
 :data:`ENGINES` on both Qat backends under the raise, halt and vector
-trap policies against it.  Pipelined timing has a second reference:
-each configuration's ``run()`` must match its ``cycle()``-driven loop
-field by field -- ``PipelineStats``, trap clocks and the flight stream.
+trap policies against it.  The ``.hot`` engines and the batch lanes run
+with :func:`every_leader_hot`, so the stripped loop's translated blocks
+run from their first visit; at the real threshold few blocks of a
+:data:`MAX_STEPS` run would get hot.  Pipelined timing has a second
+reference: each configuration's ``run()`` must match its
+``cycle()``-driven loop field by field -- ``PipelineStats``, trap clocks
+and the flight stream.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -243,6 +248,21 @@ def _run_to_halt(sim) -> None:
     sim.run(MAX_STEPS)
 
 
+@contextmanager
+def every_leader_hot():
+    """Translate every block the stripped loop reaches, on its first visit."""
+    saved, fastpath.HOT_THRESHOLD = fastpath.HOT_THRESHOLD, 1
+    try:
+        yield
+    finally:
+        fastpath.HOT_THRESHOLD = saved
+
+
+def _hot(sim) -> None:
+    with every_leader_hot():
+        sim.run(MAX_STEPS)
+
+
 def _observed(sim) -> None:
     with obs.capture():
         sim.run(MAX_STEPS)
@@ -294,14 +314,16 @@ PIPELINES = {
 ENGINES = {
     "functional.run": (FunctionalSimulator, _run_to_halt),
     "functional.observed": (FunctionalSimulator, _observed),
+    "functional.hot": (FunctionalSimulator, _hot),
     "multicycle.step": (MultiCycleSimulator, _step_loop),
     "multicycle.run": (MultiCycleSimulator, _run_to_halt),
+    "multicycle.hot": (MultiCycleSimulator, _hot),
     **{f"{stem}{suffix}": (
            partial(PipelinedSimulator, config=c, syscalls=SyscallHandler()),
            drive)
        for stem, c in PIPELINES.items()
        for suffix, drive in (("", _pipeline_run), (".cycle", _cycle_loop))},
-    "batch.3lanes": (partial(BatchFunctionalSimulator, 3), _run_to_halt),
+    "batch.3lanes": (partial(BatchFunctionalSimulator, 3), _hot),
 }
 
 
@@ -328,7 +350,7 @@ def check(program: Program) -> None:
             watchdog = any(t["cause"] == TrapCause.WATCHDOG.value
                            for t in expected["traps"])
             for backend in BACKENDS:
-                cycles = set()  # the two multicycle loops must agree
+                cycles = set()  # the multicycle loops must agree
                 timing = {}  # and each pipeline's run() and cycle() loops
                 for name in ENGINES:
                     for got in run_engine(name, program, backend, policy):

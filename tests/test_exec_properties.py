@@ -2,8 +2,12 @@
 
 For each Table 1/3 instruction, hypothesis drives random architectural
 state through both the real executor and an independent one-line Python
-model of the table's functionality column.
+model of the table's functionality column.  :class:`TestInlinedCorners`
+adds fixed corner operands for every instruction a translated block
+inlines, run both translated and through its ``FAST_HANDLERS`` entry.
 """
+
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,9 +23,11 @@ from repro.bf16 import (
     bf16_recip,
     bf16_to_int,
 )
-from repro.cpu import MachineState
-from repro.cpu.exec_core import execute
-from repro.isa import Instr
+from repro.cpu import FunctionalSimulator, MachineState, fastpath
+from repro.cpu.exec_core import TEMPLATES, execute
+from repro.isa import INSTRUCTIONS, Instr, encode
+
+from tests.conformance import every_leader_hot
 
 WAYS = 6
 VAL16 = st.integers(min_value=0, max_value=0xFFFF)
@@ -220,3 +226,103 @@ class TestQatSemantics:
         assert m.read_reg(2) == value.pop_after(start)
         # and the register is untouched (non-destructive)
         assert m.read_qreg(5) == value
+
+
+# ---------------------------------------------------------------------------
+# Fixed corner operands: translated blocks vs FAST_HANDLERS vs the models
+# ---------------------------------------------------------------------------
+
+CORNERS = (0, 1, 0x7FFF, 0x8000, 0xFFFF)
+#: 0, +-15, +-16 and -32768 as 16-bit shift amounts.
+SHIFTS = (0, 15, 0xFFF1, 16, 0xFFF0, 0x8000)
+#: +-inf, NaNs, the largest and smallest subnormals of both signs, +-0, 1.0.
+BF16_CORNERS = (0x7F80, 0xFF80, 0x7FC0, 0xFFC1, 0x007F, 0x0001, 0x8001,
+                0x0000, 0x8000, 0x3F80)
+IMMEDIATES = (0, 1, 0x7F, 0x80, 0xFF, -1, -128)
+OFFSETS = (-128, -1, 0, 5, 127)
+#: Where the instruction under test sits: no corner address hits it.
+ORIGIN = 0x0100
+
+
+def _shift_model(value, amount):
+    amount = signed(amount)
+    if amount >= 16 or amount <= -16:
+        return 0
+    return (value << amount) & 0xFFFF if amount >= 0 else value >> -amount
+
+
+#: mnemonic -> model of the new ``$0`` from the old ``$0`` and operand 2.
+REG0_MODELS = {
+    **TWO_REG_MODELS,
+    **{m: (lambda d, _, f=f: f(d)) for m, f in ONE_REG_MODELS.items()},
+    "shift": _shift_model,
+    "lex": lambda d, imm: sext8(imm),
+    "lhi": lambda d, imm: (d & 0xFF) | ((imm & 0xFF) << 8),
+    "load": lambda d, addr: addr ^ 0x5A5A,  # the word planted at ``addr``
+}
+
+
+def _corner_cases(mnemonic):
+    """``(ops, $0, $1)`` triples for one inlined mnemonic."""
+    kinds = INSTRUCTIONS[mnemonic].operands
+    if mnemonic in ("addf", "mulf", "negf", "recip", "int"):
+        values = BF16_CORNERS
+    else:
+        values = CORNERS
+    if kinds in ("di", "co"):
+        second = IMMEDIATES if kinds == "di" else OFFSETS
+        return [((0, imm), d, 0) for d, imm in product(values, second)]
+    if len(kinds) == 1:
+        return [((0,), d, 0) for d in values]
+    seconds = SHIFTS if mnemonic == "shift" else values
+    return ([((0, 1), d, s) for d, s in product(values, seconds)]
+            + [((0, 0), d, d) for d in values])
+
+
+def _run_corner(instr, d, s, translated):
+    sim = FunctionalSimulator(ways=WAYS)
+    sim.load(encode(instr), origin=ORIGIN)
+    machine = sim.machine
+    for addr in CORNERS:
+        machine.write_mem(addr, addr ^ 0x5A5A)
+    machine.write_reg(0, d)
+    machine.write_reg(1, s)
+    if translated:
+        with every_leader_hot():
+            fastpath.run_functional(sim, 1)
+        assert fastpath.cache_for(machine).blocks[ORIGIN], "not translated"
+    else:
+        sim.step()
+    return machine
+
+
+class TestInlinedCorners:
+    def test_every_inlined_mnemonic_is_covered(self):
+        assert set(TEMPLATES) <= set(REG0_MODELS) | {"brf", "brt", "jumpr",
+                                                      "store"}
+
+    @pytest.mark.parametrize("mnemonic", sorted(TEMPLATES))
+    def test_translated_block_matches_handler_and_model(self, mnemonic):
+        for ops, d, s in _corner_cases(mnemonic):
+            instr = Instr(mnemonic, ops)
+            got, want = (_run_corner(instr, d, s, translated)
+                         for translated in (True, False))
+            case = f"{instr.render()} with $0={d:#06x} $1={s:#06x}"
+            assert got.read_reg(0) == want.read_reg(0), case
+            assert got.read_reg(1) == want.read_reg(1), case
+            assert (got.pc, got.instret) == (want.pc, want.instret), case
+            assert bytes(got.mem) == bytes(want.mem), case
+            pc_next = ORIGIN + 1
+            if mnemonic in REG0_MODELS:
+                # the immediate, or the value of the second register
+                second = (ops[1] if INSTRUCTIONS[mnemonic].operands == "di"
+                          else s if ops[-1] == 1 else d)
+                assert got.read_reg(0) == REG0_MODELS[mnemonic](d, second), case
+            elif mnemonic == "store":
+                assert got.read_mem(s) == d, case
+            elif mnemonic == "jumpr":
+                assert got.pc == d, case
+            else:
+                taken = (d != 0) == (mnemonic == "brt")
+                target = (pc_next + ops[1]) & 0xFFFF if taken else pc_next
+                assert got.pc == target, case

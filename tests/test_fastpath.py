@@ -1,26 +1,32 @@
 """Fast-path execution engine: loop selection, invalidation, and fan-out.
 
 The contract of :mod:`repro.cpu.fastpath` is *architectural
-invisibility*: the stripped loop must match the observed loop in every
-observable (``tests/test_conformance.py`` checks that on random
-programs), the predecode cache must survive self-modifying code, and
-the ``--jobs`` fan-out of campaigns must merge back to the serial
-report exactly.
+invisibility*: the stripped loop and its translated blocks must match
+the observed loop in every observable (``tests/test_conformance.py``
+checks that on random programs), the predecode cache and the blocks
+must survive self-modifying code and fault injection, and the
+``--jobs`` fan-out of campaigns must merge back to the serial report
+exactly.
 """
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.asm import assemble
 from repro.cpu import (
+    BatchFunctionalSimulator,
     FunctionalSimulator,
     MultiCycleSimulator,
     PipelinedSimulator,
     fastpath,
 )
+from repro.faults.inject import FaultEvent, FaultPlan, apply_event
+from repro.faults.traps import TrapPolicy
 from repro.isa import INSTRUCTIONS
 
-from tests.conformance import STORE_AT_ZERO, store_ahead
+from tests.conformance import (STORE_AT_ZERO, Program, check,
+                               every_leader_hot, store_ahead)
 
 SIMS = [FunctionalSimulator, MultiCycleSimulator, PipelinedSimulator]
 
@@ -120,6 +126,200 @@ class TestPredecodeCache:
         apply_event(sim.machine,
                     FaultEvent(step=0, target="mem", index=0, word=0, bit=3))
         assert 0 not in cache.entries
+
+
+#: Thirty trips round one hot block.  With ten trips left a store
+#: rewrites the block's first instruction, ``lex $3, 1``, with the
+#: ``lex $3, 2`` at ``donor``: $5 = 20 * 1 + 10 * 2.
+PATCH_LOOP = """\
+        lex $7, 30
+        lex $5, 0
+        lex $13, -1
+        lex $12, 10
+        lex $10, donor
+        load $11, $10
+        lex $10, top
+top:    lex $3, 1
+        add $5, $3
+        add $7, $13
+        copy $8, $7
+        xor $8, $12
+        brt $8, skip
+        store $11, $10
+skip:   brt $7, top
+        lex $rv, 0
+        sys
+donor:  lex $3, 2
+"""
+#: Steps of PATCH_LOOP up to the start of its fifteenth trip (seven
+#: prologue instructions, seven per trip), past the heat threshold.
+TRIP_15 = 7 + 14 * 7
+
+#: Hot loops that trap part-way under one trap-policy knob each: a bf16
+#: product overflowing to inf, a load and store walking into the fence,
+#: and a ``meas`` channel walking past a 6-way register's 64 channels.
+POLICY_LOOPS = {
+    "trap_bf16": ("""\
+        lex $7, 100
+        lex $13, -1
+        lex $2, 4
+        float $2
+        lex $4, 1
+        float $4
+top:    add $7, $13
+        mulf $4, $2
+        brt $7, top
+        lex $rv, 0
+        sys
+""", dict(trap_bf16=True)),
+    "mem_fence": ("""\
+        lex $7, 40
+        lex $13, -1
+        lex $12, 4
+        loadi $1, 0xC0
+top:    add $7, $13
+        load $2, $1
+        store $7, $1
+        add $1, $12
+        brt $7, top
+        lex $rv, 0
+        sys
+""", dict(mem_fence=0x100)),
+    "strict_qat": ("""\
+        had @0, 2
+        lex $7, 40
+        lex $13, -1
+        lex $12, 4
+        lex $1, 0
+top:    add $7, $13
+        copy $8, $1
+        meas $8, @0
+        add $5, $8
+        add $1, $12
+        brt $7, top
+        lex $rv, 0
+        sys
+""", dict(strict_qat=True)),
+}
+
+
+def _state(machine) -> tuple:
+    return (tuple(int(r) for r in machine.regs), machine.pc, machine.instret,
+            machine.halted, bytes(machine.mem),
+            [t.as_dict() for t in machine.traps])
+
+
+class TestTranslatedBlocks:
+    def test_store_into_a_hot_block_runs_the_new_code_next_trip(self):
+        program = assemble(PATCH_LOOP)
+        top = program.labels["top"]
+        sim = FunctionalSimulator(ways=6)
+        sim.load(program)
+        fastpath.run_functional(sim, TRIP_15)
+        # The hot block at ``top`` holds the word the store will replace.
+        _, _, records, _ = fastpath.cache_for(sim.machine).blocks[top]
+        assert records[0] == (0, top, (program.words[top],))
+        sim.run()
+        assert sim.machine.read_reg(5) == 40
+        check(Program.from_asm(PATCH_LOOP))
+
+    def test_mem_fault_into_a_hot_block_between_lane_segments(self):
+        """The flip lands in a translated block; the lane runs the
+        flipped word, as a stepped run with the same fault does."""
+        program = assemble(PATCH_LOOP)
+        top = program.labels["top"]
+        flip = FaultEvent(step=TRIP_15, target="mem", index=top, word=0,
+                          bit=1)  # lex $3, 1 -> lex $3, 3
+        batch = BatchFunctionalSimulator(1, ways=6)
+        batch.load(program)
+        batch.run(max_steps=TRIP_15)
+        assert fastpath.cache_for(batch.lanes[0].machine).blocks[top]
+        batch = BatchFunctionalSimulator(1, ways=6)
+        batch.load(program)
+        batch.run(max_steps=1000, plans=[FaultPlan(seed=0, events=(flip,))])
+        stepped = FunctionalSimulator(ways=6)
+        stepped.load(program)
+        for step in range(1000):
+            if step == flip.step:
+                apply_event(stepped.machine, flip)
+            if stepped.machine.halted:
+                break
+            stepped.step()
+        assert stepped.machine.read_reg(5) != 40  # the flip was seen
+        assert _state(batch.lanes[0].machine) == _state(stepped.machine)
+
+    @pytest.mark.parametrize("policy", [TrapPolicy(), TrapPolicy.halting()],
+                             ids=["raise", "halt"])
+    def test_max_steps_inside_a_block_matches_the_observed_loop(self, policy):
+        from repro.errors import TrapError
+
+        program = assemble(PATCH_LOOP)
+        for budget in range(TRIP_15, TRIP_15 + 15):  # every cut of two trips
+            states = []
+            for observed in (False, True):
+                sim = FunctionalSimulator(ways=6, trap_policy=policy)
+                sim.load(program)
+                with obs.capture() if observed else every_leader_hot():
+                    try:
+                        sim.run(budget)
+                    except TrapError as exc:
+                        assert exc.record is sim.machine.traps[-1]
+                states.append(_state(sim.machine))
+            assert states[0] == states[1], budget
+            assert states[0][2] == budget
+            assert states[0][5][-1]["cause"] == "watchdog"
+
+    @pytest.mark.parametrize("knob", POLICY_LOOPS)
+    def test_hot_loop_traps_with_the_oracle_record(self, knob):
+        source, knobs = POLICY_LOOPS[knob]
+        policy = TrapPolicy.halting(**knobs)
+        sims = [FunctionalSimulator(ways=6, trap_policy=policy)
+                for _ in range(2)]
+        for sim in sims:
+            sim.load(assemble(source))
+        sims[0].run()
+        # The loop already ran translated blocks before the trap.
+        fastpath.run_functional(sims[1], sims[0].machine.traps[0].instret)
+        assert any(fastpath.cache_for(sims[1].machine).blocks.values())
+        check(Program.from_asm(source, **knobs))
+
+    def test_blocks_follow_a_change_of_policy_or_cycle_costs(self):
+        from repro.cpu.multicycle import CycleCosts
+        from repro.faults.traps import TrapCause
+
+        source, knobs = POLICY_LOOPS["trap_bf16"]
+        program = assemble(source)
+        sim = FunctionalSimulator(ways=6)
+        sim.load(program)
+        fastpath.run_functional(sim, 60)  # translated under the lenient policy
+        sim.machine.trap_policy = TrapPolicy.halting(**knobs)
+        sim.run()
+        assert [t.cause for t in sim.machine.traps] == [TrapCause.BF16_FAULT]
+        cycles = []
+        for stepped in (False, True):
+            mc = MultiCycleSimulator(ways=6)
+            mc.load(program)
+            for _ in range(2):
+                if stepped:
+                    for _ in range(60):
+                        mc.step()
+                else:
+                    fastpath.run_functional(mc, 60, costs=mc.costs)
+                mc.costs = CycleCosts(alu=5, fpu=7, branch=2)
+            cycles.append(mc.cycles)
+        assert cycles[0] == cycles[1]
+
+    def test_code_cache_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(fastpath, "_CODE", {})
+        monkeypatch.setattr(fastpath, "CODE_CACHE_LIMIT", 4)
+        with every_leader_hot():
+            for k in range(12):
+                sim = FunctionalSimulator(ways=6)
+                sim.load(assemble(f"lex $0, {k}\nlex $1, 1\nbrt $1, out\n"
+                                  "out: lex $rv, 0\nsys\n"))
+                sim.run()
+                assert sim.machine.read_reg(0) == k
+                assert 0 < len(fastpath._CODE) <= 4
 
 
 class TestParallelCampaign:

@@ -163,6 +163,37 @@ class TestEventOrder:
                        for event in events[start:end])
         assert events == serial
 
+    def test_hot_loop_leaves_the_step_loops_snapshot_and_spill(
+            self, tmp_path, monkeypatch):
+        """Translated blocks extend the ring a block at a time.  With a
+        ring so small that the extends straddle trims, the snapshot and
+        the spill are still byte-identical to the observed loop's."""
+        from repro.asm import assemble
+        from repro.cpu import FunctionalSimulator, fastpath
+
+        with open(os.path.join(os.path.dirname(__file__), "..", "examples",
+                               "hot_loop.s"), encoding="utf-8") as source:
+            program = assemble(source.read())
+        spills = []
+        for translated in (True, False):
+            recorder = flight.FlightRecorder(capacity=5)
+            monkeypatch.setattr(flight, "RECORDER", recorder)
+            sim = FunctionalSimulator(ways=8)
+            sim.load(program)
+            if translated:
+                sim.run()
+                assert [b for b in fastpath.cache_for(sim.machine)
+                        .blocks.values() if b]
+            else:
+                while not sim.machine.halted:
+                    sim.step()
+            path = tmp_path / f"translated-{translated}.json"
+            flight.spill(str(path), "test", run_id="hot", context={"ways": 8})
+            spills.append((recorder.snapshot(context={"ways": 8}),
+                           path.read_bytes()))
+        assert spills[0] == spills[1]
+        assert spills[0][0]["events_dropped"] > 0
+
 
 # ---------------------------------------------------------------------------
 # Worker spool protocol
