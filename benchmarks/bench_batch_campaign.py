@@ -4,11 +4,12 @@
 Times the acceptance workload for ``tangled faults --batch N`` -- a
 256-run fig10 fault campaign -- these ways:
 
-- ``campaign_serial``: the serial campaign driver (one instrumented
-  per-machine drive loop per run, events applied between steps);
+- ``campaign_serial``: the serial campaign, 256 1-lane
+  :class:`repro.cpu.batch.BatchFunctionalSimulator` batches (each run
+  builds and loads its own lane);
 - ``campaign_batch256``: the same campaign packed into one 256-lane
-  :class:`repro.cpu.batch.BatchFunctionalSimulator`, whose lanes are
-  functional machines run one after another on the stripped loop;
+  batch, whose lanes share one predecoded image and run one after
+  another on the stripped loop;
 - ``campaign_re_serial`` / ``campaign_re_batch256``: both again on the
   run-length compressed Qat substrate (``qat_backend="re"``), where the
   batch lanes share one chunk store and run each gate once per

@@ -19,12 +19,7 @@ import importlib.resources
 from dataclasses import dataclass
 
 from repro.asm import Program, assemble
-from repro.cpu import (
-    FunctionalSimulator,
-    MultiCycleSimulator,
-    PipelineConfig,
-    PipelinedSimulator,
-)
+from repro.cpu import PipelineConfig, new_simulator
 from repro.errors import ReproError
 from repro.gates import EmitOptions, GateCircuit, emit_qat, multiply, optimize
 from repro.gates.library import equals_const
@@ -143,15 +138,7 @@ def run_factor_program(
     ``qat_backend`` selects the Qat register substrate (``"dense"`` or
     ``"re"``), which is what lets this run at ways well past 26.
     """
-    if simulator == "functional":
-        sim = FunctionalSimulator(ways=ways, qat_backend=qat_backend)
-    elif simulator == "multicycle":
-        sim = MultiCycleSimulator(ways=ways, qat_backend=qat_backend)
-    elif simulator == "pipelined":
-        sim = PipelinedSimulator(ways=ways, config=config,
-                                 qat_backend=qat_backend)
-    else:
-        raise ReproError(f"unknown simulator {simulator!r}")
+    sim = new_simulator(simulator, ways, qat_backend, config=config)
     sim.load(program)
     sim.run()
     return sim, (sim.machine.read_reg(0), sim.machine.read_reg(1))

@@ -463,29 +463,17 @@ def cmd_dis(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.asm import assemble
-    from repro.cpu import (
-        FunctionalSimulator,
-        MultiCycleSimulator,
-        PipelineConfig,
-        PipelinedSimulator,
-    )
+    from repro.cpu import PipelineConfig, new_simulator
 
     label = f"run.{_source_stem(args.source)}.{args.sim}.{args.qat_backend}"
     with _ledger_scope(args, "run", label) as led:
         program = assemble(_read_source(args.source))
-        if args.sim == "functional":
-            sim = FunctionalSimulator(ways=args.ways,
-                                      qat_backend=args.qat_backend)
-        elif args.sim == "multicycle":
-            sim = MultiCycleSimulator(ways=args.ways,
-                                      qat_backend=args.qat_backend)
-        else:
-            sim = PipelinedSimulator(
-                ways=args.ways,
-                config=PipelineConfig(stages=args.stages,
-                                      forwarding=not args.no_forwarding),
-                qat_backend=args.qat_backend,
-            )
+        config = None
+        if args.sim == "pipelined":
+            config = PipelineConfig(stages=args.stages,
+                                    forwarding=not args.no_forwarding)
+        sim = new_simulator(args.sim, args.ways, args.qat_backend,
+                            config=config)
         sim.load(program)
         machine = sim.machine
         try:
@@ -873,10 +861,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "processes (report stays byte-identical to "
                         "serial)")
     p.add_argument("--batch", type=int, default=1, metavar="N",
-                   help="pack runs into N-lane batches of functional "
-                        "machines run in one process (RE lanes share a "
-                        "chunk store and gate memo; report stays "
-                        "byte-identical to serial)")
+                   help="pack runs into N-lane batches run in one "
+                        "process, on any --sim engine (every run is a "
+                        "lane; the default 1 runs 1-lane batches; RE "
+                        "lanes share a chunk store and gate memo; report "
+                        "stays byte-identical to serial)")
     p.add_argument("--shard-timeout", type=float, default=None,
                    metavar="SECONDS",
                    help="kill and retry a run whose worker runs longer "

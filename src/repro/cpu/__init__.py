@@ -21,11 +21,12 @@ pipelined, then pipelined with Qat):
   generated "the most common student questions"; unobserved runs
   replay its timing exactly without stepping the latches.
 
-:class:`~repro.cpu.batch.BatchFunctionalSimulator`, the engine behind
-``tangled faults --batch N``, adds no semantics of its own: it loads one
-image into N functional machines ("lanes") and runs them one after
-another on the stripped loop, sharing the predecoded image and, on the
-``re`` backend, one chunk store and gate memo.
+:func:`new_simulator` builds any of the three by its ``--sim`` name.
+:class:`~repro.cpu.batch.BatchFunctionalSimulator`, the executor of
+every ``tangled faults`` run, adds no semantics of its own: it loads one
+image into N machines of one engine ("lanes") and runs them one after
+another, sharing the predecoded image and, on the ``re`` backend, one
+chunk store and gate memo.
 
 All three take a ``trap_policy`` (:class:`~repro.faults.TrapPolicy`)
 controlling whether architectural traps raise, halt, or vector to a
@@ -49,7 +50,36 @@ from repro.cpu.qat_backend import (
 )
 from repro.cpu.state import MachineState
 from repro.cpu.syscalls import SyscallHandler
+from repro.errors import ReproError
 from repro.faults.traps import TrapAction, TrapCause, TrapPolicy, TrapRecord
+
+#: The simulator class behind each ``--sim`` name.
+_SIMULATORS = {
+    "functional": FunctionalSimulator,
+    "multicycle": MultiCycleSimulator,
+    "pipelined": PipelinedSimulator,
+}
+
+
+def new_simulator(name: str, ways: int, qat_backend,
+                  config: PipelineConfig | None = None,
+                  trap_policy: TrapPolicy | None = None):
+    """A fresh simulator of the ``--sim`` engine ``name``.
+
+    ``name`` is ``"functional"``, ``"multicycle"`` or ``"pipelined"``;
+    ``qat_backend`` is a backend name or instance; ``config`` applies to
+    the pipelined engine only.
+    """
+    engine = _SIMULATORS.get(name)
+    if engine is None:
+        raise ReproError(f"unknown simulator {name!r}")
+    if config is None:
+        return engine(ways, trap_policy=trap_policy, qat_backend=qat_backend)
+    if engine is not PipelinedSimulator:
+        raise ReproError("config applies to the pipelined simulator only")
+    return engine(ways, config=config, trap_policy=trap_policy,
+                  qat_backend=qat_backend)
+
 
 __all__ = [
     "BACKENDS",
@@ -71,4 +101,5 @@ __all__ = [
     "TrapPolicy",
     "TrapRecord",
     "make_qat_backend",
+    "new_simulator",
 ]

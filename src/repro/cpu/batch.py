@@ -1,14 +1,24 @@
 """Fault-campaign batches: N scalar machines over one program image.
 
-``tangled faults --batch N`` packs N faulted runs of one program into a
-:class:`BatchFunctionalSimulator`.  Each lane is a plain
-:class:`~repro.cpu.functional.FunctionalSimulator`, and the lanes run one
-after another through the stripped loop
-:func:`repro.cpu.fastpath.run_functional` -- the same handlers, trap
-delivery, syscalls and flight-recorder retire events as every other
-engine.  A lane's fault events are applied between segments of that
-loop (:func:`repro.faults.inject.apply_event`), after exactly as many
-steps as the serial campaign driver applies them.
+Every faulted run of ``tangled faults`` is a lane of a
+:class:`BatchFunctionalSimulator`: a serial campaign runs 1-lane
+batches, ``--batch N`` packs N runs into one, and each ``--jobs``
+worker runs its run as a 1-lane batch.  A lane is a plain simulator of
+any of the three engines (:func:`repro.cpu.new_simulator`), so lanes
+add no semantics of their own:
+
+- functional and multi-cycle lanes advance through the stripped loop
+  :func:`repro.cpu.fastpath.run_functional` (multi-cycle with its
+  :class:`~repro.cpu.multicycle.CycleCosts`), unless an observer such
+  as telemetry is attached (:func:`repro.cpu.fastpath.eligible`): then
+  they ``step()`` like the simulators' own ``run()``;
+- pipelined lanes advance one ``step()`` (a clock cycle) at a time,
+  because their plan steps are cycles and ``latch`` faults need the
+  in-flight latches.
+
+A lane's fault events are applied between segments of that advance
+(:func:`repro.faults.inject.apply_event`), after exactly ``event.step``
+steps.
 
 What the lanes of a batch share:
 
@@ -20,8 +30,9 @@ What the lanes of a batch share:
 
 A lane whose trap raises under the default policy stops there, with the
 error's text in :attr:`BatchFunctionalSimulator.errors`; the other lanes
-still run.  ``tests/test_batch.py`` holds lanes to serial runs and
-``tests/conformance.py`` holds every lane to the oracle.
+still run.  ``tests/test_batch.py`` holds lanes to serial runs and to
+committed campaign reports, and ``tests/conformance.py`` holds every
+lane to the oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +43,6 @@ import numpy as np
 
 from repro.aob.bitvector import QAT_WAYS
 from repro.cpu import fastpath as _fastpath
-from repro.cpu.functional import FunctionalSimulator
 from repro.cpu.qat_backend import REQatBackend, SharedREStore
 from repro.cpu.state import MEM_WORDS
 from repro.errors import ReproError, SimulatorError
@@ -41,11 +51,17 @@ from repro.faults.traps import TrapPolicy, fire_watchdog
 
 
 class BatchFunctionalSimulator:
-    """``n`` functional machines loaded with one image, run lane by lane."""
+    """``n`` machines of one engine loaded with one image, run lane by lane.
+
+    ``sim`` names the engine (``"functional"``, ``"multicycle"`` or
+    ``"pipelined"``); a pipelined lane's steps are cycles.
+    """
 
     def __init__(self, n: int, ways: int = QAT_WAYS,
                  trap_policy: TrapPolicy | None = None,
-                 qat_backend="dense"):
+                 qat_backend="dense", sim: str = "functional"):
+        from repro.cpu import new_simulator
+
         if n <= 0:
             raise SimulatorError(f"batch size must be positive, got {n}")
         shared = SharedREStore(ways) if qat_backend == "re" else None
@@ -58,12 +74,14 @@ class BatchFunctionalSimulator:
                               dtype=np.uint16).reshape(n, MEM_WORDS)
         self.lanes = []
         for mem in block:
-            lane = FunctionalSimulator(
-                ways, trap_policy=trap_policy,
-                qat_backend=(qat_backend if shared is None
-                             else REQatBackend(ways, shared=shared)))
+            lane = new_simulator(
+                sim, ways,
+                qat_backend if shared is None
+                else REQatBackend(ways, shared=shared),
+                trap_policy=trap_policy)
             lane.machine.mem = mem
             self.lanes.append(lane)
+        self.pipelined = sim == "pipelined"
         #: per lane, the text of the error its run raised (else ``None``)
         self.errors: list[str | None] = [None] * n
         self.n = n
@@ -82,6 +100,8 @@ class BatchFunctionalSimulator:
         for lane in self.lanes[1:]:
             lane.machine.mem[start:end] = image
             lane.machine.pc = machine.pc
+            if self.pipelined:
+                lane._fetch_pc = machine.pc
             _fastpath.cache_for(lane.machine).entries = dict(cache.entries)
 
     def run(self, max_steps: int = 1_000_000, plans=None,
@@ -90,10 +110,10 @@ class BatchFunctionalSimulator:
 
         ``plans`` (optional: one :class:`~repro.faults.inject.FaultPlan`
         or ``None`` per lane) injects each lane's events after as many
-        steps as ``event.step`` says, exactly where the campaign driver
-        does.  A lane still running after ``max_steps`` steps takes the
-        ``watchdog`` trap; ``watchdog_detail`` lets the campaign runner
-        supply its serial detail string.
+        steps as ``event.step`` says.  A lane still running after
+        ``max_steps`` steps takes the ``watchdog`` trap;
+        ``watchdog_detail`` lets the campaign runner supply its detail
+        string.
         """
         if plans is not None and len(plans) != self.n:
             raise SimulatorError(
@@ -119,6 +139,21 @@ class BatchFunctionalSimulator:
         """
         sim = self.lanes[lane]
         machine = sim.machine
+        pipeline = sim if self.pipelined else None
+        costs = getattr(sim, "costs", None)
+        # Under an observer (telemetry) step like the simulators' run():
+        # the stripped loop skips the observed-loop counters.
+        stripped = pipeline is None and _fastpath.eligible(sim)
+
+        def advance(n: int) -> int:
+            if stripped:
+                return _fastpath.run_functional(sim, n, costs=costs)
+            done = 0
+            while done < n and not machine.halted:
+                sim.step()
+                done += 1
+            return done
+
         events = () if plan is None else sorted(plan.events,
                                                 key=lambda e: e.step)
         steps = 0
@@ -126,11 +161,11 @@ class BatchFunctionalSimulator:
             for event in events:
                 if event.step >= max_steps:
                     break
-                steps += _fastpath.run_functional(sim, event.step - steps)
+                steps += advance(event.step - steps)
                 if machine.halted:
                     break
-                apply_event(machine, event)
-            steps += _fastpath.run_functional(sim, max_steps - steps)
+                apply_event(machine, event, pipeline=pipeline)
+            steps += advance(max_steps - steps)
             if not machine.halted:
                 fire_watchdog(machine, watchdog_detail)
         except ReproError as exc:

@@ -400,9 +400,12 @@ def _fast_qhad(machine, instr, ops, pc_next, syscalls):
     return pc_next
 
 
-def _fast_qmeas(machine, instr, ops, pc_next, syscalls):
-    d = ops[0]
-    channel = int(machine.regs[d])
+def _channel(machine, instr, d, pc_next) -> int:
+    """The AoB channel a readout names in ``$d``.
+
+    Under ``strict_qat`` a channel past the AoB is a ``qat_fault``.
+    """
+    channel = machine.regs.item(d)
     if machine.trap_policy.strict_qat and channel >= machine.nbits:
         machine.trap(
             TrapCause.QAT_FAULT,
@@ -411,36 +414,26 @@ def _fast_qmeas(machine, instr, ops, pc_next, syscalls):
             instruction=instr.render(),
             resume_pc=pc_next,
         )
-    machine.regs[d] = machine.qat.meas(ops[1], channel) & 0xFFFF
+    return channel
+
+
+def _fast_qmeas(machine, instr, ops, pc_next, syscalls):
+    d = ops[0]
+    machine.regs[d] = machine.qat.meas(
+        ops[1], _channel(machine, instr, d, pc_next)) & 0xFFFF
     return pc_next
 
 
 def _fast_qnext(machine, instr, ops, pc_next, syscalls):
     d = ops[0]
-    channel = int(machine.regs[d])
-    if machine.trap_policy.strict_qat and channel >= machine.nbits:
-        machine.trap(
-            TrapCause.QAT_FAULT,
-            detail=f"channel {channel} out of range for "
-                   f"{machine.nbits}-channel AoB",
-            instruction=instr.render(),
-            resume_pc=pc_next,
-        )
-    machine.regs[d] = machine.qat.next(ops[1], channel) & 0xFFFF
+    machine.regs[d] = machine.qat.next(
+        ops[1], _channel(machine, instr, d, pc_next)) & 0xFFFF
     return pc_next
 
 
 def _fast_qpop(machine, instr, ops, pc_next, syscalls):
     d = ops[0]
-    channel = int(machine.regs[d])
-    if machine.trap_policy.strict_qat and channel >= machine.nbits:
-        machine.trap(
-            TrapCause.QAT_FAULT,
-            detail=f"channel {channel} out of range for "
-                   f"{machine.nbits}-channel AoB",
-            instruction=instr.render(),
-            resume_pc=pc_next,
-        )
+    channel = _channel(machine, instr, d, pc_next)
     value = machine.qat.pop_after(ops[1], channel)
     if value > 0xFFFF:
         if machine.trap_policy.strict_qat:

@@ -30,9 +30,10 @@ import json
 import time
 from dataclasses import dataclass, field
 
+from repro.cpu import new_simulator
+from repro.cpu.batch import BatchFunctionalSimulator
 from repro.errors import ReproError
-from repro.faults.inject import FaultPlan, apply_event
-from repro.faults.traps import TrapPolicy, fire_watchdog
+from repro.faults.inject import FaultPlan
 from repro.obs import flight as _flight
 from repro.obs import runtime as _obs
 from repro.runtime.supervisor import chaos_hook
@@ -82,53 +83,15 @@ def _load_program(name: str):
     raise ReproError(f"unknown campaign program {name!r} (try fig10, factor)")
 
 
-def _new_simulator(sim: str, ways: int, trap_policy: TrapPolicy | None,
-                   qat_backend: str = "dense"):
-    from repro.cpu import FunctionalSimulator, MultiCycleSimulator, PipelinedSimulator
-
-    if sim == "functional":
-        return FunctionalSimulator(ways=ways, trap_policy=trap_policy,
-                                   qat_backend=qat_backend)
-    if sim == "multicycle":
-        return MultiCycleSimulator(ways=ways, trap_policy=trap_policy,
-                                   qat_backend=qat_backend)
-    if sim == "pipelined":
-        return PipelinedSimulator(ways=ways, trap_policy=trap_policy,
-                                  qat_backend=qat_backend)
-    raise ReproError(f"unknown simulator {sim!r}")
-
-
 def _architectural_result(machine) -> tuple:
     """What a user of the run can observe: GPR file + program output."""
     return (tuple(int(r) for r in machine.regs), tuple(machine.output))
 
 
-def _drive(sim, plan: FaultPlan | None, max_steps: int) -> int:
-    """Step ``sim`` to halt, applying due fault events between steps.
-
-    Returns the number of steps executed (the fan-out progress layer
-    turns it into a steps/sec heartbeat)."""
-    from repro.cpu import PipelinedSimulator
-
-    pipeline = sim if isinstance(sim, PipelinedSimulator) else None
-    machine = sim.machine
-    step = 0
-    while step < max_steps and not machine.halted:
-        if plan is not None:
-            for event in plan.due(step):
-                apply_event(machine, event, pipeline=pipeline)
-        sim.step()
-        step += 1
-    if not machine.halted:
-        fire_watchdog(machine,
-                      f"campaign watchdog: exceeded {max_steps} steps")
-    return step
-
-
 def golden_run(program, sim: str = "functional", ways: int = 8,
                qat_backend: str = "dense") -> tuple[tuple, int]:
     """Fault-free reference execution: (architectural result, steps)."""
-    reference = _new_simulator(sim, ways, None, qat_backend=qat_backend)
+    reference = new_simulator(sim, ways, qat_backend)
     reference.load(program)
     steps = 0
     while not reference.machine.halted:
@@ -221,8 +184,57 @@ def _classify(task: tuple, plan: FaultPlan, machine,
     ).as_dict()
 
 
+class _CampaignBatch(BatchFunctionalSimulator):
+    """One lane per campaign task, opened as its run before it runs."""
+
+    def __init__(self, chunk: list, attempt: int):
+        task = chunk[0]
+        super().__init__(len(chunk), ways=task[4], qat_backend=task[7],
+                         sim=task[3])
+        self.chunk = chunk
+        self.attempt = attempt
+
+    def run_lane(self, lane, *args):
+        run = self.chunk[lane][0]
+        # Marked *before* the chaos hook (a no-op outside workers) so a
+        # chaos crash spills a ring already labeled with this run.
+        _enter_run(self.chunk[lane], self.attempt)
+        chaos_hook(run, self.attempt)
+        return super().run_lane(lane, *args)
+
+
+def _run_lanes(chunk: list, image, attempt: int = 0) -> list:
+    """Execute campaign tasks as the lanes of one batch.
+
+    Every run is a lane with its own :class:`FaultPlan`, classified by
+    :func:`_classify`, so the merged report does not depend on how runs
+    were packed.  Returns ``(detail, seconds, steps)`` per task: wall
+    seconds are apportioned evenly across the lanes, and a run that
+    raised reports no steps.  ``attempt`` is the supervisor's retry
+    ordinal of a worker's run.
+    """
+    watchdog = chunk[0][11]
+    plans = [_fault_plan(task) for task in chunk]
+    subject = _CampaignBatch(chunk, attempt)
+    subject.load(image)
+    t0 = time.perf_counter()
+    lane_steps = subject.run(
+        watchdog, plans=plans,
+        watchdog_detail=f"campaign watchdog: exceeded {watchdog} steps",
+    )
+    seconds = (time.perf_counter() - t0) / len(chunk)
+    results = []
+    for lane, task in enumerate(chunk):
+        error = subject.errors[lane]
+        detail = _classify(task, plans[lane], subject.lanes[lane].machine,
+                           error)
+        results.append((detail, seconds,
+                        0 if error is not None else int(lane_steps[lane])))
+    return results
+
+
 def _single_run(task: tuple, attempt: int = 0) -> tuple[int, dict, float, int, int]:
-    """Execute one faulted run; pure function of its task tuple.
+    """Execute one faulted run in a worker; pure function of its task.
 
     Returns ``(run index, RunResult dict, wall seconds, steps, worker)``
     so results can be merged deterministically regardless of worker
@@ -234,71 +246,9 @@ def _single_run(task: tuple, attempt: int = 0) -> tuple[int, dict, float, int, i
     """
     from repro.obs.progress import worker_ident
 
-    (run, program, _, sim, ways, _, _, qat_backend, _, _, _,
-     watchdog) = task
-    # Recorded *before* the chaos hook so a chaos crash spills a ring
-    # already labeled with this run.
-    _enter_run(task, attempt)
-    chaos_hook(run, attempt)
-    plan = _fault_plan(task)
-    subject = _new_simulator(sim, ways, None, qat_backend=qat_backend)
-    subject.load(_worker_image(program))
-    t0 = time.perf_counter()
-    steps, error = 0, None
-    try:
-        steps = _drive(subject, plan, watchdog)
-    except ReproError as exc:
-        error = str(exc)
-    detail = _classify(task, plan, subject.machine, error)
-    return run, detail, time.perf_counter() - t0, steps, worker_ident()
-
-
-def _batch_pending(pending: list, batch: int, image, settle) -> None:
-    """Execute pending campaign tasks in lane batches, in-process.
-
-    Each chunk of up to ``batch`` tasks becomes one
-    :class:`~repro.cpu.batch.BatchFunctionalSimulator`: every run is a
-    lane with its own :class:`FaultPlan`, opened for the flight recorder
-    and classified exactly like :func:`_single_run`, so the merged
-    report is byte-identical to the serial campaign.  Wall seconds are
-    apportioned evenly across the chunk's lanes for the progress
-    heartbeats (never part of the report).
-    """
-    from repro.cpu.batch import BatchFunctionalSimulator
-    from repro.obs.progress import worker_ident
-
-    class CampaignBatch(BatchFunctionalSimulator):
-        """One lane per task; each opens as its run, like a serial run."""
-
-        def __init__(self, chunk):
-            super().__init__(len(chunk), ways=chunk[0][4],
-                             qat_backend=chunk[0][7])
-            self.chunk = chunk
-
-        def run_lane(self, lane, *args):
-            _enter_run(self.chunk[lane])
-            return super().run_lane(lane, *args)
-
-    worker = worker_ident()
-    for chunk_start in range(0, len(pending), batch):
-        chunk = pending[chunk_start:chunk_start + batch]
-        watchdog = chunk[0][11]
-        plans = [_fault_plan(task) for task in chunk]
-        subject = CampaignBatch(chunk)
-        subject.load(image)
-        t0 = time.perf_counter()
-        lane_steps = subject.run(
-            watchdog, plans=plans,
-            watchdog_detail=f"campaign watchdog: exceeded {watchdog} steps",
-        )
-        seconds = (time.perf_counter() - t0) / len(chunk)
-        for lane, task in enumerate(chunk):
-            error = subject.errors[lane]
-            detail = _classify(task, plans[lane], subject.lanes[lane].machine,
-                               error)
-            # A run that raised reports no steps, as the serial path does.
-            steps = 0 if error is not None else int(lane_steps[lane])
-            settle(task[0], detail, seconds, steps, 1, worker)
+    ((detail, seconds, steps),) = _run_lanes(
+        [task], _worker_image(task[1]), attempt)
+    return task[0], detail, seconds, steps, worker_ident()
 
 
 class CampaignInterrupted(ReproError):
@@ -417,13 +367,15 @@ def run_campaign(
     as results arrive, off the report path: the report bytes are
     identical with or without it.
 
-    ``batch > 1`` is the third execution strategy: runs are packed into
-    lane batches (:mod:`repro.cpu.batch`), one process, each lane a
-    functional machine on the stripped loop; RE lanes share one chunk
-    store and gate memo.  Classification is per lane and the merged
-    report is byte-identical to the serial and ``--jobs`` paths.  Batch
-    mode requires the functional simulator (the timing models have no
-    batched counterpart) and is mutually exclusive with ``jobs > 1``.
+    Every run, on any ``sim``, executes as a lane of a
+    :class:`~repro.cpu.batch.BatchFunctionalSimulator`.  In-process runs
+    are packed ``batch`` to a batch (a serial campaign is ``batch=1``,
+    1-lane batches), and a ``--jobs`` worker runs its run as a 1-lane
+    batch.  The lanes of a batch share the predecoded image and, on the
+    RE backend, one chunk store and gate memo.  Classification is per
+    lane, so the report is byte-identical whatever ``batch`` and
+    ``jobs`` are.  ``batch > 1`` and ``jobs > 1`` are mutually
+    exclusive: the supervisor retries and quarantines single runs.
     """
     if runs <= 0:
         raise ReproError(f"runs must be positive, got {runs}")
@@ -431,11 +383,6 @@ def run_campaign(
         raise ReproError(f"jobs must be positive, got {jobs}")
     if batch <= 0:
         raise ReproError(f"batch must be positive, got {batch}")
-    if batch > 1 and sim != "functional":
-        raise ReproError(
-            f"batch campaigns need the functional simulator, got {sim!r} "
-            f"(the timing models have no batched counterpart)"
-        )
     if batch > 1 and jobs > 1:
         raise ReproError(
             "batch and jobs are mutually exclusive fan-out strategies; "
@@ -520,14 +467,15 @@ def run_campaign(
             # whether or not anything failed -- a clean fan-out records
             # explicit zeros in the supervisor.* counter taxonomy.
             _obs.current().supervisor_run(supervisor.stats.as_dict())
-    elif pending and batch > 1:
-        _WORKER_IMAGES[program] = image
-        _batch_pending(pending, batch, image, _settle)
     elif pending:
-        _WORKER_IMAGES[program] = image
-        for task in pending:
-            run_idx, detail, seconds, steps, worker = _single_run(task)
-            _settle(run_idx, detail, seconds, steps, 1, worker)
+        from repro.obs.progress import worker_ident
+
+        worker = worker_ident()
+        for start in range(0, len(pending), batch):
+            chunk = pending[start:start + batch]
+            for task, (detail, seconds, steps) in zip(
+                    chunk, _run_lanes(chunk, image)):
+                _settle(task[0], detail, seconds, steps, 1, worker)
     if tracker is not None:
         tracker.finish()
 

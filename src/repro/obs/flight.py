@@ -32,12 +32,11 @@ worker can never catch.  The supervisor collects the spool files of
 quarantined shards into the campaign report and the run ledger's
 ``artifacts`` column.
 
-Batched campaigns (``tangled faults --batch N``,
-:mod:`repro.cpu.batch`) record exactly like serial ones: each lane is a
-functional machine on the stripped loop, opens with its run's
-``campaign.run`` mark and spill context, and records its own retire,
-fault, trap and syscall events, so the ring holds the same stream a
-serial campaign leaves.
+Every campaign run is a lane of a batch (:mod:`repro.cpu.batch`;
+serial campaigns run 1-lane batches, ``--batch N`` packs N runs): each
+lane opens with its run's ``campaign.run`` mark and spill context, and
+records its own retire, fault, trap and syscall events, so the ring
+holds the same stream whatever the packing.
 
 Like :mod:`repro.obs.runtime`, this module imports nothing from the rest
 of ``repro`` at module level so every layer can record into it without

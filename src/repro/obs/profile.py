@@ -187,19 +187,13 @@ def profile_program(program, ways: int = 8, simulator: str = "pipelined",
     run volume through counters rather than per-PC bit volume).
     """
     from repro import obs
-    from repro.cpu import MultiCycleSimulator, PipelineConfig, PipelinedSimulator
+    from repro.cpu import new_simulator
 
-    if simulator == "pipelined":
-        sim = PipelinedSimulator(ways=ways, config=config,
-                                 qat_backend=qat_backend)
-    elif simulator == "multicycle":
-        if config is not None:
-            raise ReproError("config applies to the pipelined simulator only")
-        sim = MultiCycleSimulator(ways=ways, qat_backend=qat_backend)
-    else:
+    if simulator not in ("pipelined", "multicycle"):
         raise ReproError(
             f"cannot profile simulator {simulator!r} (try pipelined, multicycle)"
         )
+    sim = new_simulator(simulator, ways, qat_backend, config=config)
     profiler = Profiler()
     sim.profiler = profiler
     sim.load(program)

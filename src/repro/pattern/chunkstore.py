@@ -12,6 +12,7 @@ pairs), not O(total bits).
 from __future__ import annotations
 
 import zlib
+from collections import OrderedDict
 
 import numpy as np
 
@@ -21,9 +22,9 @@ from repro.obs import runtime as _obs
 
 #: Default bound on each gate memo table (entries).  Long RE-backend
 #: runs keep streaming fresh symbol pairs; an unbounded memo would grow
-#: with them forever.  2^16 entries is far above the working set of any
-#: suite workload, so eviction never fires there and the memo counters
-#: stay byte-deterministic.
+#: with them forever.  Eviction is least-recently-used and deterministic,
+#: so the memo counters stay byte-reproducible where it fires (wide
+#: factorings, such as the suite's 22-way one, do evict).
 MEMO_LIMIT = 1 << 16
 
 
@@ -56,12 +57,15 @@ class ChunkStore:
         # a chunk corrupted after interning degrades instead of poisoning
         # the symbolic layer.
         self._crcs: list[int] = []
-        self._binop_cache: dict[tuple[str, int, int], int] = {}
-        self._not_cache: dict[int, int] = {}
+        # Memo tables are ordered by recency (a hit moves its entry to
+        # the end), so the least recently used entry is evicted first.
+        self._binop_cache: OrderedDict[tuple[str, int, int], int] = \
+            OrderedDict()
+        self._not_cache: OrderedDict[int, int] = OrderedDict()
         # Per-symbol measurement summaries, memoized lazily (LRU-bounded
         # under memo_limit like the gate tables).
-        self._popcount: dict[int, int] = {}
-        self._first_one: dict[int, int] = {}
+        self._popcount: OrderedDict[int, int] = OrderedDict()
+        self._first_one: OrderedDict[int, int] = OrderedDict()
         # Memo-table effectiveness (the RE compression win): always kept
         # as plain ints, published to telemetry only when it is active.
         self.gate_hits = 0
@@ -128,14 +132,12 @@ class ChunkStore:
     def _reintern(self, sym: int, crc: int) -> None:
         """Adopt a mutated chunk's dense bits as the symbol's new value."""
         self._crcs[sym] = crc
-        self._binop_cache = {
-            key: result
-            for key, result in self._binop_cache.items()
-            if sym not in (key[1], key[2], result)
-        }
-        self._not_cache = {
-            a: b for a, b in self._not_cache.items() if sym not in (a, b)
-        }
+        # Purge in place: the tables stay OrderedDicts in recency order.
+        for key in [key for key, result in self._binop_cache.items()
+                    if sym in (key[1], key[2], result)]:
+            del self._binop_cache[key]
+        for a in [a for a, b in self._not_cache.items() if sym in (a, b)]:
+            del self._not_cache[a]
         self._popcount.pop(sym, None)
         self._first_one.pop(sym, None)
         # The hash-consing index keys chunks by content; rebuild it so the
@@ -187,9 +189,9 @@ class ChunkStore:
             a, b = b, a  # all three gates are commutative: halve the cache
         key = (op, a, b)
         cache = self._binop_cache
-        sym = cache.pop(key, None)
+        sym = cache.get(key)
         if sym is not None:
-            cache[key] = sym  # re-append: most recently used
+            cache.move_to_end(key)
             self._count_gate(hit=True)
             return sym
         self._count_gate(hit=False)
@@ -209,9 +211,9 @@ class ChunkStore:
     def bnot(self, a: int) -> int:
         """Apply NOT to symbol ``a``."""
         cache = self._not_cache
-        sym = cache.pop(a, None)
+        sym = cache.get(a)
         if sym is not None:
-            cache[a] = sym  # re-append: most recently used
+            cache.move_to_end(a)
             self._count_gate(hit=True)
             return sym
         self._count_gate(hit=False)
@@ -220,12 +222,12 @@ class ChunkStore:
         self._memo_insert(cache, sym, a, "not")  # involution
         return sym
 
-    def _memo_insert(self, cache: dict, key, value, table: str) -> None:
+    def _memo_insert(self, cache: OrderedDict, key, value, table: str) -> None:
         """Insert one memo entry, evicting the least recently used past
-        :attr:`memo_limit` (dict order = recency: hits re-append)."""
+        :attr:`memo_limit`."""
         cache[key] = value
         if len(cache) > self.memo_limit:
-            cache.pop(next(iter(cache)))
+            cache.popitem(last=False)
             self.memo_evicted += 1
             self.memo_evicted_by[table] += 1
             if _obs.active:
@@ -251,9 +253,9 @@ class ChunkStore:
 
     def popcount(self, sym: int) -> int:
         """Number of 1 bits in symbol ``sym``."""
-        count = self._popcount.pop(sym, None)
+        count = self._popcount.get(sym)
         if count is not None:
-            self._popcount[sym] = count  # re-append: most recently used
+            self._popcount.move_to_end(sym)
             return count
         count = self.chunk_safe(sym).popcount()
         self._memo_insert(self._popcount, sym, count, "measure")
@@ -261,9 +263,9 @@ class ChunkStore:
 
     def first_one(self, sym: int) -> int:
         """Lowest channel holding a 1 within the chunk, or -1 if none."""
-        first = self._first_one.pop(sym, None)
+        first = self._first_one.get(sym)
         if first is not None:
-            self._first_one[sym] = first  # re-append: most recently used
+            self._first_one.move_to_end(sym)
             return first
         chunk = self.chunk_safe(sym)
         if chunk.meas(0):

@@ -283,17 +283,22 @@ def _run(make, drive, program, backend, policy) -> list:
         # Lanes run one after another, each recording its own stream.
         size = len(events) // sim.n
         assert events == events[:size] * sim.n, "lane streams differ"
-        return [_state(lane.machine, lane_error, events[:size])
+        return [_machine_state(lane, lane_error, events[:size])
                 for lane, lane_error in zip(sim.lanes, sim.errors)]
+    state = _machine_state(sim, error, events)
     machine = sim.machine
-    state = _state(machine, error, events)
-    if isinstance(sim, MultiCycleSimulator):
-        state["cycles"] = sim.cycles
     if isinstance(sim, PipelinedSimulator):
         state["timing"] = (sim.stats.as_dict(),
                            [t.as_dict() for t in machine.traps],
                            list(flight.RECORDER.events))
     return [state]
+
+
+def _machine_state(sim, error, events) -> dict:
+    state = _state(sim.machine, error, events)
+    if isinstance(sim, MultiCycleSimulator):
+        state["cycles"] = sim.cycles
+    return state
 
 
 def oracle(program, policy) -> dict:
@@ -324,6 +329,8 @@ ENGINES = {
        for stem, c in PIPELINES.items()
        for suffix, drive in (("", _pipeline_run), (".cycle", _cycle_loop))},
     "batch.3lanes": (partial(BatchFunctionalSimulator, 3), _hot),
+    "batch.multicycle": (partial(BatchFunctionalSimulator, 3,
+                                 sim="multicycle"), _hot),
 }
 
 

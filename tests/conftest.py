@@ -30,17 +30,12 @@ def _isolated_ledger(tmp_path, monkeypatch):
 def assemble_and_run(source: str, ways: int = 8, simulator: str = "functional"):
     """Assemble source (auto-appending a halting sys) and run it."""
     from repro.asm import assemble
-    from repro.cpu import FunctionalSimulator, MultiCycleSimulator, PipelinedSimulator
+    from repro.cpu import new_simulator
 
     if "sys" not in source:
         source = source + "\n\tlex\t$rv,0\n\tsys\n"
     program = assemble(source)
-    if simulator == "functional":
-        sim = FunctionalSimulator(ways=ways)
-    elif simulator == "multicycle":
-        sim = MultiCycleSimulator(ways=ways)
-    else:
-        sim = PipelinedSimulator(ways=ways)
+    sim = new_simulator(simulator, ways, "dense")
     sim.load(program)
     sim.run()
     return sim

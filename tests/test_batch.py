@@ -1,12 +1,15 @@
-"""Batched simulator: every lane matches a serial functional run.
+"""Batched simulator: every lane matches a serial run of its engine.
 
 The contract of :mod:`repro.cpu.batch` is that N lanes loaded with one
-image are architecturally indistinguishable from N serial
-:class:`~repro.cpu.FunctionalSimulator` runs driven the way the
-campaign driver drives them: same registers, memory, Qat state, output,
-trap records and error strings -- and, the bar the campaign driver
-relies on, byte-identical campaign reports for ``--batch N`` vs serial.
+image are architecturally indistinguishable from N serial runs of the
+same engine stepped one at a time with their fault events applied
+between steps: same registers, memory, Qat state, output, trap records,
+error strings and clocks -- and, the bar campaigns rely on, campaign
+reports byte-identical to committed ones whatever ``batch`` and
+``jobs`` are.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asm import assemble
-from repro.cpu import BatchFunctionalSimulator, FunctionalSimulator, fastpath
+from repro.cpu import (BatchFunctionalSimulator, FunctionalSimulator,
+                       fastpath, new_simulator)
 from repro.errors import ReproError, SimulatorError
 from repro.faults.campaign import render_report, run_campaign
 from repro.faults.inject import FaultEvent, FaultPlan, apply_event
@@ -24,26 +28,36 @@ from tests.conformance import programs
 
 BACKENDS = ["dense", "re"]
 
+#: Committed campaign reports, one per engine and backend, made with
+#: ``tangled faults --program fig10 --runs 32 --seed 7 --faults-per-run 2
+#: --targets gpr,mem,qreg,pc,latch --sim SIM --qat-backend BACKEND``.
+GOLDEN = Path(__file__).parent / "data" / "campaigns"
+GOLDEN_ARGS = dict(program="fig10", runs=32, seed=7, faults_per_run=2,
+                   targets=("gpr", "mem", "qreg", "pc", "latch"))
+
 
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
 
-def _serial_run(words, plan, *, ways, backend, max_steps):
+def _serial_run(words, plan, *, ways, backend, max_steps, sim="functional",
+                origin=None):
     """One serial run: campaign-style drive with per-step fault events.
 
     Returns ``(sim, error)`` where ``error`` is the stringified trap
     for a run that died (what the batch records for its lane).
     """
-    sim = FunctionalSimulator(ways=ways, qat_backend=backend)
-    sim.load(list(words))
+    pipeline = sim == "pipelined"
+    sim = new_simulator(sim, ways, backend)
+    sim.load(list(words), origin)
     error = None
     step = 0
     try:
         while step < max_steps and not sim.machine.halted:
             if plan is not None:
                 for event in plan.due(step):
-                    apply_event(sim.machine, event)
+                    apply_event(sim.machine, event,
+                                pipeline=sim if pipeline else None)
             sim.step()
             step += 1
         if not sim.machine.halted:
@@ -54,10 +68,11 @@ def _serial_run(words, plan, *, ways, backend, max_steps):
     return sim, error
 
 
-def _batch_run(words, plans, *, ways, backend, max_steps):
+def _batch_run(words, plans, *, ways, backend, max_steps, sim="functional",
+               origin=None):
     batch = BatchFunctionalSimulator(len(plans), ways=ways,
-                                     qat_backend=backend)
-    batch.load(list(words))
+                                     qat_backend=backend, sim=sim)
+    batch.load(list(words), origin)
     batch.run(max_steps=max_steps, plans=plans)
     return batch
 
@@ -161,6 +176,33 @@ class TestBatchVsSerialState:
         _assert_lane_matches(sim, error, batch, 0)
         # $1 was reset by its lex after the flip; $2's flip came after.
         assert int(sim.machine.regs[2]) == 2
+
+    @pytest.mark.parametrize("sim", ["multicycle", "pipelined"])
+    def test_timing_model_lanes_match_serial(self, sim):
+        """Timing-model lanes loaded away from address 0 match serial
+        runs under a ``latch`` or ``pc`` flip at each of the first 40
+        steps.  On the pipeline, steps are cycles and a latch flip in
+        the in-flight branch moves its target."""
+        words = assemble("lex $1, 5\nlex $2, 0\nlex $3, -1\n"
+                         "loop: add $2, $1\nadd $1, $3\nbrt $1, loop\n"
+                         "lex $rv, 0\nsys\n").words
+        plans = [FaultPlan(seed=0, events=(
+                     FaultEvent(step, target, index, 0, 6),))
+                 for step in range(40)
+                 for target, index in (("pc", 0), ("latch", 0),
+                                       ("latch", 1), ("latch", 2))]
+        kwargs = dict(ways=6, backend="dense", max_steps=200, sim=sim,
+                      origin=16)
+        batch = _batch_run(words, plans, **kwargs)
+        clock = ((lambda s: s.stats.cycles) if sim == "pipelined"
+                 else (lambda s: s.cycles))
+        for lane, plan in enumerate(plans):
+            serial, error = _serial_run(words, plan, **kwargs)
+            _assert_lane_matches(serial, error, batch, lane)
+            assert clock(serial) == clock(batch.lanes[lane])
+        results = {(lane.machine.read_reg(2), error)
+                   for lane, error in zip(batch.lanes, batch.errors)}
+        assert (15, None) in results and len(results) > 2
 
     def test_lanes_run_on_the_stripped_loop(self, monkeypatch):
         """No second loop: every lane segment is ``run_functional``."""
@@ -357,9 +399,35 @@ class TestBatchCampaignBytes:
         assert render_report(jobs).encode() == \
             render_report(batched).encode()
 
-    def test_batch_needs_functional_sim(self):
-        with pytest.raises(ReproError, match="functional"):
-            run_campaign(runs=2, batch=2, sim="multicycle")
+    @pytest.mark.parametrize("sim", ["multicycle", "pipelined"])
+    def test_batch_runs_the_timing_models(self, sim, capsys):
+        from repro.cli import main
+
+        def report(*extra):
+            assert main(["faults", "--sim", sim, "--runs", "9",
+                         "--targets", "gpr,mem,qreg,pc,latch",
+                         "--no-ledger", *extra]) == 0
+            return capsys.readouterr().out
+
+        serial = report()
+        assert f'"sim": "{sim}"' in serial
+        assert report("--batch", "4") == serial
+
+    @pytest.mark.parametrize("fanout", [{}, {"batch": 7}, {"jobs": 2}],
+                             ids=["serial", "batch7", "jobs2"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("sim", ["functional", "multicycle", "pipelined"])
+    def test_report_matches_golden(self, sim, backend, fanout):
+        """Every engine, backend and fan-out reproduces the committed report.
+
+        The files under ``tests/data/campaigns`` are ``tangled faults``
+        output for :data:`GOLDEN_ARGS` and hold the reports fixed while
+        the execution strategy behind them changes.
+        """
+        golden = GOLDEN / f"fig10-{sim}-{backend}.json"
+        report = run_campaign(sim=sim, qat_backend=backend, **GOLDEN_ARGS,
+                              **fanout)
+        assert render_report(report).encode() == golden.read_bytes()
 
     def test_batch_and_jobs_mutually_exclusive(self):
         with pytest.raises(ReproError, match="mutually exclusive"):

@@ -143,6 +143,31 @@ class TestChunkStoreDegradation:
         store.chunk_safe(a)  # detect + adopt
         assert store.popcount(a) in (31, 33)
 
+    def test_gate_memos_work_after_degradation(self):
+        # The purge must leave the gate memos usable: hits move entries
+        # to the end and inserts past memo_limit evict the oldest.
+        store = ChunkStore(6, memo_limit=2)
+        a = store.intern(AoB.hadamard(6, 1))
+        b = store.intern(AoB.hadamard(6, 2))
+        c = store.intern(AoB.hadamard(6, 3))
+        store.binop("and", a, b)
+        store.bnot(b)
+        flip_chunk_bit(store, a, 0)
+        store.chunk_safe(a)  # detect + adopt, purging a's entries
+        assert store.degraded == 1
+        for _ in range(2):  # the second pass hits the memo
+            ab = store.binop("and", a, b)
+            na = store.bnot(a)
+        assert store.chunk(ab) == store.chunk(a) & store.chunk(b)
+        assert store.chunk(na) == ~store.chunk(a)
+        evicted = store.memo_evicted
+        store.binop("or", a, c)
+        store.binop("xor", b, c)
+        store.bnot(c)
+        assert store.memo_evicted > evicted
+        assert len(store._binop_cache) <= 2
+        assert len(store._not_cache) <= 2
+
     def test_stats_include_degraded(self):
         store = ChunkStore(6)
         store.chunk_safe(12345)

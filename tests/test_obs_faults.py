@@ -91,6 +91,18 @@ class TestCampaignTelemetry:
         hist = m.get("faults.run_seconds")
         assert hist is not None and hist.count == 6
 
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_observed_counters_cover_every_run(self, batch):
+        # Under telemetry the lanes step the observed loop, so the Qat
+        # op and syscall counters cover the golden run plus all 8 runs
+        # (85 Qat ops and one sys each when fault-free), packed or not.
+        with obs.capture(tracing=False) as telemetry:
+            run_campaign(runs=8, seed=7, batch=batch)
+        m = telemetry.metrics
+        assert m.value("cpu.syscalls") == 9
+        assert m.value("qat.ops") == 765
+        assert m.value("qat.ops.qhad") == 72
+
     def test_stats_report_lists_fault_counters(self):
         with obs.capture(tracing=False) as telemetry:
             run_campaign(runs=3, seed=1)

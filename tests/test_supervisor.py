@@ -356,13 +356,13 @@ class TestCampaignIntegration:
         monkeypatch.delenv(CHAOS_ENV)
 
         executed = []
-        original = campaign_mod._single_run
+        original = campaign_mod._enter_run
 
         def counting(task, attempt=0):
             executed.append(task[0])
             return original(task, attempt)
 
-        monkeypatch.setattr(campaign_mod, "_single_run", counting)
+        monkeypatch.setattr(campaign_mod, "_enter_run", counting)
         resumed = run_campaign(
             program="fig10", runs=6, seed=7, jobs=1,
             journal=ShardJournal("resumable", path=ledger, resume=True),
