@@ -356,7 +356,9 @@ def _adopt_resume_args(args: argparse.Namespace) -> None:
     runs, fault plan -- so a resume adopts those values instead
     of requiring the caller to repeat them; only the execution knobs
     (``--jobs``, ``--shard-timeout``, ``--retries``,
-    ``--worker-mem-mib``) come from the new command line.  The runner
+    ``--worker-mem-mib``) come from the new command line.  ``args.resume``
+    is replaced by the full run id (resolved like ledger run ids,
+    prefixes allowed).  The runner
     re-verifies the fingerprint when it opens the journal, so a drifted
     journal between this read and that open is still refused.  A
     journal of another kind (an older ledger can hold a ``"bench"``
@@ -394,9 +396,9 @@ def _shard_setup(args: argparse.Namespace, led: _LedgerScope):
     path needs no worker pool); the shard journal exists whenever the
     ledger does -- serial campaigns journal too, so even a Ctrl-C that
     never reached the fan-out machinery leaves a resumable trail.  With
-    ``--resume`` the journal reopens the *original* run's id (resolved
-    like ledger run ids, prefixes allowed), so repeated resumes keep
-    accumulating under one journal.
+    ``--resume`` the journal reopens the *original* run's id, which
+    :func:`_adopt_resume_args` has already checked and resolved, so
+    repeated resumes keep accumulating under one journal.
     """
     from repro.obs import ledger as ledger_mod
 
@@ -412,13 +414,7 @@ def _shard_setup(args: argparse.Namespace, led: _LedgerScope):
         )
     journal = None
     if args.resume is not None:
-        if not led.enabled:
-            raise ReproError(
-                "--resume reads the shard journal in the run ledger; "
-                "drop --no-ledger"
-            )
-        run_id = ledger_mod.resolve_journal_run(args.resume)
-        journal = ledger_mod.ShardJournal(run_id, resume=True)
+        journal = ledger_mod.ShardJournal(args.resume, resume=True)
     elif led.enabled:
         journal = ledger_mod.ShardJournal(led.run_id)
     if led.enabled:

@@ -2,19 +2,22 @@
 
 Three models of increasing timing fidelity, all sharing one architectural
 state (:class:`~repro.cpu.state.MachineState`) and one table of
-instruction semantics (:data:`repro.cpu.exec_core.FAST_HANDLERS`), run
-by the observed step :func:`~repro.cpu.exec_core.execute` and, when
-nothing observes a ``run()``, by a stripped loop
-(:func:`repro.cpu.fastpath.run_functional`, or the pipeline's own
-scoreboard-timed loop).  The
-models mirror the course's project sequence (multi-cycle design, then
-pipelined, then pipelined with Qat):
+instruction semantics (:data:`repro.cpu.exec_core.TEMPLATES`, which
+builds :data:`~repro.cpu.exec_core.FAST_HANDLERS` and the register use
+behind pipeline hazards), run by the observed step
+:func:`~repro.cpu.exec_core.execute` and, when nothing observes a run,
+by a stripped loop (:func:`repro.cpu.fastpath.run_functional`, or the
+pipeline's own scoreboard-timed loop).  Each has one ``advance(n)``,
+the loop behind its ``run()``, which a ``run()`` wraps in a telemetry
+span and a watchdog.  The models mirror the course's project sequence
+(multi-cycle design, then pipelined, then pipelined with Qat):
 
 - :class:`~repro.cpu.functional.FunctionalSimulator` -- one instruction
   per step, no timing; the reference for architectural correctness
   (paper Figure 6's simplified single-cycle design).
-- :class:`~repro.cpu.multicycle.MultiCycleSimulator` -- per-class cycle
-  costs, the students' first implementation project.
+- :class:`~repro.cpu.multicycle.MultiCycleSimulator` -- the functional
+  simulator (a subclass) plus per-class cycle costs, the students'
+  first implementation project.
 - :class:`~repro.cpu.pipeline.PipelinedSimulator` -- a cycle-stepped
   4- or 5-stage pipeline with RAW interlocks, optional forwarding,
   branch flushes, and the two-word Qat fetch penalty the paper says
@@ -25,8 +28,8 @@ pipelined, then pipelined with Qat):
 :class:`~repro.cpu.batch.BatchFunctionalSimulator`, the executor of
 every ``tangled faults`` run, adds no semantics of its own: it loads one
 image into N machines of one engine ("lanes") and runs them one after
-another, sharing the predecoded image and, on the ``re`` backend, one
-chunk store and gate memo.
+another through their ``advance()``, sharing the predecoded image and,
+on the ``re`` backend, one chunk store and gate memo.
 
 All three take a ``trap_policy`` (:class:`~repro.faults.TrapPolicy`)
 controlling whether architectural traps raise, halt, or vector to a

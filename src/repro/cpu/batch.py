@@ -5,16 +5,13 @@ Every faulted run of ``tangled faults`` is a lane of a
 batches, ``--batch N`` packs N runs into one, and each ``--jobs``
 worker runs its run as a 1-lane batch.  A lane is a plain simulator of
 any of the three engines (:func:`repro.cpu.new_simulator`), so lanes
-add no semantics of their own:
-
-- functional and multi-cycle lanes advance through the stripped loop
-  :func:`repro.cpu.fastpath.run_functional` (multi-cycle with its
-  :class:`~repro.cpu.multicycle.CycleCosts`), unless an observer such
-  as telemetry is attached (:func:`repro.cpu.fastpath.eligible`): then
-  they ``step()`` like the simulators' own ``run()``;
-- pipelined lanes advance one ``step()`` (a clock cycle) at a time,
-  because their plan steps are cycles and ``latch`` faults need the
-  in-flight latches.
+add no semantics and no loop of their own: a lane runs through its
+simulator's ``advance(n)``, the loop behind that simulator's ``run()``.
+Functional and multi-cycle lanes therefore take the stripped loop
+:func:`repro.cpu.fastpath.run_functional` unless an observer such as
+telemetry is attached; pipelined lanes step one clock cycle at a time,
+because their plan steps are cycles and ``latch`` faults need the
+in-flight latches.
 
 A lane's fault events are applied between segments of that advance
 (:func:`repro.faults.inject.apply_event`), after exactly ``event.step``
@@ -140,20 +137,6 @@ class BatchFunctionalSimulator:
         sim = self.lanes[lane]
         machine = sim.machine
         pipeline = sim if self.pipelined else None
-        costs = getattr(sim, "costs", None)
-        # Under an observer (telemetry) step like the simulators' run():
-        # the stripped loop skips the observed-loop counters.
-        stripped = pipeline is None and _fastpath.eligible(sim)
-
-        def advance(n: int) -> int:
-            if stripped:
-                return _fastpath.run_functional(sim, n, costs=costs)
-            done = 0
-            while done < n and not machine.halted:
-                sim.step()
-                done += 1
-            return done
-
         events = () if plan is None else sorted(plan.events,
                                                 key=lambda e: e.step)
         steps = 0
@@ -161,11 +144,11 @@ class BatchFunctionalSimulator:
             for event in events:
                 if event.step >= max_steps:
                     break
-                steps += advance(event.step - steps)
+                steps += sim.advance(event.step - steps)
                 if machine.halted:
                     break
                 apply_event(machine, event, pipeline=pipeline)
-            steps += advance(max_steps - steps)
+            steps += sim.advance(max_steps - steps)
             if not machine.halted:
                 fire_watchdog(machine, watchdog_detail)
         except ReproError as exc:

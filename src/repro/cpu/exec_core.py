@@ -10,6 +10,9 @@ handlers of every instruction but ``sys`` and the Qat ops are built
 from :data:`TEMPLATES`, one Python expression per mnemonic, which the
 stripped functional loop's translated tier also inlines into its
 compiled blocks -- so that tier adds no second copy of the semantics.
+The register use behind pipeline hazards (:func:`static_effects`) is
+derived from the same rows, plus one small table for ``sys`` and the
+Qat ops (:data:`REGISTER_USE`).
 
 Semantics follow Tables 1 and 3 exactly where the paper specifies them;
 where it leaves detail to the implementer the choices are documented
@@ -38,7 +41,6 @@ from repro.bf16 import (
     bf16_recip,
     bf16_to_int,
 )
-from repro.errors import SimulatorError
 from repro.faults.traps import TrapCause
 from repro.isa.instructions import INSTRUCTIONS, Instr
 from repro.obs import flight as _flight
@@ -87,82 +89,21 @@ _STATIC: dict = {}
 
 
 def static_effects(instr: Instr) -> StaticEffects:
-    """Registers read/written by ``instr``, from the spec alone (cached)."""
+    """Registers ``instr`` reads and writes, per :data:`REGISTER_USE`."""
     key = (instr.mnemonic, instr.ops)
     stat = _STATIC.get(key)
     if stat is None:
-        stat = _STATIC[key] = _static_effects(instr)
+        m = instr.mnemonic
+        reads, writes = REGISTER_USE[m]
+        regs = dict(zip(INSTRUCTIONS[m].operands, instr.ops))
+        stat = _STATIC[key] = StaticEffects(
+            frozenset(regs[k] for k in reads if k.islower()),
+            frozenset(regs[k] for k in writes if k.islower()),
+            frozenset(regs[k] for k in reads if k.isupper()),
+            frozenset(regs[k] for k in writes if k.isupper()),
+            m in ("brf", "brt"), m == "jumpr", m == "load", m == "store",
+        )
     return stat
-
-
-def _static_effects(instr: Instr) -> StaticEffects:
-    m = instr.mnemonic
-    ops = instr.ops
-    rg: set[int] = set()
-    wg: set[int] = set()
-    rq: set[int] = set()
-    wq: set[int] = set()
-    is_branch = m in ("brf", "brt")
-    is_jump = m == "jumpr"
-    is_load = m == "load"
-    is_store = m == "store"
-    if m in ("add", "addf", "and", "mul", "mulf", "or", "shift", "slt", "xor"):
-        rg = {ops[0], ops[1]}
-        wg = {ops[0]}
-    elif m == "copy":
-        rg = {ops[1]}
-        wg = {ops[0]}
-    elif m == "load":
-        rg = {ops[1]}
-        wg = {ops[0]}
-    elif m == "store":
-        rg = {ops[0], ops[1]}
-    elif m in ("float", "int", "neg", "negf", "not", "recip"):
-        rg = {ops[0]}
-        wg = {ops[0]}
-    elif m == "lex":
-        wg = {ops[0]}
-    elif m == "lhi":
-        rg = {ops[0]}  # lhi preserves the low byte: read-modify-write
-        wg = {ops[0]}
-    elif m in ("brf", "brt"):
-        rg = {ops[0]}
-    elif m == "jumpr":
-        rg = {ops[0]}
-    elif m == "sys":
-        pass
-    elif m in ("qand", "qor", "qxor"):
-        rq = {ops[1], ops[2]}
-        wq = {ops[0]}
-    elif m == "qccnot":
-        rq = {ops[0], ops[1], ops[2]}
-        wq = {ops[0]}
-    elif m == "qcnot":
-        rq = {ops[0], ops[1]}
-        wq = {ops[0]}
-    elif m == "qcswap":
-        rq = {ops[0], ops[1], ops[2]}
-        wq = {ops[0], ops[1]}
-    elif m == "qswap":
-        rq = {ops[0], ops[1]}
-        wq = {ops[0], ops[1]}
-    elif m == "qnot":
-        rq = {ops[0]}
-        wq = {ops[0]}
-    elif m in ("qzero", "qone"):
-        wq = {ops[0]}
-    elif m == "qhad":
-        wq = {ops[0]}
-    elif m in ("qmeas", "qnext", "qpop"):
-        rg = {ops[0]}
-        wg = {ops[0]}
-        rq = {ops[1]}
-    else:  # pragma: no cover
-        raise SimulatorError(f"no effects model for {m!r}")
-    return StaticEffects(
-        frozenset(rg), frozenset(wg), frozenset(rq), frozenset(wq),
-        is_branch, is_jump, is_load, is_store,
-    )
 
 
 def execute(machine, instr: Instr, syscalls=None) -> Effects:
@@ -278,6 +219,34 @@ TEMPLATES = {
     "slt": ("d", "1 if {d} ^ 0x8000 < {s} ^ 0x8000 else 0", None),
     "store": (None, "machine.write_mem({s}, {d})", "fence"),
     "xor": ("d", "{d} ^ {s}", None),
+}
+
+#: Register use of ``sys`` and the Qat ops, which have no template row:
+#: ``(operands read, operands written)`` as operand kinds.
+_UNTEMPLATED_USE = {
+    "sys": ("", ""),
+    **{m: ("BC", "A") for m in ("qand", "qor", "qxor")},
+    "qccnot": ("ABC", "A"),
+    "qcnot": ("AB", "A"),
+    "qcswap": ("ABC", "AB"),
+    "qswap": ("AB", "AB"),
+    "qnot": ("A", "A"),
+    **{m: ("", "A") for m in ("qzero", "qone", "qhad")},
+    # ``$d`` names the channel and receives the readout.
+    **{m: ("dA", "d") for m in ("qmeas", "qnext", "qpop")},
+}
+
+#: mnemonic -> ``(operands read, operands written)`` as operand kinds
+#: (lower case a GPR, upper case a Qat register), which
+#: :func:`static_effects` turns into hazard sets.  A :data:`TEMPLATES`
+#: row reads the registers its expression names and writes ``$d`` when
+#: its value goes there.
+REGISTER_USE = {
+    **{m: ("".join(k for k in INSTRUCTIONS[m].operands
+                   if k in "dsca" and "{%s}" % k in expr),
+           "d" if writes == "d" else "")
+       for m, (writes, expr, _) in TEMPLATES.items()},
+    **_UNTEMPLATED_USE,
 }
 
 #: Names a template expression may use besides its operands and ``machine``.

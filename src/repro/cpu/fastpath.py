@@ -19,12 +19,13 @@ everything an unobserved run does not need:
   rewritten words.
 - **Stripped run loop** (:func:`run_functional`): no span enter/exit,
   no per-step ``Effects`` allocation, locals-bound state, and handler
-  dispatch through the predecoded table.  Given a
+  dispatch through the predecoded table.  When ``sim.costs`` is a
   :class:`~repro.cpu.multicycle.CycleCosts` it also charges the
-  multi-cycle model's cycles, so it serves both untimed and multi-cycle
-  simulators.  It stops at a step count and leaves the watchdog to its
-  callers, so the lanes of a batch (:mod:`repro.cpu.batch`) run it in
-  segments, with their fault events applied in between.
+  multi-cycle model's cycles, so it serves the functional simulator's
+  ``advance()`` and, through it, the multi-cycle simulator that
+  subclasses it.  It stops at a step count and leaves the watchdog to
+  its callers, so the lanes of a batch (:mod:`repro.cpu.batch`) run it
+  in segments, with their fault events applied in between.
 - **Translated blocks** (:func:`_translate`): once a leader pc has been
   visited :data:`HOT_THRESHOLD` times, the run of instructions from it
   that cannot trap under the machine's trap policy, up to and including
@@ -210,26 +211,18 @@ def cache_for(machine) -> PredecodeCache:
 
 
 def eligible(sim) -> bool:
-    """Should ``sim.run()`` take a stripped loop right now?
+    """Should ``sim`` take a stripped loop right now?
 
     Only when *no* observer -- telemetry capture, an execution trace, an
-    auto-checkpointer, or a profiler -- is attached to the simulator (or,
-    for the multi-cycle model, its inner functional simulator).  The
-    functional and multi-cycle simulators then run :func:`run_functional`;
-    the pipelined simulator runs its own stripped loop, and only from a
-    freshly loaded pipeline (``PipelinedSimulator.run``).
+    auto-checkpointer, or a profiler -- is attached to the simulator.
+    The functional and multi-cycle simulators' ``advance()`` then runs
+    :func:`run_functional`; ``PipelinedSimulator.run`` runs the
+    pipeline's own stripped loop, and only from a freshly loaded
+    pipeline.
     """
-    if _obs.active:
-        return False
-    inner = getattr(sim, "_inner", None)
-    for owner in (sim,) if inner is None else (sim, inner):
-        if getattr(owner, "trace", None) is not None:
-            return False
-        if getattr(owner, "checkpointer", None) is not None:
-            return False
-        if getattr(owner, "profiler", None) is not None:
-            return False
-    return True
+    return not _obs.active and all(
+        getattr(sim, observer, None) is None
+        for observer in ("trace", "checkpointer", "profiler"))
 
 
 def _untranslatable(policy) -> frozenset:
@@ -344,17 +337,17 @@ def _translate(cache: PredecodeCache, mem, start: int, unsafe: frozenset,
     return block
 
 
-def run_functional(sim, max_steps: int, costs=None) -> int:
-    """Stripped equivalent of ``FunctionalSimulator.run``'s step loop.
+def run_functional(sim, max_steps: int) -> int:
+    """Stripped equivalent of ``FunctionalSimulator.advance``'s step loop.
 
     Runs until the machine halts or ``max_steps`` steps have run and
     returns the number of steps (trapped instructions included).  It
     fires no watchdog: a caller whose machine still runs when the budget
     is spent decides what that means -- ``run()`` fires the ``watchdog``
     trap (:func:`repro.faults.traps.fire_watchdog`), a batch lane applies
-    its next fault events and carries on.  With ``costs`` (a
-    :class:`~repro.cpu.multicycle.CycleCosts`) it also charges
-    ``sim.cycles`` like ``MultiCycleSimulator.run``: per retired
+    its next fault events and carries on.  When ``sim.costs`` is a
+    :class:`~repro.cpu.multicycle.CycleCosts` it also charges
+    ``sim.cycles`` like ``MultiCycleSimulator.step``: per retired
     instruction by mnemonic, and ``costs.sys`` per trap.  The charge is
     made after every step (not batched) because trap records read the
     clock through ``machine.cycle_provider`` at delivery time, and the
@@ -371,6 +364,7 @@ def run_functional(sim, max_steps: int, costs=None) -> int:
     """
     machine = sim.machine
     syscalls = sim.syscalls
+    costs = sim.costs
     cost_of = (None if costs is None
                else {m: costs.cycles_for(m) for m in FAST_HANDLERS})
     trap_cost = costs.sys if costs is not None else 0

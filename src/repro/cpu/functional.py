@@ -7,9 +7,12 @@ semantics, through one of two loops: the observed loop (:meth:`step`,
 via :func:`~repro.cpu.exec_core.execute`) whenever telemetry, a trace,
 a checkpointer, or a profiler is attached, and otherwise the stripped
 loop :func:`repro.cpu.fastpath.run_functional`, whose translated tier
-runs hot blocks as compiled closures built from the same table.  The
-lanes of a batch (:mod:`repro.cpu.batch`) are instances of this
-simulator, and the timing models are checked against it on random
+runs hot blocks as compiled closures built from the same table.
+:meth:`FunctionalSimulator.advance` picks the loop; ``run()`` wraps it
+in a telemetry span and the watchdog.  The multi-cycle simulator
+(:mod:`repro.cpu.multicycle`) is this simulator plus cycle costs, the
+lanes of a batch (:mod:`repro.cpu.batch`) advance through the same
+method, and the timing models are checked against it on random
 programs.
 
 Abnormal events route through the trap model
@@ -37,6 +40,12 @@ from repro.obs.spans import NULL_SPAN
 
 class FunctionalSimulator:
     """Executes a program image one instruction at a time."""
+
+    #: the engine's ``--sim`` name
+    name = "functional"
+    #: :class:`~repro.cpu.multicycle.CycleCosts` the stripped loop
+    #: charges per instruction; ``None`` runs untimed
+    costs = None
 
     def __init__(
         self,
@@ -90,6 +99,29 @@ class FunctionalSimulator:
             self.trace.record(pc, instr, effects, machine)
         return effects
 
+    def advance(self, n: int) -> int:
+        """Run up to ``n`` steps, stopping at halt; returns the steps run
+        (trapped instructions included).
+
+        With no observer attached (:func:`repro.cpu.fastpath.eligible`)
+        the stripped loop :func:`repro.cpu.fastpath.run_functional` runs,
+        charging any :attr:`costs`; otherwise :meth:`step` does, ticking an
+        attached checkpointer after every step.  Fires no watchdog:
+        :meth:`run` does, and a batch lane applies its next fault events
+        and carries on.
+        """
+        if _fastpath.eligible(self):
+            return _fastpath.run_functional(self, n)
+        machine = self.machine
+        checkpointer = self.checkpointer
+        steps = 0
+        while steps < n and not machine.halted:
+            self.step()
+            steps += 1
+            if checkpointer is not None:
+                checkpointer.tick(machine)
+        return steps
+
     def run(self, max_steps: int = 1_000_000) -> int:
         """Run until ``sys``-halt; returns instructions executed.
 
@@ -100,28 +132,14 @@ class FunctionalSimulator:
         count lands on the ``cpu.instructions`` counter.  An attached
         :class:`~repro.faults.checkpoint.AutoCheckpointer` snapshots the
         machine periodically so a watchdog expiry is recoverable.
-
-        With no observer attached the stripped loop in
-        :mod:`repro.cpu.fastpath` runs the same handlers instead, and
-        runs hot blocks as translated closures.
         """
-        machine = self.machine
-        if _fastpath.eligible(self):
-            steps = _fastpath.run_functional(self, max_steps)
-        else:
-            telemetry = _obs.current() if _obs.active else None
-            steps = 0
-            checkpointer = self.checkpointer
-            with (telemetry.span("cpu.run", cat="cpu", sim="functional")
-                  if telemetry is not None else NULL_SPAN):
-                while steps < max_steps and not machine.halted:
-                    self.step()
-                    steps += 1
-                    if checkpointer is not None:
-                        checkpointer.tick(machine)
-            if telemetry is not None:
-                telemetry.metrics.counter("cpu.instructions").add(steps)
-        if not machine.halted:
-            fire_watchdog(machine,
+        telemetry = _obs.current() if _obs.active else None
+        with (telemetry.span("cpu.run", cat="cpu", sim=self.name)
+              if telemetry is not None else NULL_SPAN):
+            steps = self.advance(max_steps)
+        if telemetry is not None:
+            telemetry.metrics.counter("cpu.instructions").add(steps)
+        if not self.machine.halted:
+            fire_watchdog(self.machine,
                           f"exceeded {max_steps} steps without halting")
         return steps

@@ -1,8 +1,8 @@
 """Multi-cycle timing model (the students' first implementation project).
 
-Architecturally identical to the functional simulator, but charges a
-configurable number of cycles per instruction class, the way a classic
-multi-cycle (non-pipelined) implementation would: every instruction pays
+The functional simulator plus :class:`CycleCosts`: a configurable number
+of cycles per instruction class, the way a classic multi-cycle
+(non-pipelined) implementation would charge them: every instruction pays
 fetch + decode + execute + writeback, memory operations and multiply pay
 extra state cycles, and two-word Qat instructions pay an extra fetch.
 
@@ -10,10 +10,15 @@ The default costs are a plausible rendering of the course design (the
 paper reports team scores, not cycle tables, for the multi-cycle project)
 and are swappable for sensitivity studies.
 
-An unobserved :meth:`MultiCycleSimulator.run` takes the functional
-simulator's stripped loop (:func:`repro.cpu.fastpath.run_functional`)
-with its :class:`CycleCosts`, translated tier included: a translated
-block charges the sum of its instructions' cycles when it retires.
+:class:`MultiCycleSimulator` subclasses
+:class:`~repro.cpu.functional.FunctionalSimulator` and inherits its
+loading, :meth:`~repro.cpu.functional.FunctionalSimulator.advance` and
+``run()``.  Its :meth:`~MultiCycleSimulator.step` charges each
+instruction's cycles (and attributes them to a profiler) on top of the
+functional step; an unobserved run takes the stripped loop
+(:func:`repro.cpu.fastpath.run_functional`) with the same costs,
+translated tier included: a translated block charges the sum of its
+instructions' cycles when it retires.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from repro.aob.bitvector import QAT_WAYS
 from repro.cpu import fastpath as _fastpath
 from repro.cpu.functional import FunctionalSimulator
 from repro.cpu.syscalls import SyscallHandler
-from repro.errors import HaltedError, SimulatorError
-from repro.faults.traps import TrapPolicy, fire_watchdog
+from repro.errors import HaltedError
+from repro.faults.traps import TrapPolicy
 from repro.isa.instructions import INSTRUCTIONS
 
 
@@ -77,8 +82,10 @@ class CycleCosts:
         return parts
 
 
-class MultiCycleSimulator:
-    """Functional execution plus a per-instruction cycle charge."""
+class MultiCycleSimulator(FunctionalSimulator):
+    """The functional simulator plus a per-instruction cycle charge."""
+
+    name = "multicycle"
 
     def __init__(
         self,
@@ -88,37 +95,14 @@ class MultiCycleSimulator:
         trap_policy: TrapPolicy | None = None,
         qat_backend="dense",
     ):
+        super().__init__(ways, syscalls=syscalls, trap_policy=trap_policy,
+                         qat_backend=qat_backend)
         self.costs = costs or CycleCosts()
         self.cycles = 0
-        self._inner = FunctionalSimulator(
-            ways=ways, syscalls=syscalls, trap_policy=trap_policy,
-            qat_backend=qat_backend,
-        )
         self.machine.cycle_provider = lambda: self.cycles
         #: optional :class:`repro.obs.profile.Profiler`; every cycle
         #: charged by :meth:`step` is attributed to a PC and reason.
         self.profiler = None
-
-    @property
-    def machine(self):
-        return self._inner.machine
-
-    @property
-    def syscalls(self):
-        return self._inner.syscalls
-
-    @property
-    def checkpointer(self):
-        return self._inner.checkpointer
-
-    @checkpointer.setter
-    def checkpointer(self, value) -> None:
-        self._inner.checkpointer = value
-
-    def load(self, program, origin: int | None = None) -> None:
-        """Load an assembled program image."""
-        self._inner.load(program, origin)
-        self.cycles = 0
 
     def step(self) -> int:
         """Execute one instruction; returns the cycles it cost."""
@@ -134,7 +118,7 @@ class MultiCycleSimulator:
             instr = _fastpath.cache_for(machine).lookup(machine.mem, pc).instr
             prof.current_pc = pc
         try:
-            effects = self._inner.step()
+            effects = super().step()
         finally:
             if prof is not None:
                 prof.current_pc = None
@@ -146,31 +130,9 @@ class MultiCycleSimulator:
         return cost
 
     def run(self, max_steps: int = 1_000_000) -> int:
-        """Run to halt; returns total cycles.
-
-        A blown step budget fires a ``watchdog`` trap -- a
-        :class:`~repro.errors.SimulatorError` under the default policy,
-        a clean stop under ``halt``.
-
-        With no observer attached (no profiler, trace, checkpointer, or
-        telemetry) the stripped loop in :mod:`repro.cpu.fastpath`, with
-        its translated blocks, runs instead, charging the same
-        :class:`CycleCosts`.
-        """
-        machine = self.machine
-        if _fastpath.eligible(self):
-            _fastpath.run_functional(self, max_steps, costs=self.costs)
-        else:
-            steps = 0
-            checkpointer = self._inner.checkpointer
-            while steps < max_steps and not machine.halted:
-                self.step()
-                steps += 1
-                if checkpointer is not None:
-                    checkpointer.tick(machine)
-        if not machine.halted:
-            fire_watchdog(machine,
-                          f"exceeded {max_steps} steps without halting")
+        """Run to halt like :meth:`FunctionalSimulator.run`; returns total
+        cycles."""
+        super().run(max_steps)
         return self.cycles
 
     @property

@@ -54,12 +54,13 @@ from repro.cpu.fastpath import Predecoded
 from repro.cpu.state import MachineState
 from repro.cpu.syscalls import SyscallHandler
 from repro.errors import HaltedError
-from repro.faults.traps import TrapCause, TrapDelivered, TrapPolicy
+from repro.faults.traps import (TrapCause, TrapDelivered, TrapPolicy,
+                               fire_watchdog)
 from repro.isa.instructions import Instr
 from repro.isa.registers import NUM_GPRS, NUM_QAT_REGS
 from repro.obs import flight as _flight
 from repro.obs import runtime as _obs
-from repro.obs.spans import PID_PIPELINE
+from repro.obs.spans import NULL_SPAN, PID_PIPELINE
 
 
 @dataclass
@@ -114,17 +115,11 @@ class _InFlight:
     """One instruction (or fetch error) moving through the pipe."""
 
     pc: int
-    entry: Predecoded  # what IF read; stale once a store evicts it
+    entry: Predecoded  # what IF read, with its register use in ``static``
     instr: Instr | None  # None = fetched garbage (wrong-path data)
-    words: int = 1
     fetch_left: int = 0
     ex_left: int = 1
     executed: bool = False
-    reads_gpr: frozenset = frozenset()
-    writes_gpr: frozenset = frozenset()
-    reads_qreg: frozenset = frozenset()
-    writes_qreg: frozenset = frozenset()
-    is_load: bool = False
     # (stage label, entry cycle) pairs, populated only while telemetry
     # tracing is active; None keeps the default path allocation-free.
     stage_entries: list | None = None
@@ -229,37 +224,16 @@ class PipelinedSimulator:
     def _start_fetch(self) -> _InFlight:
         pc = self._fetch_pc
         entry = _fastpath.cache_for(self.machine).lookup(self.machine.mem, pc)
-        instr = entry.instr
-        if instr is None:
-            # Wrong-path fetch of data; becomes an error only if executed.
-            self._fetch_pc = (pc + 1) & 0xFFFF
-            rec = _InFlight(pc=pc, entry=entry, instr=None, words=1,
-                            fetch_left=1)
-            if self._obs is not None:
-                rec.stage_entries = [("IF", self.stats.cycles)]
-            return rec
-        words, stat = entry.words, entry.static
-        self._fetch_pc = (pc + words) & 0xFFFF
+        # A wrong-path fetch of data is one word (``instr`` None), and an
+        # error only if executed.
+        self._fetch_pc = (pc + entry.words) & 0xFFFF
+        # Two result writes through a single Qat write port hold EX twice.
         ex_left = 1
-        if not self.config.second_qat_write_port and instr.mnemonic in (
-            "qswap",
-            "qcswap",
-        ):
-            # Two result writes through a single Qat write port.
+        if (not self.config.second_qat_write_port
+                and entry.mnemonic in ("qswap", "qcswap")):
             ex_left = 2
-        rec = _InFlight(
-            pc=pc,
-            entry=entry,
-            instr=instr,
-            words=words,
-            fetch_left=words,
-            ex_left=ex_left,
-            reads_gpr=stat.reads_gpr,
-            writes_gpr=stat.writes_gpr,
-            reads_qreg=stat.reads_qreg,
-            writes_qreg=stat.writes_qreg,
-            is_load=stat.is_load,
-        )
+        rec = _InFlight(pc=pc, entry=entry, instr=entry.instr,
+                        fetch_left=entry.words, ex_left=ex_left)
         if self._obs is not None:
             rec.stage_entries = [("IF", self.stats.cycles)]
         return rec
@@ -272,21 +246,25 @@ class PipelinedSimulator:
         Returns ``(reason, producer)`` so the caller can both count the
         stall kind and blame the older instruction it waited on.
         """
+        use = rec.entry.static
+        if use is None:  # fetched garbage reads nothing
+            return None
         nstages = self.config.stages
         for s in range(_EX, nstages):
             prod = self._pipe[s]
             if prod is None or prod.instr is None:
                 continue
+            made = prod.entry.static
             raw = (
-                (rec.reads_gpr & prod.writes_gpr)
-                or (rec.reads_qreg & prod.writes_qreg)
+                (use.reads_gpr & made.writes_gpr)
+                or (use.reads_qreg & made.writes_qreg)
             )
             if not raw:
                 continue
             if self.config.forwarding:
                 # Results forward from the end of EX (loads: end of MEM in
                 # the 5-stage) straight into the consumer's EX.
-                if prod.is_load and s == _EX and nstages == 5:
+                if made.is_load and s == _EX and nstages == 5:
                     return ("load_use", prod)
                 continue
             # No forwarding: wait until the producer is in WB (split-phase
@@ -508,32 +486,33 @@ class PipelinedSimulator:
     def run(self, max_cycles: int = 10_000_000) -> PipelineStats:
         """Run to ``sys``-halt; returns the cycle statistics.
 
-        While a telemetry instance is installed (``repro.obs``), the run
-        is wrapped in a ``pipeline.run`` span, per-stage occupancy is
-        traced on the cycle timebase, and the final
-        :class:`PipelineStats` are published into the metric registry.
+        A pipeline still running at cycle ``max_cycles`` takes the
+        ``watchdog`` trap.  While a telemetry instance is installed
+        (``repro.obs``), the run is wrapped in a ``pipeline.run`` span,
+        per-stage occupancy is traced on the cycle timebase, and the
+        final :class:`PipelineStats` are published into the metric
+        registry.
 
         With no observer attached (:func:`repro.cpu.fastpath.eligible`)
         and the pipeline fresh from :meth:`load`, the stripped loop
         :meth:`_run_stripped` replays the cycle-stepped loop's timing
-        without stepping the latches.
+        without stepping the latches; otherwise :meth:`advance` steps it.
         """
         telemetry = _obs.current() if _obs.active else None
         self._obs = telemetry if (telemetry is not None and telemetry.tracing) else None
         try:
-            if telemetry is not None:
-                with telemetry.span(
-                    "pipeline.run",
-                    cat="cpu",
-                    stages=self.config.stages,
-                    forwarding=self.config.forwarding,
-                ):
-                    self._run_to_halt(max_cycles)
-            elif (self.stats.cycles == 0 and self._fetch_current is None
-                  and _fastpath.eligible(self)):
+            if (self.stats.cycles == 0 and self._fetch_current is None
+                    and _fastpath.eligible(self)):
                 self._run_stripped(max_cycles)
             else:
-                self._run_to_halt(max_cycles)
+                with (telemetry.span("pipeline.run", cat="cpu",
+                                     stages=self.config.stages,
+                                     forwarding=self.config.forwarding)
+                      if telemetry is not None else NULL_SPAN):
+                    self.advance(max_cycles - self.stats.cycles)
+                    if not self.machine.halted:
+                        fire_watchdog(self.machine, f"exceeded {max_cycles} "
+                                      "cycles without halting")
         finally:
             self._obs = None
             # Every executed instruction would drain to WB; count them
@@ -544,20 +523,23 @@ class PipelinedSimulator:
             telemetry.publish_pipeline(self.stats)
         return self.stats
 
-    def _run_to_halt(self, max_cycles: int) -> None:
+    def advance(self, n: int) -> int:
+        """Step up to ``n`` clock cycles, stopping at halt; returns the
+        cycles stepped.
+
+        Fires no watchdog: :meth:`run` does, and a batch lane applies its
+        next fault events and carries on.  An attached checkpointer ticks
+        every cycle.
+        """
+        machine = self.machine
         checkpointer = self.checkpointer
-        while not self.machine.halted:
-            if self.stats.cycles >= max_cycles:
-                try:
-                    self.machine.trap(
-                        TrapCause.WATCHDOG,
-                        detail=f"exceeded {max_cycles} cycles without halting",
-                    )
-                except TrapDelivered:
-                    break
+        done = 0
+        while done < n and not machine.halted:
             self.cycle()
+            done += 1
             if checkpointer is not None:
-                checkpointer.tick(self.machine, cycle=self.stats.cycles)
+                checkpointer.tick(machine, cycle=self.stats.cycles)
+        return done
 
     def _run_stripped(self, max_cycles: int) -> None:
         """The stripped loop: handlers in retire order, timing by scoreboard.

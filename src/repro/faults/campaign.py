@@ -27,6 +27,7 @@ that determinism is asserted in CI.  When telemetry
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -93,10 +94,7 @@ def golden_run(program, sim: str = "functional", ways: int = 8,
     """Fault-free reference execution: (architectural result, steps)."""
     reference = new_simulator(sim, ways, qat_backend)
     reference.load(program)
-    steps = 0
-    while not reference.machine.halted:
-        reference.step()
-        steps += 1
+    steps = reference.advance(sys.maxsize)  # no budget: it runs to halt
     return _architectural_result(reference.machine), steps
 
 

@@ -138,9 +138,11 @@ class FaultPlan:
 def apply_event(machine, event: FaultEvent, pipeline=None) -> None:
     """Flip the bit ``event`` names in ``machine`` (or a pipeline latch).
 
-    ``latch`` events need the owning :class:`PipelinedSimulator` (they
-    corrupt the PC captured in an in-flight stage record); on other
-    simulators they degrade to an architectural PC flip.
+    ``pipeline`` is the owning :class:`PipelinedSimulator`, if any.  A
+    ``pc`` event there flips the fetch PC as well, the register the next
+    fetch reads.  ``latch`` events corrupt the PC captured in an
+    in-flight stage record; on other simulators they degrade to an
+    architectural PC flip.
     """
     from repro.obs import flight as _flight
     from repro.obs import runtime as _obs
@@ -167,6 +169,10 @@ def apply_event(machine, event: FaultEvent, pipeline=None) -> None:
         machine.flip_qreg_bit(event.index, event.word, event.bit)
     elif event.target == "pc":
         machine.pc ^= 1 << event.bit
+        if pipeline is not None:
+            # IF fetches from the pipeline's own PC register; EX
+            # overwrites ``machine.pc`` with the PC of what it executes.
+            pipeline._fetch_pc ^= 1 << event.bit
     elif event.target == "latch":
         rec = None
         if pipeline is not None:

@@ -103,6 +103,19 @@ QREG = st.one_of(st.integers(0, 7), st.just(255))
 #: +inf, -inf, quiet NaN, NaN, max finite, smallest subnormal, -0.
 BF16_SPECIALS = st.sampled_from(
     (0x7F80, 0xFF80, 0x7FC0, 0xFFC1, 0x7F7F, 0x0001, 0x8000))
+#: A 16-bit value, half the time an integer corner: 0, 1, the largest
+#: and the most negative signed value, -1.
+WORDS = st.one_of(st.sampled_from((0, 1, 0x7FFF, 0x8000, 0xFFFF)),
+                  st.integers(0, 0xFFFF))
+#: A shift amount, half the time at an edge: +-15 keeps one bit, +-16
+#: shifts every bit out.
+SHIFTS = st.one_of(st.sampled_from((15, 16, 0xFFF1, 0xFFF0)), WORDS)
+#: The two-register integer ops whose result has corners: wrap-around,
+#: sign and shift edges.
+ALU_CORNER_OPS = ("add", "mul", "shift", "slt")
+#: Where an ``alu`` item keeps its results; no other item writes them,
+#: so a wrong result reaches the final state.
+ALU_RESULTS = range(6, 6 + len(ALU_CORNER_OPS))
 OPS = tuple(m for m in INSTRUCTIONS if m not in ("brf", "brt", "jumpr", "sys"))
 ILLEGAL = st.integers(0, 0xFFFF).filter(
     lambda word: fastpath._predecode([word, 0], 0).error is not None)
@@ -124,14 +137,24 @@ def _op(draw, ways, words=(1, 2)) -> Instr:
 
 def _item(draw, i, n, ways) -> list:
     kind = draw(st.sampled_from(
-        ("op", "op", "op", "op", "const", "bf16", "branch", "loop", "jump",
-         "sys", "store_next", "store_fixed", "top", "illegal")))
+        ("op", "op", "op", "op", "const", "alu", "alu", "bf16", "branch",
+         "loop", "jump", "sys", "store_next", "store_fixed", "top",
+         "illegal")))
     ahead = min(i + 1 + draw(st.integers(1, 3)), n)
     a, v = draw(st.lists(GPR, min_size=2, max_size=2, unique=True))
     if kind == "op":
         return [_op(draw, ways)]
     if kind == "const":
-        return _const(a, draw(st.integers(0, 0xFFFF)))
+        return _const(a, draw(WORDS))
+    if kind == "alu":  # integer ops on a corner pair, each on a copy
+        x = draw(WORDS)
+        # Half the time the same value with the other sign, or a shift edge.
+        y = x ^ 0x8000 if draw(st.booleans()) else draw(SHIFTS)
+        ops = draw(st.lists(st.sampled_from(ALU_CORNER_OPS), min_size=1,
+                            max_size=len(ALU_CORNER_OPS), unique=True))
+        return _const(a, x) + _const(v, y) + [
+            p for t, m in zip(ALU_RESULTS, ops)
+            for p in (Instr("copy", (t, a)), Instr(m, (t, v)))]
     if kind == "bf16":  # non-finite operands, trapped or not per trap_bf16
         m = draw(st.sampled_from(("addf", "mulf", "recip", "negf", "int")))
         return (_const(a, draw(BF16_SPECIALS)) + _const(v, draw(BF16_SPECIALS))
@@ -168,14 +191,17 @@ def programs(draw, max_items: int = 24) -> Program:
     """Random programs over the whole ISA; runaways hit the watchdog."""
     ways = draw(st.sampled_from((6, 8)))
     n = draw(st.integers(1, max_items))
+    # Every register GPR draws starts at a corner-biased value.
+    init = [p for reg in range(6) for p in _const(reg, draw(WORDS))]
     items = [_item(draw, i, n, ways) for i in range(n)]
-    starts = [len(PROLOGUE)]
+    starts = [len(PROLOGUE) + len(init)]
     for item in items:
         starts.append(starts[-1] + sum(
             INSTRUCTIONS[p.mnemonic].words if isinstance(p, Instr) else 1
             for p in item))
     words = []
-    for piece in [*PROLOGUE, *(p for item in items for p in item), *EPILOGUE]:
+    for piece in [*PROLOGUE, *init, *(p for item in items for p in item),
+                  *EPILOGUE]:
         if callable(piece):
             piece = piece(len(words), starts)
         words.extend(encode(piece) if isinstance(piece, Instr) else [piece])

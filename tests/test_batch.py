@@ -209,9 +209,9 @@ class TestBatchVsSerialState:
         calls = []
         original = fastpath.run_functional
 
-        def counting(sim, max_steps, costs=None):
+        def counting(sim, max_steps):
             calls.append(sim)
-            return original(sim, max_steps, costs)
+            return original(sim, max_steps)
 
         monkeypatch.setattr(fastpath, "run_functional", counting)
         plan = FaultPlan(seed=0, events=(

@@ -304,7 +304,7 @@ class TestTranslatedBlocks:
                     for _ in range(60):
                         mc.step()
                 else:
-                    fastpath.run_functional(mc, 60, costs=mc.costs)
+                    fastpath.run_functional(mc, 60)
                 mc.costs = CycleCosts(alu=5, fpu=7, branch=2)
             cycles.append(mc.cycles)
         assert cycles[0] == cycles[1]

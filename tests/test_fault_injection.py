@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.aob import AoB
-from repro.cpu import FunctionalSimulator
+from repro.cpu import FunctionalSimulator, PipelinedSimulator
 from repro.errors import ReproError
 from repro.faults import (
     FaultEvent,
@@ -74,6 +74,13 @@ class TestApplyEvent:
         apply_event(sim.machine, FaultEvent(0, "pc", 0, 0, 4))
         assert sim.machine.pc == 16
 
+    def test_pc_flip_redirects_pipeline_fetch(self):
+        sim = PipelinedSimulator(ways=6)
+        sim.load([0] * 4)
+        apply_event(sim.machine, FaultEvent(0, "pc", 0, 0, 4), pipeline=sim)
+        assert sim.machine.pc == 16
+        assert sim._fetch_pc == 16
+
 
 class TestCampaign:
     def test_deterministic_report(self):
@@ -101,6 +108,14 @@ class TestCampaign:
             program="fig10", runs=12, seed=3, targets=("gpr", "mem", "pc")
         )
         assert report["summary"]["detected"] > 0
+
+    def test_pipelined_pc_faults_get_detected(self):
+        """A PC flip redirects the pipeline's fetch, not only ``machine.pc``
+        (which EX overwrites), so control-flow faults are seen there too."""
+        report = run_campaign(program="fig10", runs=12, seed=3,
+                              sim="pipelined", targets=("pc",))
+        assert report["summary"]["detected"] > 0
+        assert report["summary"]["masked"] < 12
 
     def test_rejects_bad_program(self):
         with pytest.raises(ReproError):
