@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.aob import AoB, kernels
 from repro.aob.bitvector import MAX_DENSE_WAYS
-from repro.errors import SimulatorError
+from repro.errors import EntanglementError, SimulatorError
 from repro.isa.registers import NUM_QAT_REGS
 from repro.obs import runtime as _obs
 from repro.pattern import ChunkStore, PatternVector
@@ -364,10 +364,16 @@ class REQatBackend(QatBackend):
     def write(self, reg: int, value) -> None:
         if isinstance(value, PatternVector):
             if value.store is not self.store:
+                if value.store.chunk_ways != self.store.chunk_ways:
+                    raise EntanglementError(
+                        f"chunk must be {self.store.chunk_ways}-way, got "
+                        f"{value.store.chunk_ways}-way"
+                    )
                 value = PatternVector(
                     self.ways,
                     tuple(
-                        (self.store.intern(value.store.chunk(sym)), count)
+                        (self.store.intern_int(value.store.chunk_int(sym)),
+                         count)
                         for sym, count in value.runs
                     ),
                     self.store,

@@ -1,24 +1,26 @@
 """Interned chunk symbols with memoized gate operations.
 
-Each symbol is an :class:`~repro.aob.AoB` of ``chunk_ways`` entanglement
-(65,536 bits for the paper's full-scale Qat).  Because AoB values are
-immutable and hashable, identical chunks intern to the same symbol id, and
-the result of any gate applied to a given symbol pair is computed exactly
-once.  This is what turns the run-length representation into *symbolic*
-computation: a gate over two pattern vectors costs O(distinct symbol
-pairs), not O(total bits).
+Each symbol is a ``chunk_ways``-way chunk (65,536 bits for the paper's
+full-scale Qat) held as a Python ``int``, channel ``e`` being bit ``e``;
+:class:`~repro.aob.AoB` is only the type at the store's edge.  Identical
+chunks intern to the same symbol id, and the result of any gate applied
+to a given symbol pair is computed exactly once.  This is what turns the
+run-length representation into *symbolic* computation: a gate over two
+pattern vectors costs O(distinct symbol pairs), not O(total bits).
 """
 
 from __future__ import annotations
 
-import zlib
 from collections import OrderedDict
+from operator import and_, or_, xor
 
 import numpy as np
 
 from repro.aob import AoB
+from repro.aob.bitvector import MAX_DENSE_WAYS
 from repro.errors import EntanglementError
 from repro.obs import runtime as _obs
+from repro.utils.bits import words_for_bits
 
 #: Default bound on each gate memo table (entries).  Long RE-backend
 #: runs keep streaming fresh symbol pairs; an unbounded memo would grow
@@ -27,18 +29,24 @@ from repro.obs import runtime as _obs
 #: factorings, such as the suite's 22-way one, do evict).
 MEMO_LIMIT = 1 << 16
 
+#: The chunk gates; all three are commutative.
+_BINOPS = {"and": and_, "or": or_, "xor": xor}
+
 
 class ChunkStore:
-    """Hash-consing store for AoB chunk symbols of a fixed width.
+    """Hash-consing store for chunk symbols of a fixed width.
 
     Symbol ids are small ints; id 0 is always the all-zeros chunk and id 1
     the all-ones chunk (mirroring the paper's suggestion of reserving
-    constant registers ``@0`` = 0 and ``@1`` = 1).
+    constant registers ``@0`` = 0 and ``@1`` = 1).  Telemetry counts the
+    bits (``qat.bits.*``) the equivalent dense AoB kernel would sweep.
     """
 
     def __init__(self, chunk_ways: int, memo_limit: int = MEMO_LIMIT):
-        if chunk_ways < 0:
-            raise EntanglementError(f"chunk_ways must be >= 0, got {chunk_ways}")
+        if not 0 <= chunk_ways <= MAX_DENSE_WAYS:  # chunks convert to AoB
+            raise EntanglementError(
+                f"chunk_ways must be in [0, {MAX_DENSE_WAYS}], got {chunk_ways}"
+            )
         if memo_limit <= 0:
             raise EntanglementError(
                 f"memo_limit must be positive, got {memo_limit}"
@@ -51,12 +59,16 @@ class ChunkStore:
         #: eviction breakdown per memo table
         self.memo_evicted_by = {"binop": 0, "not": 0, "measure": 0}
         self.chunk_bits = 1 << chunk_ways
-        self._chunks: list[AoB] = []
-        self._ids: dict[AoB, int] = {}
-        # crc32 of each interned chunk's payload, checked by chunk_safe so
-        # a chunk corrupted after interning degrades instead of poisoning
-        # the symbolic layer.
-        self._crcs: list[int] = []
+        #: packed uint64 words a dense chunk occupies (telemetry volume)
+        self.chunk_words = words_for_bits(self.chunk_bits)
+        self._mask = (1 << self.chunk_bits) - 1
+        self._ints: list[int] = []
+        self._ids: dict[int, int] = {}
+        # hash() of each interned value, checked by chunk_int_safe so a
+        # corrupted chunk degrades instead of poisoning the symbolic layer.
+        # Int hashes reduce modulo 2**61 - 1, which no 2**k divides, so
+        # every single-bit flip changes the digest.
+        self._digests: list[int] = []
         # Memo tables are ordered by recency (a hit moves its entry to
         # the end), so the least recently used entry is evicted first.
         self._binop_cache: OrderedDict[tuple[str, int, int], int] = \
@@ -72,66 +84,80 @@ class ChunkStore:
         self.gate_misses = 0
         #: Times chunk_safe had to degrade (bad symbol or digest mismatch).
         self.degraded = 0
-        self.zero_id = self.intern(AoB.zeros(chunk_ways))
-        self.one_id = self.intern(AoB.ones(chunk_ways))
+        self.zero_id = self.intern_int(0)
+        if _obs.active:
+            _obs.current().qat_kernel("one", self.chunk_words)
+        self.one_id = self.intern_int(self._mask)
 
     def __len__(self) -> int:
-        return len(self._chunks)
+        return len(self._ints)
 
     # -- interning ----------------------------------------------------------
 
     def intern(self, chunk: AoB) -> int:
-        """Return the symbol id for ``chunk``, adding it if new."""
+        """Return the symbol id for the AoB ``chunk``, adding it if new."""
         if chunk.ways != self.chunk_ways:
             raise EntanglementError(
                 f"chunk must be {self.chunk_ways}-way, got {chunk.ways}-way"
             )
-        sym = self._ids.get(chunk)
+        return self.intern_int(chunk.to_int())
+
+    def intern_int(self, value: int) -> int:
+        """:meth:`intern` for a chunk given as an int < ``2**chunk_bits``."""
+        sym = self._ids.get(value)
         if sym is None:
-            sym = len(self._chunks)
-            self._chunks.append(chunk)
-            self._ids[chunk] = sym
-            self._crcs.append(zlib.crc32(chunk.words.tobytes()))
+            sym = len(self._ints)
+            self._ints.append(value)
+            self._ids[value] = sym
+            self._digests.append(hash(value))
             if _obs.active:
                 _obs.current().metrics.gauge("chunkstore.symbols").set(
-                    len(self._chunks)
+                    len(self._ints)
                 )
         return sym
 
     def chunk(self, sym: int) -> AoB:
         """The AoB value of symbol ``sym``."""
-        return self._chunks[sym]
+        return AoB.from_int(self.chunk_ways, self._ints[sym])
+
+    def chunk_int(self, sym: int) -> int:
+        """The int value of symbol ``sym`` (channel ``e`` = bit ``e``)."""
+        return self._ints[sym]
 
     def chunk_safe(self, sym: int) -> AoB:
-        """Fault-tolerant :meth:`chunk`: degrade on corruption, never crash.
+        """Fault-tolerant :meth:`chunk`; see :meth:`chunk_int_safe`."""
+        return AoB.from_int(self.chunk_ways, self.chunk_int_safe(sym))
+
+    def chunk_int_safe(self, sym: int) -> int:
+        """Fault-tolerant :meth:`chunk_int`: degrade on corruption, never crash.
 
         An out-of-range symbol (e.g. a bit flip in a run-length encoding)
-        resolves to the all-zeros chunk; a chunk whose payload no longer
-        matches its interning-time crc32 (a soft error in chunk memory) is
+        resolves to the all-zeros chunk; a chunk whose value no longer
+        matches its interning-time digest (a soft error in chunk memory) is
         accepted as dense ground truth again -- its digest is refreshed and
         every memoized result involving the symbol is purged, so the
         symbolic layer recomputes from the surviving bits instead of
         serving stale gate results.  Both paths bump :attr:`degraded` and
         the ``chunkstore.degraded`` telemetry counter.
         """
-        if not 0 <= sym < len(self._chunks):
-            self._degrade(f"symbol {sym} out of range")
-            return self._chunks[self.zero_id]
-        chunk = self._chunks[sym]
-        crc = zlib.crc32(chunk.words.tobytes())
-        if crc != self._crcs[sym]:
-            self._degrade(f"symbol {sym} failed its integrity digest")
-            self._reintern(sym, crc)
-        return self._chunks[sym]
+        if not 0 <= sym < len(self._ints):
+            self._degrade()
+            return self._ints[self.zero_id]
+        value = self._ints[sym]
+        digest = hash(value)
+        if digest != self._digests[sym]:
+            self._degrade()
+            self._reintern(sym, digest)
+        return value
 
-    def _degrade(self, detail: str) -> None:
+    def _degrade(self) -> None:
         self.degraded += 1
         if _obs.active:
             _obs.current().metrics.counter("chunkstore.degraded").inc()
 
-    def _reintern(self, sym: int, crc: int) -> None:
-        """Adopt a mutated chunk's dense bits as the symbol's new value."""
-        self._crcs[sym] = crc
+    def _reintern(self, sym: int, digest: int) -> None:
+        """Adopt a mutated chunk's bits as the symbol's new value."""
+        self._digests[sym] = digest
         # Purge in place: the tables stay OrderedDicts in recency order.
         for key in [key for key, result in self._binop_cache.items()
                     if sym in (key[1], key[2], result)]:
@@ -140,17 +166,17 @@ class ChunkStore:
             del self._not_cache[a]
         self._popcount.pop(sym, None)
         self._first_one.pop(sym, None)
-        # The hash-consing index keys chunks by content; rebuild it so the
-        # mutated value resolves to this symbol (first occurrence wins).
-        self._ids = {}
-        for i, chunk in enumerate(self._chunks):
-            self._ids.setdefault(chunk, i)
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild the value -> id index; the lowest id of a value wins."""
+        self._ids = {v: i for i, v in reversed(list(enumerate(self._ints)))}
 
     # -- checkpoint support ---------------------------------------------------
 
     def chunks(self) -> list[AoB]:
         """Every interned chunk, in symbol-id order (for checkpointing)."""
-        return list(self._chunks)
+        return [AoB.from_int(self.chunk_ways, value) for value in self._ints]
 
     def restore_chunks(self, chunk_words) -> None:
         """Rebuild the store from dense chunk payloads, id order preserved.
@@ -159,19 +185,15 @@ class ChunkStore:
         :meth:`chunks` (one per symbol).  All memo tables are dropped --
         they may reference symbols whose values changed.
         """
-        chunks = [
-            AoB(self.chunk_ways, np.array(words, dtype=np.uint64, copy=True))
-            for words in chunk_words
-        ]
-        if len(chunks) < 2:
+        values = [AoB(self.chunk_ways, np.array(words, dtype=np.uint64)).to_int()
+                  for words in chunk_words]
+        if len(values) < 2:
             raise EntanglementError(
                 "restore_chunks needs at least the two constant chunks"
             )
-        self._chunks = chunks
-        self._ids = {}
-        for i, chunk in enumerate(chunks):
-            self._ids.setdefault(chunk, i)
-        self._crcs = [zlib.crc32(c.words.tobytes()) for c in chunks]
+        self._ints = values
+        self._reindex()
+        self._digests = [hash(value) for value in values]
         self._binop_cache.clear()
         self._not_cache.clear()
         self._popcount.clear()
@@ -185,26 +207,25 @@ class ChunkStore:
 
     def binop(self, op: str, a: int, b: int) -> int:
         """Apply gate ``op`` in {'and','or','xor'} to symbols ``a``, ``b``."""
-        if op in ("and", "or", "xor") and a > b:
+        fn = _BINOPS.get(op)
+        if fn is None:
+            raise ValueError(f"unknown chunk binop {op!r}")
+        if a > b:
             a, b = b, a  # all three gates are commutative: halve the cache
         key = (op, a, b)
         cache = self._binop_cache
         sym = cache.get(key)
         if sym is not None:
             cache.move_to_end(key)
-            self._count_gate(hit=True)
+            self.gate_hits += 1
+            if _obs.active:
+                self._publish_gate(hit=True)
             return sym
-        self._count_gate(hit=False)
-        ca, cb = self._chunks[a], self._chunks[b]
-        if op == "and":
-            result = ca & cb
-        elif op == "or":
-            result = ca | cb
-        elif op == "xor":
-            result = ca ^ cb
-        else:
-            raise ValueError(f"unknown chunk binop {op!r}")
-        sym = self.intern(result)
+        self.gate_misses += 1
+        if _obs.active:
+            self._publish_gate(hit=False)
+            _obs.current().qat_kernel(op, self.chunk_words)
+        sym = self.intern_int(fn(self._ints[a], self._ints[b]))
         self._memo_insert(cache, key, sym, "binop")
         return sym
 
@@ -214,10 +235,15 @@ class ChunkStore:
         sym = cache.get(a)
         if sym is not None:
             cache.move_to_end(a)
-            self._count_gate(hit=True)
+            self.gate_hits += 1
+            if _obs.active:
+                self._publish_gate(hit=True)
             return sym
-        self._count_gate(hit=False)
-        sym = self.intern(~self._chunks[a])
+        self.gate_misses += 1
+        if _obs.active:
+            self._publish_gate(hit=False)
+            _obs.current().qat_kernel("not", self.chunk_words)
+        sym = self.intern_int(self._ints[a] ^ self._mask)
         self._memo_insert(cache, a, sym, "not")
         self._memo_insert(cache, sym, a, "not")  # involution
         return sym
@@ -233,21 +259,14 @@ class ChunkStore:
             if _obs.active:
                 _obs.current().metrics.counter("chunkstore.memo.evicted").inc()
 
-    def _count_gate(self, hit: bool) -> None:
-        """One memoized-gate lookup: hit = a whole chunk op avoided."""
+    def _publish_gate(self, hit: bool) -> None:
+        """Telemetry for one memoized-gate lookup: hit = a chunk op avoided."""
+        metrics = _obs.current().metrics
         if hit:
-            self.gate_hits += 1
-            if _obs.active:
-                metrics = _obs.current().metrics
-                metrics.counter("chunkstore.binop.hit").inc()
-                # Each hit skips recomputing (and re-storing) one chunk.
-                metrics.counter("chunkstore.bytes_saved").add(
-                    self.chunk_bits >> 3
-                )
+            metrics.counter("chunkstore.binop.hit").inc()
+            metrics.counter("chunkstore.bytes_saved").add(self.chunk_bits >> 3)
         else:
-            self.gate_misses += 1
-            if _obs.active:
-                _obs.current().metrics.counter("chunkstore.binop.miss").inc()
+            metrics.counter("chunkstore.binop.miss").inc()
 
     # -- memoized measurement summaries ---------------------------------------
 
@@ -257,7 +276,9 @@ class ChunkStore:
         if count is not None:
             self._popcount.move_to_end(sym)
             return count
-        count = self.chunk_safe(sym).popcount()
+        count = self.chunk_int_safe(sym).bit_count()
+        if _obs.active:
+            _obs.current().qat_kernel("popcount", self.chunk_words)
         self._memo_insert(self._popcount, sym, count, "measure")
         return count
 
@@ -267,27 +288,27 @@ class ChunkStore:
         if first is not None:
             self._first_one.move_to_end(sym)
             return first
-        chunk = self.chunk_safe(sym)
-        if chunk.meas(0):
-            first = 0
-        else:
-            nxt = chunk.next(0)
-            first = nxt if nxt else -1
+        value = self.chunk_int_safe(sym)
+        if _obs.active:  # the meas(0)-then-next(0) readout
+            telemetry = _obs.current()
+            telemetry.qat_kernel("meas", 1)
+            if not value & 1:
+                telemetry.qat_kernel("next", self.chunk_words)
+        first = (value & -value).bit_length() - 1
         self._memo_insert(self._first_one, sym, first, "measure")
         return first
 
     def stats(self) -> dict:
         """Diagnostics: store size, cache hit surface, and memo hit rate."""
         return {
-            "symbols": len(self._chunks),
+            "symbols": len(self._ints),
             "binop_cache": len(self._binop_cache),
             "not_cache": len(self._not_cache),
             "gate_hits": self.gate_hits,
             "gate_misses": self.gate_misses,
             "memo_limit": self.memo_limit,
             "memo_evicted": self.memo_evicted,
-            "memo_evicted_binop": self.memo_evicted_by["binop"],
-            "memo_evicted_not": self.memo_evicted_by["not"],
-            "memo_evicted_measure": self.memo_evicted_by["measure"],
+            **{f"memo_evicted_{table}": count
+               for table, count in self.memo_evicted_by.items()},
             "degraded": self.degraded,
         }

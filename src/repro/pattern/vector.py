@@ -1,8 +1,9 @@
 """Run-length compressed pattern vectors (the paper's RE representation).
 
 A :class:`PatternVector` of ``ways``-way entanglement holds :math:`2^{ways}`
-bits as a run-length list ``[(symbol, count), ...]`` of interned AoB chunk
-symbols, each chunk being :math:`2^{chunk\\_ways}` bits.  It exposes the
+bits as a run-length list ``[(symbol, count), ...]`` of interned chunk
+symbols, each chunk being :math:`2^{chunk\\_ways}` bits held as a Python
+``int`` by the :class:`~repro.pattern.chunkstore.ChunkStore`.  It exposes the
 same operation set as :class:`repro.aob.AoB` so the word-level PBP layer
 (:mod:`repro.pbp`) can use either substrate interchangeably.
 
@@ -15,14 +16,16 @@ store's memo table.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
 from repro.aob import AoB
 from repro.aob.bitvector import MAX_DENSE_WAYS
 from repro.errors import EntanglementError, MeasurementError
+from repro.obs import runtime as _obs
 from repro.pattern.chunkstore import ChunkStore
-from repro.utils.bits import WORD_BITS
 
 #: Chunk width used by the paper's full-scale design: 65,536-bit symbols.
 PAPER_CHUNK_WAYS = 16
@@ -59,7 +62,11 @@ Runs = tuple[tuple[int, int], ...]
 
 
 def _check_ways(ways: int, store: ChunkStore) -> int:
-    """Chunks covering a ``ways``-way vector, validating the width."""
+    """Chunks covering a ``ways``-way vector, validating both widths."""
+    if store.chunk_ways < 6:
+        raise EntanglementError(
+            "PatternVector requires chunk_ways >= 6 (whole-word chunks)"
+        )
     if ways < store.chunk_ways:
         raise EntanglementError(
             f"ways ({ways}) must be >= chunk_ways ({store.chunk_ways}); "
@@ -68,16 +75,11 @@ def _check_ways(ways: int, store: ChunkStore) -> int:
     return 1 << (ways - store.chunk_ways)
 
 
-def _coalesce(runs: list[tuple[int, int]]) -> Runs:
-    out: list[tuple[int, int]] = []
-    for sym, count in runs:
-        if count == 0:
-            continue
-        if out and out[-1][0] == sym:
-            out[-1] = (sym, out[-1][1] + count)
-        else:
-            out.append((sym, count))
-    return tuple(out)
+def _coalesce(runs) -> Runs:
+    """Drop empty runs and merge adjacent runs of one symbol."""
+    nonempty = (run for run in runs if run[1])
+    return tuple((sym, sum(count for _, count in group))
+                 for sym, group in groupby(nonempty, itemgetter(0)))
 
 
 class PatternVector:
@@ -100,24 +102,23 @@ class PatternVector:
 
     def __init__(self, ways: int, runs: Runs, store: ChunkStore | None = None):
         store = store or default_store()
-        if store.chunk_ways < 6:
-            raise EntanglementError(
-                "PatternVector requires chunk_ways >= 6 (whole-word chunks)"
-            )
-        if ways < store.chunk_ways:
-            raise EntanglementError(
-                f"ways ({ways}) must be >= chunk_ways ({store.chunk_ways}); "
-                "use repro.aob.AoB for narrower values"
-            )
+        _check_ways(ways, store)
         self.ways = ways
         self.nbits = 1 << ways
         self.store = store
-        self.runs = _coalesce(list(runs))
+        self.runs = _coalesce(runs)
         total = sum(count for _, count in self.runs)
         if total != self.num_chunks:
             raise EntanglementError(
                 f"runs cover {total} chunks, expected {self.num_chunks}"
             )
+
+    def _wrap(self, runs: Runs) -> "PatternVector":
+        """This vector's shape over coalesced ``runs`` covering every chunk."""
+        out = object.__new__(PatternVector)
+        out.ways, out.nbits, out.store, out.runs = \
+            self.ways, self.nbits, self.store, runs
+        return out
 
     # -- construction ---------------------------------------------------------
 
@@ -164,10 +165,8 @@ class PatternVector:
         if k < cw:
             return cls(ways, ((store.hadamard(k), nchunks),), store)
         run_len = 1 << (k - cw)
-        runs = []
-        for i in range(nchunks // run_len):
-            runs.append((store.one_id if i & 1 else store.zero_id, run_len))
-        return cls(ways, tuple(runs), store)
+        runs = ((store.zero_id, run_len), (store.one_id, run_len))
+        return cls(ways, runs * (nchunks // run_len // 2), store)
 
     @classmethod
     def from_aob(cls, aob: AoB, ways: int | None = None, store: ChunkStore | None = None) -> "PatternVector":
@@ -182,15 +181,14 @@ class PatternVector:
             ways = aob.ways
         if ways < aob.ways:
             raise EntanglementError("cannot truncate an AoB into fewer ways")
-        words_per_chunk = (1 << cw) // WORD_BITS
-        runs: list[tuple[int, int]] = []
-        src = aob.words
-        for i in range(aob.nbits // (1 << cw)):
-            chunk = AoB(cw, src[i * words_per_chunk : (i + 1) * words_per_chunk])
-            runs.append((store.intern(chunk), 1))
-        pad = (1 << (ways - cw)) - len(runs)
-        if pad:
-            runs.append((store.zero_id, pad))
+        nchunks = _check_ways(ways, store)
+        step = (1 << cw) >> 3  # bytes per chunk
+        raw = aob.words.astype("<u8", copy=False).tobytes()
+        runs = [
+            (store.intern_int(int.from_bytes(raw[i : i + step], "little")), 1)
+            for i in range(0, len(raw), step)
+        ]
+        runs.append((store.zero_id, nchunks - len(runs)))  # zero padding
         return cls(ways, tuple(runs), store)
 
     # -- expansion -------------------------------------------------------------
@@ -201,15 +199,12 @@ class PatternVector:
             raise EntanglementError(
                 f"{self.ways}-way is too wide to expand densely"
             )
-        words_per_chunk = self.store.chunk_bits // WORD_BITS
-        out = np.empty(self.num_chunks * words_per_chunk, dtype=np.uint64)
-        pos = 0
-        for sym, count in self.runs:
-            chunk_words = self.store.chunk_safe(sym).words
-            for _ in range(count):
-                out[pos : pos + words_per_chunk] = chunk_words
-                pos += words_per_chunk
-        return AoB(self.ways, out)
+        step = self.store.chunk_bits >> 3  # bytes per chunk
+        raw = b"".join(
+            self.store.chunk_int_safe(sym).to_bytes(step, "little") * count
+            for sym, count in self.runs
+        )
+        return AoB(self.ways, np.frombuffer(raw, dtype="<u8"))
 
     # -- gate operations --------------------------------------------------------
 
@@ -247,12 +242,10 @@ class PatternVector:
             if nb == 0:
                 ib += 1
                 sb, nb = other.runs[ib]
-        return PatternVector(self.ways, tuple(out), store)
+        return self._wrap(tuple(out))
 
     def binop(self, op: str, other: "PatternVector") -> "PatternVector":
         """Apply gate ``op`` in {'and', 'or', 'xor'} (run-merge walk)."""
-        if op not in ("and", "or", "xor"):
-            raise ValueError(f"unknown pattern binop {op!r}")
         return self._merge(other, op)
 
     def __and__(self, other: "PatternVector") -> "PatternVector":
@@ -284,24 +277,25 @@ class PatternVector:
 
     # -- measurement -------------------------------------------------------------
 
-    def _locate(self, chunk_index: int) -> tuple[int, int]:
-        """Return (run index, first chunk index of that run)."""
-        base = 0
+    def _find(self, channel: int) -> tuple[int, int, int, int]:
+        """(run index, its first chunk, chunk, offset) of ``channel``."""
+        cw = self.store.chunk_ways
+        chunk, base = channel >> cw, 0
         for i, (_, count) in enumerate(self.runs):
-            if chunk_index < base + count:
-                return i, base
+            if chunk < base + count:
+                return i, base, chunk, channel & ((1 << cw) - 1)
             base += count
-        raise MeasurementError(f"chunk index {chunk_index} out of range")
+        raise MeasurementError(f"channel {channel} out of range")
 
     def meas(self, channel: int) -> int:
         """Bit at entanglement ``channel`` (non-destructive)."""
         if channel < 0:
             raise MeasurementError(f"channel must be non-negative, got {channel}")
-        channel &= self.nbits - 1
-        cw = self.store.chunk_ways
-        run_idx, _ = self._locate(channel >> cw)
-        sym = self.runs[run_idx][0]
-        return self.store.chunk_safe(sym).meas(channel & ((1 << cw) - 1))
+        run_idx, _, _, off = self._find(channel & (self.nbits - 1))
+        value = self.store.chunk_int_safe(self.runs[run_idx][0])
+        if _obs.active:
+            _obs.current().qat_kernel("meas", 1)
+        return (value >> off) & 1
 
     def next(self, channel: int) -> int:
         """Lowest channel ``> channel`` holding a 1, else 0."""
@@ -311,18 +305,18 @@ class PatternVector:
         if start >= self.nbits:
             return 0
         store = self.store
-        cw = store.chunk_ways
-        chunk_bits = 1 << cw
-        q, r = start >> cw, start & (chunk_bits - 1)
-        run_idx, run_base = self._locate(q)
-        # Partial first chunk: bits >= r.
+        chunk_bits = store.chunk_bits
+        run_idx, run_base, q, r = self._find(start)
+        # Partial first chunk: bits >= r (a meas of r, then a next).
         sym = self.runs[run_idx][0]
-        chunk = store.chunk_safe(sym)
-        if chunk.meas(r):
-            return q * chunk_bits + r
-        hit = chunk.next(r)
-        if hit:
-            return q * chunk_bits + hit
+        above = store.chunk_int_safe(sym) >> r << r
+        if _obs.active:
+            telemetry = _obs.current()
+            telemetry.qat_kernel("meas", 1)
+            if not above >> r & 1:
+                telemetry.qat_kernel("next", store.chunk_words)
+        if above:
+            return q * chunk_bits + (above & -above).bit_length() - 1
         # Remaining chunks of the containing run share the symbol.
         remaining = run_base + self.runs[run_idx][1] - (q + 1)
         if remaining > 0 and store.first_one(sym) >= 0:
@@ -343,13 +337,12 @@ class PatternVector:
         if start >= self.nbits:
             return 0
         store = self.store
-        cw = store.chunk_ways
-        chunk_bits = 1 << cw
-        q, r = start >> cw, start & (chunk_bits - 1)
-        run_idx, run_base = self._locate(q)
+        run_idx, run_base, q, r = self._find(start)
         sym = self.runs[run_idx][0]
-        chunk = store.chunk_safe(sym)
-        count = chunk.popcount() if r == 0 else chunk.pop_after(r - 1)
+        count = (store.chunk_int_safe(sym) >> r).bit_count()
+        if _obs.active:
+            _obs.current().qat_kernel("pop" if r else "popcount",
+                                      store.chunk_words)
         remaining = run_base + self.runs[run_idx][1] - (q + 1)
         count += remaining * store.popcount(sym)
         for sym2, run_count in self.runs[run_idx + 1 :]:
@@ -375,22 +368,13 @@ class PatternVector:
         """
         if channel < 0:
             raise MeasurementError(f"channel must be non-negative, got {channel}")
-        channel &= self.nbits - 1
         store = self.store
-        cw = store.chunk_ways
-        ci, off = channel >> cw, channel & ((1 << cw) - 1)
-        run_idx, run_base = self._locate(ci)
+        run_idx, run_base, ci, off = self._find(channel & (self.nbits - 1))
         sym, count = self.runs[run_idx]
-        words = store.chunk_safe(sym).words.copy()
-        words[off >> 6] ^= np.uint64(1 << (off & (WORD_BITS - 1)))
-        flipped = store.intern(AoB(cw, words))
-        before = ci - run_base
-        split = [(sym, before), (flipped, 1), (sym, count - before - 1)]
-        runs = (
-            self.runs[:run_idx]
-            + tuple(piece for piece in split if piece[1])
-            + self.runs[run_idx + 1 :]
-        )
+        flipped = store.intern_int(store.chunk_int_safe(sym) ^ (1 << off))
+        before = ci - run_base  # the constructor drops empty pieces
+        split = ((sym, before), (flipped, 1), (sym, count - before - 1))
+        runs = self.runs[:run_idx] + split + self.runs[run_idx + 1 :]
         return PatternVector(self.ways, runs, store)
 
     def any(self) -> bool:
@@ -440,9 +424,8 @@ class PatternVector:
             return False
         if self.store is other.store:
             return self.runs == other.runs
-        mine = [(self.store.chunk(sym), count) for sym, count in self.runs]
-        theirs = [(other.store.chunk(sym), count) for sym, count in other.runs]
-        return mine == theirs
+        mine = [(self.store.chunk_int(s), n) for s, n in self.runs]
+        return mine == [(other.store.chunk_int(s), n) for s, n in other.runs]
 
     def __hash__(self) -> int:
         return hash((self.ways, self.runs, id(self.store)))

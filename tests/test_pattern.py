@@ -63,6 +63,23 @@ class TestChunkStore:
         with pytest.raises(ValueError):
             store.binop("nand", store.zero_id, store.one_id)
 
+    def test_rejects_chunks_wider_than_an_aob(self):
+        # Checked before the all-ones mask (a 2**chunk_bits int) is built.
+        with pytest.raises(EntanglementError):
+            ChunkStore(40)
+        with pytest.raises(EntanglementError):
+            ChunkStore(-1)
+
+    def test_rejected_op_counts_nothing(self, store):
+        from repro import obs
+
+        before = store.stats()
+        with obs.capture(tracing=False) as telemetry:
+            with pytest.raises(ValueError):
+                store.binop("nand", store.one_id, store.zero_id)
+        assert store.stats() == before
+        assert telemetry.metrics.names() == []
+
     def test_measure_memo_eviction_bounded(self):
         rng = np.random.default_rng(7)
         store = ChunkStore(8, memo_limit=4)
