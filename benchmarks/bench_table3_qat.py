@@ -1,10 +1,12 @@
 """TAB3 bench: Qat coprocessor operations at full 16-way scale."""
 
+import random
+
 import numpy as np
 import pytest
 
-from repro.aob import AoB, kernels
-from repro.utils.bits import words_for_bits
+from repro.aob import AoB
+from repro.cpu import DenseQatBackend
 
 from harness import experiment_table3, format_table
 
@@ -25,41 +27,42 @@ def test_table3_rows(benchmark, capsys):
 
 @pytest.fixture(scope="module")
 def regfile():
-    """The CPU's view: rows of a (256, words) uint64 matrix."""
-    rng = np.random.default_rng(3)
-    nwords = words_for_bits(NBITS)
-    qregs = rng.integers(0, 1 << 63, (256, nwords)).astype(np.uint64)
-    return qregs
+    """The CPU's view: the dense backend's 256 int registers, random."""
+    rng = random.Random(3)
+    qat = DenseQatBackend(WAYS)
+    for reg in range(256):
+        qat.write(reg, AoB(WAYS, rng.getrandbits(NBITS)))
+    return qat
 
 
 def test_bench_kernel_and(benchmark, regfile):
-    benchmark(kernels.k_and, regfile[0], regfile[1], regfile[2])
+    benchmark(regfile.binary, "and", 2, 0, 1)
 
 
 def test_bench_kernel_ccnot(benchmark, regfile):
-    benchmark(kernels.k_ccnot, regfile[3], regfile[4], regfile[5])
+    benchmark(regfile.ccnot, 3, 4, 5)
 
 
 def test_bench_kernel_cswap(benchmark, regfile):
-    benchmark(kernels.k_cswap, regfile[6], regfile[7], regfile[8])
+    benchmark(regfile.cswap, 6, 7, 8)
 
 
 def test_bench_kernel_had(benchmark, regfile):
-    benchmark(kernels.k_had, regfile[9], 7, WAYS)
+    benchmark(regfile.had, 9, 7)
 
 
 def test_bench_kernel_meas(benchmark, regfile):
-    benchmark(kernels.k_meas, regfile[10], 54321, NBITS)
+    benchmark(regfile.meas, 10, 54321)
 
 
-def test_bench_kernel_next_sparse(benchmark):
-    """next over a nearly-empty vector: the worst-case word scan."""
+def test_bench_kernel_next_sparse(benchmark, regfile):
+    """next over a nearly-empty register: the longest scan."""
     bits = np.zeros(NBITS, dtype=np.uint8)
     bits[NBITS - 2] = 1
-    words = AoB.from_bits(bits).words
-    result = benchmark(kernels.k_next, words, 0, NBITS)
+    regfile.write(12, AoB.from_bits(bits))
+    result = benchmark(regfile.next, 12, 0)
     assert result == NBITS - 2
 
 
 def test_bench_kernel_pop_after(benchmark, regfile):
-    benchmark(kernels.k_pop_after, regfile[11], 100, NBITS)
+    benchmark(regfile.pop_after, 11, 100)

@@ -4,22 +4,24 @@ Paper section 1.1: "an *E*-way entangled pbit value is represented as an
 array of :math:`2^E` bits (AoB) ... each position within an AoB vector is
 an *entanglement channel*".
 
-:class:`AoB` is immutable by convention -- every operation returns a new
-value -- which makes instances safe to share, hash and intern (the pattern
-substrate relies on this).  The mutable, in-place path used by the CPU
-simulators lives in :mod:`repro.aob.kernels`.
+An :class:`AoB` is a width plus one Python ``int`` whose bit ``e`` is
+channel ``e``, so every Table-3 gate is one bitwise int operation over
+all :math:`2^E` channels.  Values are immutable -- every operation
+returns a new one -- which makes instances safe to share, hash and
+intern (the pattern substrate relies on this).  The CPU simulators'
+dense register file (:class:`repro.cpu.qat_backend.DenseQatBackend`)
+holds the same ints, one per register.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from operator import and_, or_, xor
 
-import numpy as np
-
-from repro.aob import kernels
-from repro.aob.hadamard import hadamard_words
+from repro.aob.hadamard import hadamard_int
 from repro.errors import EntanglementError, MeasurementError
-from repro.utils.bits import WORD_BITS, top_mask, words_for_bits
+from repro.obs import runtime as _obs
+from repro.utils.bits import words_for_bits
 
 #: Entanglement supported by the full (author) Qat hardware: 65,536-bit AoB.
 QAT_WAYS = 16
@@ -47,10 +49,12 @@ class AoB:
     ----------
     ways:
         Degree of entanglement ``E``; the vector holds :math:`2^E` bits.
-    words:
-        Optional packed uint64 backing array (little-endian channel
-        layout).  Taken by reference and must not be mutated afterwards;
-        omit it for an all-zeros value.
+    value:
+        The channels as an int, bit ``e`` being channel ``e``; no bit at
+        or above :math:`2^E` may be set.  Defaults to all zeros.
+
+    Telemetry counts each operation's volume in the 64-bit words a
+    packed register row of this width spans (``qat.bits.<op>``).
 
     Examples
     --------
@@ -62,25 +66,25 @@ class AoB:
     [(0, 0), (1, 0), (0, 1), (1, 1)]
     """
 
-    __slots__ = ("ways", "nbits", "_words")
+    __slots__ = ("ways", "nbits", "_value")
 
-    def __init__(self, ways: int, words: np.ndarray | None = None):
+    def __init__(self, ways: int, value: int = 0):
         _check_ways(ways)
         self.ways = ways
         self.nbits = 1 << ways
-        nwords = words_for_bits(self.nbits)
-        if words is None:
-            words = np.zeros(nwords, dtype=np.uint64)
-        else:
-            words = np.ascontiguousarray(words, dtype=np.uint64)
-            if words.shape != (nwords,):
-                raise EntanglementError(
-                    f"expected {nwords} words for {ways}-way AoB, got shape {words.shape}"
-                )
-            if self.nbits < WORD_BITS and (words[-1] & ~top_mask(self.nbits)):
-                raise EntanglementError("bits set above the AoB width")
-        self._words = words
-        self._words.flags.writeable = False
+        if value < 0 or value >> self.nbits:
+            raise EntanglementError("bits set above the AoB width")
+        self._value = value
+
+    def _new(self, value: int) -> "AoB":
+        """An AoB of this width holding ``value`` (already in range)."""
+        out = object.__new__(AoB)
+        out.ways, out.nbits, out._value = self.ways, self.nbits, value
+        return out
+
+    def _count(self, op: str) -> None:
+        """Telemetry volume of one whole-value op; call only when active."""
+        _obs.current().qat_kernel(op, words_for_bits(self.nbits))
 
     # -- construction -------------------------------------------------------
 
@@ -93,9 +97,10 @@ class AoB:
     def ones(cls, ways: int) -> "AoB":
         """Constant pbit 1 (every channel 1) -- Table 3 ``one @a``."""
         _check_ways(ways)
-        out = np.empty(words_for_bits(1 << ways), dtype=np.uint64)
-        kernels.k_one(out, 1 << ways)
-        return cls(ways, out)
+        out = cls(ways, (1 << (1 << ways)) - 1)
+        if _obs.active:
+            out._count("one")
+        return out
 
     @classmethod
     def constant(cls, ways: int, bit: int) -> "AoB":
@@ -108,7 +113,7 @@ class AoB:
     def hadamard(cls, ways: int, k: int) -> "AoB":
         """Standard entangled superposition ``H(k)`` -- Table 3 ``had @a,k``."""
         _check_ways(ways)
-        return cls(ways, hadamard_words(ways, k))
+        return cls(ways, hadamard_int(ways, k))
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "AoB":
@@ -116,18 +121,16 @@ class AoB:
 
         The length must be a power of two (it determines ``ways``).
         """
+        import numpy as np
+
         arr = np.asarray(list(bits), dtype=np.uint8)
         n = arr.size
         if n == 0 or n & (n - 1):
             raise EntanglementError(f"bit count must be a power of two, got {n}")
         if ((arr != 0) & (arr != 1)).any():
             raise ValueError("bits must be 0 or 1")
-        ways = n.bit_length() - 1
         packed = np.packbits(arr, bitorder="little")
-        nwords = words_for_bits(n)
-        buf = np.zeros(nwords * 8, dtype=np.uint8)
-        buf[: packed.size] = packed
-        return cls(ways, buf.view(np.uint64))
+        return cls(n.bit_length() - 1, int.from_bytes(packed.tobytes(), "little"))
 
     @classmethod
     def from_int(cls, ways: int, value: int) -> "AoB":
@@ -136,62 +139,71 @@ class AoB:
         nbits = 1 << ways
         if value < 0 or value >> nbits:
             raise ValueError(f"value does not fit in {nbits} bits")
-        nwords = words_for_bits(nbits)
-        # One bulk byte conversion instead of a Python loop per word.
-        raw = value.to_bytes(nwords * (WORD_BITS // 8), "little")
-        return cls(ways, np.frombuffer(raw, dtype="<u8"))
+        return cls(ways, value)
 
     @classmethod
-    def random(cls, ways: int, rng: np.random.Generator, p: float = 0.5) -> "AoB":
-        """Random AoB with independent channel probability ``p`` of 1."""
+    def random(cls, ways: int, rng, p: float = 0.5) -> "AoB":
+        """Random AoB with independent channel probability ``p`` of 1.
+
+        ``rng`` is a :class:`numpy.random.Generator`.
+        """
+        import numpy as np
+
         _check_ways(ways)
-        bits = (rng.random(1 << ways) < p).astype(np.uint8)
-        return cls.from_bits(bits)
+        packed = np.packbits(rng.random(1 << ways) < p, bitorder="little")
+        return cls(ways, int.from_bytes(packed.tobytes(), "little"))
 
     # -- raw access ---------------------------------------------------------
 
     @property
-    def words(self) -> np.ndarray:
-        """Read-only packed uint64 backing array."""
-        return self._words
+    def words(self):
+        """Read-only packed little-endian uint64 words (channel ``c`` = bit
+        ``c & 63`` of word ``c >> 6``): the checkpoint file layout."""
+        import numpy as np
 
-    def to_bool_array(self) -> np.ndarray:
-        """Expand to a dense bool array of length :math:`2^{ways}`."""
-        bits = np.unpackbits(self._words.view(np.uint8), bitorder="little")
+        nwords = words_for_bits(self.nbits)
+        return np.frombuffer(self._value.to_bytes(nwords << 3, "little"),
+                             dtype="<u8")
+
+    def to_bool_array(self):
+        """Expand to a dense numpy bool array of length :math:`2^{ways}`."""
+        import numpy as np
+
+        raw = self._value.to_bytes(max(1, self.nbits >> 3), "little")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                             bitorder="little")
         return bits[: self.nbits].astype(bool)
 
     def to_int(self) -> int:
         """The whole AoB as one integer (channel ``e`` = bit ``e``)."""
-        return int.from_bytes(
-            np.ascontiguousarray(self._words, dtype="<u8").tobytes(), "little"
-        )
+        return self._value
 
     # -- Table 3 gate operations (pure; return new values) -------------------
 
-    def _binary(self, other: "AoB", kernel) -> "AoB":
+    def _binary(self, other: "AoB", op: str, fn) -> "AoB":
         if not isinstance(other, AoB):
             return NotImplemented
         if other.ways != self.ways:
             raise EntanglementError(
                 f"mismatched entanglement: {self.ways}-way vs {other.ways}-way"
             )
-        out = np.empty_like(self._words)
-        kernel(self._words, other._words, out)
-        return AoB(self.ways, out)
+        if _obs.active:
+            self._count(op)
+        return self._new(fn(self._value, other._value))
 
     def __and__(self, other: "AoB") -> "AoB":
-        return self._binary(other, kernels.k_and)
+        return self._binary(other, "and", and_)
 
     def __or__(self, other: "AoB") -> "AoB":
-        return self._binary(other, kernels.k_or)
+        return self._binary(other, "or", or_)
 
     def __xor__(self, other: "AoB") -> "AoB":
-        return self._binary(other, kernels.k_xor)
+        return self._binary(other, "xor", xor)
 
     def __invert__(self) -> "AoB":
-        out = np.empty_like(self._words)
-        kernels.k_not(self._words, out, self.nbits)
-        return AoB(self.ways, out)
+        if _obs.active:
+            self._count("not")
+        return self._new(self._value ^ ((1 << self.nbits) - 1))
 
     def cnot(self, ctrl: "AoB") -> "AoB":
         """Controlled NOT: new value of ``self`` with ``self ^= ctrl``."""
@@ -202,52 +214,90 @@ class AoB:
         return self ^ (b & c)
 
     def cswap(self, other: "AoB", ctrl: "AoB") -> tuple["AoB", "AoB"]:
-        """Fredkin gate: returns the pair ``(self', other')`` swapped where ``ctrl``."""
+        """Fredkin gate: returns the pair ``(self', other')`` swapped where ``ctrl``.
+
+        The masked-XOR formulation (``diff = (a ^ b) & ctrl``) preserves
+        the "billiard-ball conservancy" the paper notes: the multiset of
+        bits crossing the gate is unchanged.
+        """
         if other.ways != self.ways or ctrl.ways != self.ways:
             raise EntanglementError("cswap operands must share entanglement ways")
-        a = self._words.copy()
-        b = other._words.copy()
-        kernels.k_cswap(a, b, ctrl._words)
-        return AoB(self.ways, a), AoB(self.ways, b)
+        if _obs.active:
+            self._count("cswap")
+        diff = (self._value ^ other._value) & ctrl._value
+        return self._new(self._value ^ diff), self._new(other._value ^ diff)
 
     # -- measurement (section 2.7; all non-destructive) -----------------------
 
     def meas(self, channel: int) -> int:
-        """Bit at entanglement ``channel`` -- Table 3 ``meas $d,@a``."""
+        """Bit at entanglement ``channel`` -- Table 3 ``meas $d,@a``.
+
+        Channel numbers are taken modulo the AoB length, matching a
+        hardware implementation that simply ignores address bits above
+        the top (a 16-bit ``$d`` exactly indexes a 16-way AoB).
+        """
         if channel < 0:
             raise MeasurementError(f"channel must be non-negative, got {channel}")
-        return kernels.k_meas(self._words, channel, self.nbits)
+        if _obs.active:
+            _obs.current().qat_kernel("meas", 1)  # a one-word bit probe
+        return (self._value >> (channel & (self.nbits - 1))) & 1
 
     def next(self, channel: int) -> int:
-        """Lowest channel ``> channel`` holding 1, else 0 -- ``next $d,@a``."""
+        """Lowest channel ``> channel`` holding 1, else 0 -- ``next $d,@a``.
+
+        Mirrors the two-step Figure 8 design: shift off channels
+        ``<= channel``, then count trailing zeros.
+        """
         if channel < 0:
             raise MeasurementError(f"channel must be non-negative, got {channel}")
-        return kernels.k_next(self._words, channel, self.nbits)
+        if _obs.active:
+            self._count("next")
+        start = channel + 1
+        above = self._value >> start if start < self.nbits else 0
+        return start + (above & -above).bit_length() - 1 if above else 0
 
     def pop_after(self, channel: int) -> int:
-        """Count of 1s in channels ``> channel`` (the ``pop`` extension)."""
+        """Count of 1s in channels ``> channel`` (the ``pop`` extension).
+
+        Section 2.7: the full population count of a 16-way AoB ranges
+        0..65,536, which overflows a 16-bit register, so the
+        specified-but-unbuilt ``pop`` instruction counts only channels
+        *after* ``channel``; POP = ``pop`` after 0 plus ``meas`` of 0.
+        """
         if channel < 0:
             raise MeasurementError(f"channel must be non-negative, got {channel}")
-        return kernels.k_pop_after(self._words, channel, self.nbits)
+        if _obs.active:
+            self._count("pop")
+        start = channel + 1
+        return (self._value >> start).bit_count() if start < self.nbits else 0
 
     def popcount(self) -> int:
         """Number of 1 channels: probability of 1 in parts per :math:`2^E`."""
-        return kernels.k_popcount(self._words)
+        if _obs.active:
+            self._count("popcount")
+        return self._value.bit_count()
 
     def any(self) -> bool:
         """ANY reduction: non-zero probability of being 1."""
-        return kernels.k_any(self._words)
+        if _obs.active:
+            self._count("any")
+        return self._value != 0
 
     def all(self) -> bool:
         """ALL reduction: zero probability of being 0."""
-        return kernels.k_all(self._words, self.nbits)
+        if _obs.active:
+            self._count("all")
+        return self._value == (1 << self.nbits) - 1
 
     def probability(self) -> float:
         """Probability this pbit measures 1 (popcount / :math:`2^E`)."""
         return self.popcount() / self.nbits
 
-    def ones_channels(self) -> np.ndarray:
-        """Sorted array of every channel holding a 1 (full LCPC'20 readout)."""
+    def ones_channels(self):
+        """Sorted numpy array of every channel holding a 1 (full LCPC'20
+        readout)."""
+        import numpy as np
+
         return np.flatnonzero(self.to_bool_array())
 
     def iter_ones(self) -> Iterator[int]:
@@ -270,12 +320,10 @@ class AoB:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AoB):
             return NotImplemented
-        return self.ways == other.ways and bool(
-            np.array_equal(self._words, other._words)
-        )
+        return self.ways == other.ways and self._value == other._value
 
     def __hash__(self) -> int:
-        return hash((self.ways, self._words.tobytes()))
+        return hash((self.ways, self._value))
 
     def __len__(self) -> int:
         return self.nbits
@@ -291,18 +339,20 @@ class AoB:
 
         ``{0,0,1,1}`` renders as ``0^2 1^2``; long values are abbreviated.
         """
-        bits = self.to_bool_array()
-        # Vectorized run extraction: a run starts wherever the value
-        # changes (plus channel 0).
-        boundaries = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [bits.size]))
-        total = starts.size
-        runs = [
-            (int(bits[s]), int(e - s))
-            for s, e in zip(starts[:max_runs], ends[:max_runs])
-        ]
-        parts = [f"{bit}^{count}" if count > 1 else str(bit) for bit, count in runs]
-        if total > max_runs:
+        runs = []
+        pos = 0
+        while pos < self.nbits and len(runs) <= max_runs:
+            rest = self._value >> pos
+            bit = rest & 1
+            # The run ends at the lowest channel that differs from ``bit``.
+            change = ~rest if bit else rest
+            length = ((change & -change).bit_length() - 1 if change
+                      else self.nbits - pos)
+            length = min(length, self.nbits - pos)
+            runs.append((bit, length))
+            pos += length
+        parts = [f"{bit}^{count}" if count > 1 else str(bit)
+                 for bit, count in runs[:max_runs]]
+        if len(runs) > max_runs:
             parts.append("...")
         return " ".join(parts)

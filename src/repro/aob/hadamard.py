@@ -5,15 +5,15 @@ superposition* ``H(k)``: entanglement channel ``e`` receives bit ``k`` of
 the binary value of ``e``, i.e. a repeating run of :math:`2^k` zeros
 followed by :math:`2^k` ones.  The paper's Figure 7 gives the parametric
 Verilog (``aob[i] = (i >> h)`` -- the low bit of the shift); this module is
-its vectorized software rendering.
+its software rendering on an ``int`` AoB (channel ``e`` = bit ``e``).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.obs import runtime as _obs
-from repro.utils.bits import WORD_BITS, hadamard_word, top_mask, words_for_bits
+
+#: One period of ``H(k)`` for ``k < 3``, as a byte (channel 0 = bit 0).
+_SUB_BYTE_PERIODS = (b"\xaa", b"\xcc", b"\xf0")
 
 
 def hadamard_bit(e: int, k: int) -> int:
@@ -23,14 +23,15 @@ def hadamard_bit(e: int, k: int) -> int:
     return (e >> k) & 1
 
 
-def hadamard_words(ways: int, k: int) -> np.ndarray:
-    """Packed uint64 words of the ``H(k)`` pattern for a ``2**ways``-bit AoB.
+def hadamard_int(ways: int, k: int) -> int:
+    """The ``H(k)`` pattern of a ``2**ways``-bit AoB as an int.
 
-    For ``k < 6`` every word is the same 64-bit constant; for ``k >= 6``
-    whole words alternate between all-zeros and all-ones in runs of
-    :math:`2^{k-6}` words.  Both cases are O(number of words), matching the
-    paper's observation that ``had`` could be replaced by pre-computed
-    constant registers.
+    One period -- :math:`2^k` zero channels then :math:`2^k` one
+    channels -- is a byte string (a sub-byte pattern repeated for
+    ``k < 3``), so the whole AoB is that string repeated and read as one
+    little-endian int: O(number of bytes), matching the paper's
+    observation that ``had`` could be replaced by pre-computed constant
+    registers.
 
     ``k`` may be any value ``0 <= k < 16`` (the Tangled immediate is 4
     bits); channels whose index has bit ``k`` beyond the AoB width simply
@@ -45,23 +46,15 @@ def hadamard_words(ways: int, k: int) -> np.ndarray:
         telemetry = _obs.current()
         telemetry.metrics.counter("qat.had_patterns").inc()
         telemetry.metrics.counter("qat.aob_bits").add(1 << ways)
-    nbits = 1 << ways
-    nwords = words_for_bits(nbits)
     if k >= ways:
         # Every channel index e < 2**ways has bit k clear.
-        return np.zeros(nwords, dtype=np.uint64)
-    if nbits < WORD_BITS:
-        # Single partial word: build it directly.
-        value = 0
-        for e in range(nbits):
-            if (e >> k) & 1:
-                value |= 1 << e
-        return np.array([value], dtype=np.uint64)
-    if k < 6:
-        out = np.empty(nwords, dtype=np.uint64)
-        out.fill(hadamard_word(k))
+        return 0
+    if k < 3:
+        period = _SUB_BYTE_PERIODS[k]
     else:
-        word_bit = np.arange(nwords, dtype=np.uint64) >> np.uint64(k - 6)
-        out = np.where(word_bit & np.uint64(1), np.uint64(0xFFFF_FFFF_FFFF_FFFF), np.uint64(0))
-    out[-1] &= top_mask(nbits)
-    return out
+        half = b"\x00" * (1 << (k - 3))
+        period = half + b"\xff" * len(half)
+    nbits = 1 << ways
+    value = int.from_bytes(period * max(1, nbits // (len(period) << 3)),
+                           "little")
+    return value & ((1 << nbits) - 1) if nbits < 8 else value

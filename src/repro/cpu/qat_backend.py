@@ -6,9 +6,10 @@ software prototype) is that entanglement beyond the hardware width is
 handled by run-length/RE compression.  This module makes that a
 per-machine choice:
 
-- :class:`DenseQatBackend` -- the existing ``(256, words)`` uint64
-  matrix; gates are whole-row NumPy kernel calls.  Memory is
-  :math:`O(2^{ways})` per register, so it is bounded by
+- :class:`DenseQatBackend` -- 256 Python ints, register ``r``'s bit
+  ``e`` being its channel ``e``; each gate is one bitwise int op over
+  the whole register.  Memory is :math:`O(2^{ways})` per register (an
+  int holds bits up to its highest set one), so it is bounded by
   :data:`~repro.aob.bitvector.MAX_DENSE_WAYS`.
 - :class:`REQatBackend` -- each register is a
   :class:`~repro.pattern.PatternVector` over the machine's own
@@ -27,9 +28,9 @@ layer and the fault campaigns are substrate-agnostic.
 
 from __future__ import annotations
 
-import numpy as np
+from operator import and_, or_, xor
 
-from repro.aob import AoB, kernels
+from repro.aob import AoB, hadamard_int
 from repro.aob.bitvector import MAX_DENSE_WAYS
 from repro.errors import EntanglementError, SimulatorError
 from repro.isa.registers import NUM_QAT_REGS
@@ -96,7 +97,14 @@ class QatBackend:
 
 
 class DenseQatBackend(QatBackend):
-    """The paper's hardware rendering: one uint64 matrix, SIMD kernels."""
+    """The paper's hardware rendering: 256 whole-register int values.
+
+    Register ``r`` is one int whose bit ``e`` is channel ``e``, so each
+    gate is one ``&``/``|``/``^`` (``not`` XORs the all-ones mask) and
+    each readout one shift plus ``bit_count()`` or a lowest-set-bit.
+    Telemetry counts the volume of a packed ``words``-word register row
+    per op, the unit the paper's bit-serial SIMD datapath sweeps.
+    """
 
     name = "dense"
 
@@ -109,92 +117,125 @@ class DenseQatBackend(QatBackend):
             )
         self.ways = ways
         self.nbits = 1 << ways
-        self.qregs = np.zeros(
-            (NUM_QAT_REGS, words_for_bits(self.nbits)), dtype=np.uint64
-        )
+        # 64-bit words per packed register row (telemetry volume)
+        self._words = words_for_bits(self.nbits)
+        self._ones = (1 << self.nbits) - 1
+        self.regs: list[int] = [0] * NUM_QAT_REGS
         self._tag_metrics()
-
-    # -- raw access (dense-only surfaces) -----------------------------------
-
-    def row(self, reg: int) -> np.ndarray:
-        """Mutable word row of register ``reg``."""
-        return self.qregs[reg]
 
     # -- gates --------------------------------------------------------------
 
     def binary(self, op: str, d: int, a: int, b: int) -> None:
-        kernel = _DENSE_BINOPS[op]
-        kernel(self.qregs[a], self.qregs[b], self.qregs[d])
+        if _obs.active:
+            _obs.current().qat_kernel(op, self._words)
+        regs = self.regs
+        regs[d] = _DENSE_BINOPS[op](regs[a], regs[b])
 
     def ccnot(self, d: int, b: int, c: int) -> None:
-        kernels.k_ccnot(self.qregs[d], self.qregs[b], self.qregs[c])
+        if _obs.active:
+            _obs.current().qat_kernel("ccnot", self._words)
+        regs = self.regs
+        regs[d] ^= regs[b] & regs[c]
 
     def cnot(self, d: int, c: int) -> None:
-        kernels.k_cnot(self.qregs[d], self.qregs[c])
+        if _obs.active:
+            _obs.current().qat_kernel("cnot", self._words)
+        regs = self.regs
+        regs[d] ^= regs[c]
 
     def cswap(self, a: int, b: int, ctrl: int) -> None:
-        kernels.k_cswap(self.qregs[a], self.qregs[b], self.qregs[ctrl])
+        """Fredkin gate as a masked XOR (billiard-ball conservancy)."""
+        if _obs.active:
+            _obs.current().qat_kernel("cswap", self._words)
+        regs = self.regs
+        diff = (regs[a] ^ regs[b]) & regs[ctrl]
+        regs[a] ^= diff
+        regs[b] ^= diff
 
     def swap(self, a: int, b: int) -> None:
-        kernels.k_swap(self.qregs[a], self.qregs[b])
+        if _obs.active:
+            _obs.current().qat_kernel("swap", self._words)
+        regs = self.regs
+        regs[a], regs[b] = regs[b], regs[a]
 
     def invert(self, d: int) -> None:
-        kernels.k_not(self.qregs[d], self.qregs[d], self.nbits)
+        if _obs.active:
+            _obs.current().qat_kernel("not", self._words)
+        self.regs[d] ^= self._ones
 
     def zero(self, d: int) -> None:
-        kernels.k_zero(self.qregs[d])
+        if _obs.active:
+            _obs.current().qat_kernel("zero", self._words)
+        self.regs[d] = 0
 
     def one(self, d: int) -> None:
-        kernels.k_one(self.qregs[d], self.nbits)
+        if _obs.active:
+            _obs.current().qat_kernel("one", self._words)
+        self.regs[d] = self._ones
 
     def had(self, d: int, k: int) -> None:
-        kernels.k_had(self.qregs[d], k, self.ways)
+        if _obs.active:
+            _obs.current().qat_kernel("had", self._words)
+        self.regs[d] = hadamard_int(self.ways, k)
 
     # -- measurement ---------------------------------------------------------
 
     def meas(self, reg: int, channel: int) -> int:
-        return kernels.k_meas(self.qregs[reg], channel, self.nbits)
+        """Bit ``channel`` (modulo the width, as address bits above the
+        top are ignored) of register ``reg``."""
+        if _obs.active:
+            _obs.current().qat_kernel("meas", 1)  # a one-word bit probe
+        return (self.regs[reg] >> (channel & (self.nbits - 1))) & 1
 
     def next(self, reg: int, channel: int) -> int:
-        return kernels.k_next(self.qregs[reg], channel, self.nbits)
+        if _obs.active:
+            _obs.current().qat_kernel("next", self._words)
+        start = channel + 1
+        if start >= self.nbits:
+            return 0
+        above = self.regs[reg] >> start
+        return start + (above & -above).bit_length() - 1 if above else 0
 
     def pop_after(self, reg: int, channel: int) -> int:
-        return kernels.k_pop_after(self.qregs[reg], channel, self.nbits)
+        if _obs.active:
+            _obs.current().qat_kernel("pop", self._words)
+        start = channel + 1
+        if start >= self.nbits:
+            return 0
+        return (self.regs[reg] >> start).bit_count()
 
     # -- values ---------------------------------------------------------------
 
     def read(self, reg: int) -> AoB:
-        return AoB(self.ways, self.qregs[reg].copy())
+        return AoB(self.ways, self.regs[reg])
 
     def write(self, reg: int, value: AoB) -> None:
-        self.qregs[reg] = value.words
+        self.regs[reg] = value.to_int()
 
     # -- checkpoint / fault surfaces ------------------------------------------
 
-    def snapshot(self) -> np.ndarray:
-        return self.qregs.copy()
+    def snapshot(self) -> tuple[int, ...]:
+        """Every register's int, in register order."""
+        return tuple(self.regs)
 
-    def restore(self, snap: np.ndarray) -> None:
-        if snap.shape != self.qregs.shape:
+    def restore(self, snap) -> None:
+        if len(snap) != NUM_QAT_REGS or any(v < 0 or v >> self.nbits
+                                            for v in snap):
             raise SimulatorError(
-                f"snapshot shape {snap.shape} does not match register file "
-                f"{self.qregs.shape}"
+                f"snapshot is not {NUM_QAT_REGS} registers of "
+                f"{self.nbits} bits"
             )
-        self.qregs[:] = snap
+        self.regs = list(snap)
 
     def flip_bit(self, reg: int, word: int, bit: int) -> None:
-        self.qregs[reg, word] ^= np.uint64(1 << bit)
+        self.regs[reg] ^= 1 << ((word << 6) | bit)
 
     def stats(self) -> dict:
         return {"backend": self.name, "ways": self.ways,
-                "bytes": int(self.qregs.nbytes)}
+                "bytes": sum((v.bit_length() + 7) >> 3 for v in self.regs)}
 
 
-_DENSE_BINOPS = {
-    "and": kernels.k_and,
-    "or": kernels.k_or,
-    "xor": kernels.k_xor,
-}
+_DENSE_BINOPS = {"and": and_, "or": or_, "xor": xor}
 
 
 def re_chunk_store(ways: int, chunk_ways: int | None = None) -> ChunkStore:
@@ -394,8 +435,7 @@ class REQatBackend(QatBackend):
         re-interns (degradation) or is restored from a checkpoint.
         """
         runs = tuple(pv.runs for pv in self.regs)
-        chunks = tuple(np.array(c.words, copy=True) for c in self.store.chunks())
-        return (runs, chunks)
+        return (runs, tuple(self.store.chunks()))
 
     def restore(self, snap: tuple) -> None:
         runs, chunks = snap

@@ -4,9 +4,9 @@ Tangled: 16 general 16-bit registers, a 16-bit PC, and 64Ki 16-bit words
 of memory.  Qat: 256 AoB coprocessor registers of :math:`2^{ways}` bits
 each, *no* memory access (paper section 2.2).  The Qat register file is
 a pluggable substrate (:mod:`repro.cpu.qat_backend`): the ``dense``
-backend keeps one ``(256, words_per_reg)`` uint64 matrix so coprocessor
-gates are whole-row NumPy operations (the software rendering of a
-bit-serial massively parallel SIMD datapath); the ``re`` backend keeps
+backend keeps one Python int per register so a coprocessor gate is one
+bitwise op over every channel (the software rendering of a bit-serial
+massively parallel SIMD datapath); the ``re`` backend keeps
 run-length compressed :class:`~repro.pattern.PatternVector` registers so
 entanglement beyond :data:`~repro.aob.bitvector.MAX_DENSE_WAYS` runs in
 bounded memory (paper section 1.2).
@@ -23,6 +23,7 @@ from repro.cpu.qat_backend import make_qat_backend
 from repro.errors import SimulatorError
 from repro.faults.traps import TrapCause, TrapPolicy, TrapRecord, deliver
 from repro.isa.registers import NUM_GPRS
+from repro.utils.bits import WORD_BITS
 
 MEM_WORDS = 1 << 16
 
@@ -116,20 +117,6 @@ class MachineState:
 
     # -- Qat register access --------------------------------------------------------
 
-    @property
-    def qregs(self) -> np.ndarray:
-        """The dense ``(256, words)`` uint64 matrix (dense backend only)."""
-        if self.qat.name != "dense":
-            raise SimulatorError(
-                f"the {self.qat.name!r} Qat backend has no dense register "
-                "matrix; use machine.qat (read/write/vector) instead"
-            )
-        return self.qat.qregs
-
-    def qreg(self, reg: int) -> np.ndarray:
-        """Raw word row of Qat register ``reg`` (dense backend only)."""
-        return self.qregs[reg]
-
     def read_qreg(self, reg: int) -> AoB:
         """Snapshot Qat register ``reg`` as an immutable AoB value."""
         return self.qat.read(reg)
@@ -148,7 +135,14 @@ class MachineState:
         ``word``/``bit`` address the packed uint64 layout (channel
         ``word * 64 + bit``); the RE backend translates this into a
         copy-on-write run split so interned chunks are never corrupted.
+        Fault events also arrive from outside the program (journals,
+        ``--resume``), so a channel outside the register is refused.
         """
+        if not (0 <= bit < WORD_BITS and 0 <= word * WORD_BITS + bit < self.nbits):
+            raise SimulatorError(
+                f"Qat flip (word={word}, bit={bit}) is outside the "
+                f"{self.nbits}-channel register"
+            )
         self.qat.flip_bit(reg, word, bit)
 
     def snapshot(self) -> dict:

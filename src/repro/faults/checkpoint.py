@@ -15,7 +15,12 @@ this gives crash-recovery semantics: a runaway program stops cleanly and
 the last good checkpoint is one ``restore`` away.
 
 Checkpoints serialize with :func:`numpy.savez_compressed`, so they are
-single portable files with no extra dependencies.
+single portable files with no extra dependencies.  In memory every Qat
+value is a Python int (channel ``e`` = bit ``e``); this module alone
+stores them as packed uint64 words (:attr:`AoB.words
+<repro.aob.AoB.words>`) and reads them back -- the ``(256, words)``
+dense register matrix and one word array per chunk symbol -- so the
+file layout and its digest are those of format v1.
 """
 
 from __future__ import annotations
@@ -27,8 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.aob import AoB
 from repro.errors import CheckpointError
+from repro.isa.registers import NUM_QAT_REGS
 from repro.obs import runtime as _obs
+from repro.utils.bits import words_for_bits
 
 #: Format version stamped into saved checkpoint files.  RE-backend
 #: checkpoints add optional header keys (``qat_backend``, ``qat_ways``,
@@ -38,6 +46,18 @@ FORMAT_VERSION = 1
 
 #: ``qregs`` payload of an RE checkpoint (no dense matrix exists there).
 _NO_QREGS = np.zeros((0, 0), dtype=np.uint64)
+
+
+def _from_words(words: np.ndarray) -> int:
+    """The int whose packed little-endian uint64 words are ``words`` (the
+    inverse of :attr:`AoB.words <repro.aob.AoB.words>`)."""
+    return int.from_bytes(np.ascontiguousarray(words, dtype="<u8").tobytes(),
+                          "little")
+
+
+def _chunk_values(store_chunks, chunk_ways: int) -> list[AoB]:
+    """Saved chunk word arrays as the AoB values a ``ChunkStore`` holds."""
+    return [AoB(chunk_ways, _from_words(words)) for words in store_chunks]
 
 
 def _digest(regs: np.ndarray, mem: np.ndarray, qat_blobs: tuple[bytes, ...],
@@ -108,7 +128,8 @@ class Checkpoint:
         backend = machine.qat.name
         qat_runs: tuple = ()
         if backend == "dense":
-            qregs = machine.qregs.copy()
+            qregs = np.stack([machine.read_qreg(reg).words
+                              for reg in range(NUM_QAT_REGS)])
         else:
             qregs = _NO_QREGS
             qat_runs = tuple(
@@ -120,7 +141,7 @@ class Checkpoint:
         store_chunks: tuple[np.ndarray, ...] = ()
         store_chunk_ways = None
         if store is not None:
-            store_chunks = tuple(np.array(c.words, copy=True) for c in store.chunks())
+            store_chunks = tuple(chunk.words.copy() for chunk in store.chunks())
             store_chunk_ways = store.chunk_ways
         if _obs.active:
             _obs.current().checkpoint_op("capture", t0)
@@ -177,6 +198,7 @@ class Checkpoint:
                 "checkpoint failed integrity verification; refusing to restore"
             )
         mismatch = None
+        dense_shape = (NUM_QAT_REGS, words_for_bits(machine.nbits))
         if machine.qat.name != self.qat_backend:
             mismatch = (f"checkpoint captured a {self.qat_backend!r} Qat "
                         f"backend but the machine runs {machine.qat.name!r}")
@@ -186,10 +208,9 @@ class Checkpoint:
         elif machine.regs.shape != self.regs.shape:
             mismatch = (f"checkpoint shape mismatch: regs {self.regs.shape} "
                         f"vs machine {machine.regs.shape}")
-        elif (self.qat_backend == "dense"
-              and machine.qregs.shape != self.qregs.shape):
+        elif self.qat_backend == "dense" and self.qregs.shape != dense_shape:
             mismatch = (f"checkpoint shape mismatch: qregs {self.qregs.shape} "
-                        f"vs machine {machine.qregs.shape}")
+                        f"vs machine {dense_shape}")
         if mismatch is not None:
             if _obs.active:
                 _obs.current().checkpoint_op("restore", t0, ok=False)
@@ -199,11 +220,14 @@ class Checkpoint:
         # Whole-memory overwrite: every predecoded instruction is stale.
         machine.invalidate_predecode()
         if self.qat_backend == "dense":
-            machine.qregs[:] = self.qregs
+            machine.qat.restore([_from_words(row) for row in self.qregs])
             if store is not None and self.store_chunks:
-                store.restore_chunks(self.store_chunks)
+                store.restore_chunks(
+                    _chunk_values(self.store_chunks, store.chunk_ways))
         else:
-            machine.qat.restore((self.qat_runs, self.store_chunks))
+            chunk_ways = machine.qat.store.chunk_ways
+            machine.qat.restore(
+                (self.qat_runs, _chunk_values(self.store_chunks, chunk_ways)))
         machine.pc = self.pc
         machine.halted = self.halted
         machine.instret = self.instret

@@ -35,7 +35,7 @@ Attribution reasons:
     pipelined model's memory cost shows up as ``load_use``).
 
 On top of the per-PC ledger the profiler keeps per-opcode totals and
-Qat AoB bit volume per PC (routed from the SIMD kernels via
+Qat AoB bit volume per PC (routed from the Qat register ops via
 :meth:`repro.obs.telemetry.Telemetry.qat_kernel` while a telemetry
 instance carries the profiler).  :func:`render_annotate` turns it all
 into a ``perf annotate``-style listing; :func:`flamegraph_trace`
@@ -62,7 +62,7 @@ class Profiler:
     """Per-PC / per-opcode cycle ledger filled by a timing simulator.
 
     The simulators call :meth:`attribute` exactly once per cycle; the
-    Qat kernels add AoB bit volume through :meth:`note_qat_bits` while
+    Qat register ops add AoB bit volume through :meth:`note_qat_bits` while
     :attr:`current_pc` names the instruction in EX.
     """
 

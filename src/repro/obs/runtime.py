@@ -1,7 +1,7 @@
 """Process-global telemetry handle with a one-branch hot-path guard.
 
 Instrumented modules (the pipeline, the instruction executor, the Qat
-kernels, the chunk store) must cost ~nothing when observability is off.
+register file, the chunk store) must cost ~nothing when observability is off.
 They therefore guard every hook with the module-level :data:`active`
 flag::
 

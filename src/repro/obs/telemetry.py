@@ -109,7 +109,7 @@ class Telemetry:
                                  cat="qat", tid="qat")
 
     def qat_kernel(self, op: str, words: int) -> None:
-        """One SIMD kernel touched ``words`` packed uint64 words."""
+        """One Qat op swept ``words`` 64-bit words of a packed register row."""
         bits = words << 6
         self.metrics.counter("qat.aob_bits").add(bits)
         self.metrics.counter(f"qat.bits.{op}").add(bits)

@@ -14,9 +14,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from operator import and_, or_, xor
 
-import numpy as np
-
-from repro.aob import AoB
+from repro.aob import AoB, hadamard_int
 from repro.aob.bitvector import MAX_DENSE_WAYS
 from repro.errors import EntanglementError
 from repro.obs import runtime as _obs
@@ -118,7 +116,7 @@ class ChunkStore:
 
     def chunk(self, sym: int) -> AoB:
         """The AoB value of symbol ``sym``."""
-        return AoB.from_int(self.chunk_ways, self._ints[sym])
+        return AoB(self.chunk_ways, self._ints[sym])
 
     def chunk_int(self, sym: int) -> int:
         """The int value of symbol ``sym`` (channel ``e`` = bit ``e``)."""
@@ -126,7 +124,7 @@ class ChunkStore:
 
     def chunk_safe(self, sym: int) -> AoB:
         """Fault-tolerant :meth:`chunk`; see :meth:`chunk_int_safe`."""
-        return AoB.from_int(self.chunk_ways, self.chunk_int_safe(sym))
+        return AoB(self.chunk_ways, self.chunk_int_safe(sym))
 
     def chunk_int_safe(self, sym: int) -> int:
         """Fault-tolerant :meth:`chunk_int`: degrade on corruption, never crash.
@@ -176,17 +174,20 @@ class ChunkStore:
 
     def chunks(self) -> list[AoB]:
         """Every interned chunk, in symbol-id order (for checkpointing)."""
-        return [AoB.from_int(self.chunk_ways, value) for value in self._ints]
+        return [AoB(self.chunk_ways, value) for value in self._ints]
 
-    def restore_chunks(self, chunk_words) -> None:
-        """Rebuild the store from dense chunk payloads, id order preserved.
+    def restore_chunks(self, chunks) -> None:
+        """Rebuild the store from chunk values, id order preserved.
 
-        ``chunk_words`` is a sequence of uint64 word arrays as captured by
+        ``chunks`` is a sequence of AoB values as captured by
         :meth:`chunks` (one per symbol).  All memo tables are dropped --
         they may reference symbols whose values changed.
         """
-        values = [AoB(self.chunk_ways, np.array(words, dtype=np.uint64)).to_int()
-                  for words in chunk_words]
+        if any(chunk.ways != self.chunk_ways for chunk in chunks):
+            raise EntanglementError(
+                f"every chunk must be {self.chunk_ways}-way"
+            )
+        values = [chunk.to_int() for chunk in chunks]
         if len(values) < 2:
             raise EntanglementError(
                 "restore_chunks needs at least the two constant chunks"
@@ -201,7 +202,7 @@ class ChunkStore:
 
     def hadamard(self, k: int) -> int:
         """Symbol id of the ``H(k)`` pattern restricted to one chunk."""
-        return self.intern(AoB.hadamard(self.chunk_ways, k))
+        return self.intern_int(hadamard_int(self.chunk_ways, k))
 
     # -- memoized gate operations --------------------------------------------
 

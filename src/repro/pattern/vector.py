@@ -19,8 +19,6 @@ from collections.abc import Iterator
 from itertools import groupby
 from operator import itemgetter
 
-import numpy as np
-
 from repro.aob import AoB
 from repro.aob.bitvector import MAX_DENSE_WAYS
 from repro.errors import EntanglementError, MeasurementError
@@ -183,7 +181,7 @@ class PatternVector:
             raise EntanglementError("cannot truncate an AoB into fewer ways")
         nchunks = _check_ways(ways, store)
         step = (1 << cw) >> 3  # bytes per chunk
-        raw = aob.words.astype("<u8", copy=False).tobytes()
+        raw = aob.to_int().to_bytes(aob.nbits >> 3, "little")
         runs = [
             (store.intern_int(int.from_bytes(raw[i : i + step], "little")), 1)
             for i in range(0, len(raw), step)
@@ -204,7 +202,7 @@ class PatternVector:
             self.store.chunk_int_safe(sym).to_bytes(step, "little") * count
             for sym, count in self.runs
         )
-        return AoB(self.ways, np.frombuffer(raw, dtype="<u8"))
+        return AoB(self.ways, int.from_bytes(raw, "little"))
 
     # -- gate operations --------------------------------------------------------
 

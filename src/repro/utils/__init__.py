@@ -1,19 +1,5 @@
 """Shared low-level helpers (bit manipulation, formatting)."""
 
-from repro.utils.bits import (
-    WORD_BITS,
-    ctz64,
-    hadamard_word,
-    popcount_words,
-    top_mask,
-    words_for_bits,
-)
+from repro.utils.bits import WORD_BITS, words_for_bits
 
-__all__ = [
-    "WORD_BITS",
-    "ctz64",
-    "hadamard_word",
-    "popcount_words",
-    "top_mask",
-    "words_for_bits",
-]
+__all__ = ["WORD_BITS", "words_for_bits"]

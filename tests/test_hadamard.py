@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.aob import AoB, hadamard_bit, hadamard_words
+from repro.aob import AoB, hadamard_bit, hadamard_int
 
 
 class TestHadamardBit:
@@ -23,7 +23,7 @@ class TestHadamardBit:
 class TestHadamardWords:
     @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=15))
     def test_every_channel_matches_figure7(self, ways, k):
-        a = AoB(ways, hadamard_words(ways, k))
+        a = AoB(ways, hadamard_int(ways, k))
         bits = a.to_bool_array()
         idx = np.arange(1 << ways)
         expected = ((idx >> k) & 1).astype(bool)
@@ -61,9 +61,9 @@ class TestHadamardWords:
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            hadamard_words(4, -1)
+            hadamard_int(4, -1)
         with pytest.raises(ValueError):
-            hadamard_words(-1, 0)
+            hadamard_int(-1, 0)
 
     def test_hadamards_are_independent(self):
         """Distinct H(k) patterns jointly enumerate all combinations --

@@ -55,7 +55,7 @@ class TestExecution:
         m.load(p)
         m.run()
         assert np.array_equal(f.machine.regs, m.machine.regs)
-        assert np.array_equal(f.machine.qregs, m.machine.qregs)
+        assert f.machine.qat.snapshot() == m.machine.qat.snapshot()
 
     def test_cpi_above_one(self):
         sim = MultiCycleSimulator(ways=6)

@@ -84,7 +84,7 @@ class TestChunkStore:
         rng = np.random.default_rng(7)
         store = ChunkStore(8, memo_limit=4)
         syms = [
-            store.intern(AoB(8, rng.integers(0, 2**64, size=4, dtype=np.uint64)))
+            store.intern(AoB(8, int.from_bytes(rng.bytes(32), "little")))
             for _ in range(12)
         ]
         expected = {sym: store.chunk(sym).popcount() for sym in syms}
@@ -102,7 +102,7 @@ class TestChunkStore:
     def test_measure_memo_lru_keeps_hot_entries(self):
         store = ChunkStore(8, memo_limit=2)
         syms = [
-            store.intern(AoB(8, np.full(4, i + 1, dtype=np.uint64)))
+            store.intern(AoB(8, (i + 1) * sum(1 << (64 * w) for w in range(4))))
             for i in range(3)
         ]
         store.popcount(syms[0])

@@ -6,7 +6,6 @@ handling, plus the hazard machinery.  Architectural equivalence with
 the functional reference is checked in ``tests/test_conformance.py``.
 """
 
-import numpy as np
 import pytest
 
 from repro.asm import assemble
@@ -160,7 +159,7 @@ class TestStructuralHazard:
         # Part of the extra EX time hides under the 2-word fetch bubble of
         # the following instruction, so the visible cost is 1-2 cycles.
         assert fast.stats.cycles < slow.stats.cycles <= fast.stats.cycles + 2
-        assert np.array_equal(fast.machine.qregs, slow.machine.qregs)
+        assert fast.machine.qat.snapshot() == slow.machine.qat.snapshot()
 
 
 class TestConfig:

@@ -65,11 +65,6 @@ class TestSelection:
         with pytest.raises(SimulatorError):
             REQatBackend(MAX_RE_WAYS + 1)
 
-    def test_qregs_matrix_is_dense_only(self):
-        machine = MachineState(ways=8, qat_backend="re")
-        with pytest.raises(SimulatorError, match="no dense register matrix"):
-            machine.qregs
-
 
 class TestQpopSaturation:
     """The measurement-width bug: pop's 16-bit destination.
@@ -184,6 +179,21 @@ class TestFaultSurfaces:
         assert flipped.words.tobytes() == reference.read(1).words.tobytes()
         assert flipped.meas(channel) != machine.read_qreg(2).meas(channel)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("word, bit", [(4, 0), (0, 64), (0, -1), (-1, 63)])
+    def test_out_of_range_flip_is_refused(self, backend, word, bit):
+        # Fault events also arrive from journals and --resume; a flip
+        # outside the 256-channel register must be refused on both
+        # substrates, not wrap (RE) or escape as a raw IndexError (dense).
+        machine = MachineState(ways=8, qat_backend=backend)
+        machine.qat.had(1, 2)
+        before = machine.read_qreg(1)
+        with pytest.raises(SimulatorError, match="outside"):
+            machine.flip_qreg_bit(1, word, bit)
+        assert machine.read_qreg(1) == before
+        machine.flip_qreg_bit(1, 3, 63)  # the last channel is in range
+        assert machine.read_qreg(1).meas(255) != before.meas(255)
+
     def test_injected_event_routes_through_backend(self):
         from repro.faults.inject import FaultEvent, apply_event
 
@@ -252,7 +262,7 @@ class TestCheckpoint:
 
 class TestWideWays:
     def test_fig10_at_24_way_in_bounded_memory(self):
-        # The dense register file would need 256 * 2^24 bits = 512 MiB;
+        # A dense register file can grow to 256 * 2^24 bits = 512 MiB;
         # the RE backend runs it in O(runs) and still factors 15.
         from repro.apps import fig10_program, run_factor_program
 
