@@ -33,14 +33,7 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass
 
-from repro.bf16 import (
-    bf16_add,
-    bf16_from_int,
-    bf16_mul,
-    bf16_neg,
-    bf16_recip,
-    bf16_to_int,
-)
+from repro.bf16.scalar import fadd, fmul, frecip, ftoi, itof
 from repro.faults.traps import TrapCause
 from repro.isa.instructions import INSTRUCTIONS, Instr
 from repro.obs import flight as _flight
@@ -194,24 +187,28 @@ def execute(machine, instr: Instr, syscalls=None) -> Effects:
 #: translated blocks, which only hold rows whose trap the policy rules out.
 TEMPLATES = {
     "add": ("d", "({d} + {s}) & 0xFFFF", None),
-    "addf": ("d", "bf16_add({d}, {s})", "bf16"),
+    # bf16: a NaN operand (above infinity's 0x7F80) gives 0x7FC0 (int: 0).
+    "addf": ("d", "0x7FC0 if ({d} & 0x7FFF) > 0x7F80 or ({s} & 0x7FFF) > "
+                  "0x7F80 else fadd({d}, {s})", "bf16"),
     "and": ("d", "{d} & {s}", None),
     "brf": ("pc", "({n} + {o}) & 0xFFFF if {c} == 0 else {n}", None),
     "brt": ("pc", "({n} + {o}) & 0xFFFF if {c} != 0 else {n}", None),
     "copy": ("d", "{s}", None),
-    "float": ("d", "bf16_from_int({d}) & 0xFFFF", None),
-    "int": ("d", "bf16_to_int({d}) & 0xFFFF", None),
+    "float": ("d", "itof({d})", None),
+    "int": ("d", "0 if ({d} & 0x7FFF) > 0x7F80 else ftoi({d})", None),
     "jumpr": ("pc", "{a}", None),
     "lex": ("d", "(({i} & 0xFF) ^ 0x80) - 0x80 & 0xFFFF", None),
     "lhi": ("d", "{d} & 0xFF | ({i} & 0xFF) << 8", None),
     "load": ("d", "machine.mem[{s}]", "fence"),
     "mul": ("d", "{d} * {s} & 0xFFFF", None),
-    "mulf": ("d", "bf16_mul({d}, {s})", "bf16"),
+    "mulf": ("d", "0x7FC0 if ({d} & 0x7FFF) > 0x7F80 or ({s} & 0x7FFF) > "
+                  "0x7F80 else fmul({d}, {s})", "bf16"),
     "neg": ("d", "-{d} & 0xFFFF", None),
-    "negf": ("d", "bf16_neg({d}) & 0xFFFF", None),
+    "negf": ("d", "0x7FC0 if ({d} & 0x7FFF) > 0x7F80 else {d} ^ 0x8000", None),
     "not": ("d", "~{d} & 0xFFFF", None),
     "or": ("d", "{d} | {s}", None),
-    "recip": ("d", "bf16_recip({d})", "bf16"),
+    "recip": ("d", "0x7FC0 if ({d} & 0x7FFF) > 0x7F80 else frecip({d})",
+              "bf16"),
     # $s is signed: 0..15 shift left, 0xFFF1..0xFFFF (-15..-1) right.
     "shift": ("d", "{d} << {s} & 0xFFFF if {s} < 16 else "
                    "{d} >> 0x10000 - {s} if {s} > 0xFFF0 else 0", None),
@@ -250,8 +247,7 @@ REGISTER_USE = {
 }
 
 #: Names a template expression may use besides its operands and ``machine``.
-TEMPLATE_GLOBALS = {f.__name__: f for f in (bf16_add, bf16_from_int, bf16_mul,
-                                            bf16_neg, bf16_recip, bf16_to_int)}
+TEMPLATE_GLOBALS = {f.__name__: f for f in (fadd, fmul, frecip, ftoi, itof)}
 
 _TRAP_CALL = ('machine.trap(TrapCause.{}, detail=f"{}", '
               'instruction=instr.render(), resume_pc=pc_next)')

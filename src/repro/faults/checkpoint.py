@@ -208,6 +208,9 @@ class Checkpoint:
         elif self.regs.shape != (len(machine.regs),):
             mismatch = (f"checkpoint shape mismatch: regs {self.regs.shape} "
                         f"vs machine ({len(machine.regs)},)")
+        elif self.mem.shape != (len(machine.mem),):
+            mismatch = (f"checkpoint shape mismatch: mem {self.mem.shape} "
+                        f"vs machine ({len(machine.mem)},)")
         elif self.qat_backend == "dense" and self.qregs.shape != dense_shape:
             mismatch = (f"checkpoint shape mismatch: qregs {self.qregs.shape} "
                         f"vs machine {dense_shape}")

@@ -1,5 +1,6 @@
 """Checkpoint/recovery: snapshots, integrity digests, auto-checkpointing."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.cpu import (
 )
 from repro.errors import CheckpointError
 from repro.faults import AutoCheckpointer, Checkpoint
+from repro.faults.checkpoint import _digest, _qat_blobs
 from repro.pattern import ChunkStore, PatternVector
 
 COUNTDOWN = """
@@ -78,6 +80,23 @@ class TestCheckpoint:
         other = FunctionalSimulator(ways=8)
         with pytest.raises(CheckpointError):
             ckpt.restore(other.machine)
+
+    def test_short_memory_rejected_before_any_write(self):
+        sim = _run_some(2)
+        ckpt = Checkpoint.take(sim.machine)
+        mem = ckpt.mem[:100]
+        short = dataclasses.replace(ckpt, mem=mem, digest=_digest(
+            ckpt.regs, mem, _qat_blobs("dense", ckpt.qregs, (), ()),
+            ckpt.pc, ckpt.halted, ckpt.instret, ckpt.output))
+        assert short.verify()
+        sim.run(10_000)  # move the machine away from the checkpoint
+        machine = sim.machine
+        regs, mem_bytes, pc = list(machine.regs), bytes(machine.mem), machine.pc
+        with pytest.raises(CheckpointError, match="mem"):
+            short.restore(machine)
+        assert machine.regs == regs
+        assert bytes(machine.mem) == mem_bytes
+        assert machine.pc == pc
 
     def test_save_load_round_trip(self, tmp_path):
         sim = _run_some(6)
