@@ -10,7 +10,7 @@ simplification (and the one the course library used); subnormal *inputs*
 are treated as zero.
 
 An operation is a decode through :data:`SCALE`, one float operation and
-one :func:`encode`.  The unchecked forms (``fadd`` .. ``frecip``) take
+one :func:`bf16_from_float`.  The unchecked forms (``fadd`` .. ``frecip``) take
 non-NaN 16-bit patterns: ``exec_core.TEMPLATES`` rows test for NaN
 inline and call them; the ``bf16_*`` functions validate operands first.
 """
@@ -41,7 +41,7 @@ SCALE += [-x for x in SCALE]
 _pack_f32 = struct.Struct("<f").pack
 
 
-def encode(value: float) -> int:
+def bf16_from_float(value: float) -> int:
     """Round a float to bfloat16 through float32, both steps RNE.
 
     NaN becomes :data:`NAN`, magnitudes past float32 saturate to signed
@@ -64,19 +64,19 @@ def decode(bits: int) -> float:
 
 def fadd(a: int, b: int) -> int:
     """``addf`` on non-NaN patterns (decode inlined); inf + -inf is NaN."""
-    return encode(SCALE[a >> 7] * (128 | a & 127)
-                  + SCALE[b >> 7] * (128 | b & 127))
+    return bf16_from_float(SCALE[a >> 7] * (128 | a & 127)
+                           + SCALE[b >> 7] * (128 | b & 127))
 
 
 def fmul(a: int, b: int) -> int:
     """``mulf`` on non-NaN patterns (decode inlined); inf * 0 is NaN."""
-    return encode((SCALE[a >> 7] * (128 | a & 127))
-                  * (SCALE[b >> 7] * (128 | b & 127)))
+    return bf16_from_float((SCALE[a >> 7] * (128 | a & 127))
+                           * (SCALE[b >> 7] * (128 | b & 127)))
 
 
 def itof(value: int) -> int:
     """``float``: a 16-bit register pattern, read as signed, to bfloat16."""
-    return encode(float(value - (value & 0x8000) * 2))
+    return bf16_from_float(float(value - (value & 0x8000) * 2))
 
 
 def ftoi(bits: int) -> int:
@@ -139,11 +139,6 @@ def is_zero_or_subnormal(bits: int) -> bool:
 def bf16_to_float(bits: int) -> float:
     """Decode to a Python float (exact: bf16 is a float32 prefix)."""
     return math.nan if is_nan(bits) else decode(bits)
-
-
-def bf16_from_float(value: float) -> int:
-    """Encode a Python float with round-to-nearest-even; flush subnormals."""
-    return encode(value)
 
 
 def bf16_neg(bits: int) -> int:

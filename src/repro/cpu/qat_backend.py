@@ -121,9 +121,6 @@ class DenseQatBackend(QatBackend):
         self._words = words_for_bits(self.nbits)
         self._ones = (1 << self.nbits) - 1
         self.regs: list[int] = [0] * NUM_QAT_REGS
-        #: ``k -> H(k)``: the patterns ``had`` has built (ints are
-        #: immutable, so registers share them)
-        self._had: dict[int, int] = {}
         self._tag_metrics()
 
     # -- gates --------------------------------------------------------------
@@ -179,11 +176,7 @@ class DenseQatBackend(QatBackend):
     def had(self, d: int, k: int) -> None:
         if _obs.active:
             _obs.current().qat_kernel("had", self._words)
-        pattern = self._had.get(k)
-        if pattern is None or _obs.active:
-            # Under telemetry it is built again, so the counters count it.
-            pattern = self._had[k] = hadamard_int(self.ways, k)
-        self.regs[d] = pattern
+        self.regs[d] = hadamard_int(self.ways, k)
 
     # -- measurement ---------------------------------------------------------
 
