@@ -6,13 +6,15 @@ observed step :func:`execute` (the pipeline, single-stepping, and any
 run with an observer attached) and the stripped loops --
 :func:`repro.cpu.fastpath.run_functional`, which also runs every lane of
 a ``--batch`` campaign, and the pipeline's scoreboard-timed loop.  The
-handlers of every instruction but ``sys`` and the Qat ops are built
+handlers of every instruction -- the Qat gates included -- are built
 from :data:`TEMPLATES`, one Python expression per mnemonic, which the
 stripped functional loop's translated tier also inlines into its
 compiled blocks -- so that tier adds no second copy of the semantics.
-The register use behind pipeline hazards (:func:`static_effects`) is
-derived from the same rows, plus one small table for ``sys`` and the
-Qat ops (:data:`REGISTER_USE`).
+Only ``sys`` and the four Qat ops that trap under ``strict_qat``
+(``had``, ``meas``, ``next``, ``pop``), each with its own trap, keep a
+hand-written handler.  The register use behind pipeline hazards
+(:func:`static_effects`) is derived from the same rows, plus one small
+table for ``sys`` and the Qat ops (:data:`REGISTER_USE`).
 
 Semantics follow Tables 1 and 3 exactly where the paper specifies them;
 where it leaves detail to the implementer the choices are documented
@@ -49,16 +51,14 @@ _BF16_EXP_MASK = 0x7F80
 
 @dataclass
 class Effects:
-    """What one executed instruction did (consumed by timing models)."""
+    """What one executed instruction did (consumed by timing models).
+
+    Register use is static: :func:`static_effects` holds it.
+    """
 
     mnemonic: str
     next_pc: int
     taken_branch: bool = False
-    reads_gpr: frozenset[int] = frozenset()
-    writes_gpr: frozenset[int] = frozenset()
-    reads_qreg: frozenset[int] = frozenset()
-    writes_qreg: frozenset[int] = frozenset()
-    is_load: bool = False
     is_store: bool = False
 
 
@@ -153,9 +153,7 @@ def execute(machine, instr: Instr, syscalls=None) -> Effects:
         _fr.note_retire(pc, _fr_raw)
     if _t0 and _obs.active:
         _obs.current().qat_executed(m, _t0)
-    return Effects(m, next_pc, taken, stat.reads_gpr, stat.writes_gpr,
-                   stat.reads_qreg, stat.writes_qreg, stat.is_load,
-                   stat.is_store)
+    return Effects(m, next_pc, taken, stat.is_store)
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +170,18 @@ def execute(machine, instr: Instr, syscalls=None) -> Effects:
 # Signature: ``handler(machine, instr, ops, pc_next, syscalls) -> next_pc``.
 # The caller owns ``machine.pc = next_pc`` and the ``instret`` increment.
 
-#: The semantics of every instruction but ``sys`` and the Qat ops, one
-#: row per mnemonic: ``(writes, expression, trap)``.  ``writes`` says
-#: where the expression's value goes: ``"d"`` into register ``$d``,
-#: ``"pc"`` into the PC, ``None`` nowhere (it runs for its effect).  In
-#: the expression ``{d}``, ``{s}``, ``{c}`` and ``{a}`` stand for the
-#: 16-bit value of the operand register of that kind, ``{i}`` and ``{o}``
-#: for the immediate and the branch offset, and ``{n}`` for the address
-#: of the following instruction.  ``trap`` names the trap the
-#: instruction can take: ``"bf16"`` (a non-finite result, under
-#: ``trap_bf16``) or ``"fence"`` (an address at or above ``mem_fence``).
+#: The semantics of every instruction but ``sys`` and the Qat ops that
+#: trap under ``strict_qat``, one row per mnemonic: ``(writes,
+#: expression, trap)``.  ``writes`` says where the expression's value
+#: goes: ``"d"`` into register ``$d``, ``"pc"`` into the PC, ``None``
+#: nowhere (it runs for its effect).  In the expression ``{d}``, ``{s}``,
+#: ``{c}`` and ``{a}`` stand for the 16-bit value of the operand register
+#: of that kind, ``{A}``, ``{B}`` and ``{C}`` for Qat register numbers,
+#: ``{i}`` and ``{o}`` for the immediate and the branch offset, and
+#: ``{n}`` for the address of the following instruction.  ``trap`` names
+#: the trap the instruction can take: ``"bf16"`` (a non-finite result,
+#: under ``trap_bf16``) or ``"fence"`` (an address at or above
+#: ``mem_fence``).
 #: :func:`_template_handler` builds each row's :data:`FAST_HANDLERS`
 #: entry, and :mod:`repro.cpu.fastpath` inlines the same expressions into
 #: translated blocks, which only hold rows whose trap the policy rules out.
@@ -216,11 +216,23 @@ TEMPLATES = {
     "slt": ("d", "1 if {d} ^ 0x8000 < {s} ^ 0x8000 else 0", None),
     "store": (None, "machine.write_mem({s}, {d})", "fence"),
     "xor": ("d", "{d} ^ {s}", None),
+    # Qat gates (Table 3): one call on the coprocessor register file.
+    "qand": (None, 'machine.qat.binary("and", {A}, {B}, {C})', None),
+    "qccnot": (None, "machine.qat.ccnot({A}, {B}, {C})", None),
+    "qcnot": (None, "machine.qat.cnot({A}, {B})", None),
+    "qcswap": (None, "machine.qat.cswap({A}, {B}, {C})", None),
+    "qnot": (None, "machine.qat.invert({A})", None),
+    "qone": (None, "machine.qat.one({A})", None),
+    "qor": (None, 'machine.qat.binary("or", {A}, {B}, {C})', None),
+    "qswap": (None, "machine.qat.swap({A}, {B})", None),
+    "qxor": (None, 'machine.qat.binary("xor", {A}, {B}, {C})', None),
+    "qzero": (None, "machine.qat.zero({A})", None),
 }
 
-#: Register use of ``sys`` and the Qat ops, which have no template row:
+#: Register use of ``sys`` and every Qat op (a template names Qat
+#: registers by number, so its expression cannot show their use):
 #: ``(operands read, operands written)`` as operand kinds.
-_UNTEMPLATED_USE = {
+_SYS_QAT_USE = {
     "sys": ("", ""),
     **{m: ("BC", "A") for m in ("qand", "qor", "qxor")},
     "qccnot": ("ABC", "A"),
@@ -236,14 +248,14 @@ _UNTEMPLATED_USE = {
 #: mnemonic -> ``(operands read, operands written)`` as operand kinds
 #: (lower case a GPR, upper case a Qat register), which
 #: :func:`static_effects` turns into hazard sets.  A :data:`TEMPLATES`
-#: row reads the registers its expression names and writes ``$d`` when
-#: its value goes there.
+#: row outside :data:`_SYS_QAT_USE` reads the registers its expression
+#: names and writes ``$d`` when its value goes there.
 REGISTER_USE = {
     **{m: ("".join(k for k in INSTRUCTIONS[m].operands
                    if k in "dsca" and "{%s}" % k in expr),
            "d" if writes == "d" else "")
        for m, (writes, expr, _) in TEMPLATES.items()},
-    **_UNTEMPLATED_USE,
+    **_SYS_QAT_USE,
 }
 
 #: Names a template expression may use besides its operands and ``machine``.
@@ -256,13 +268,15 @@ _TRAP_CALL = ('machine.trap(TrapCause.{}, detail=f"{}", '
 def _template_handler(mnemonic: str, writes, expr: str, trap) -> str:
     """Source of the :data:`FAST_HANDLERS` entry of a :data:`TEMPLATES` row."""
     fields = {"n": "pc_next"}
-    body = ["regs = machine.regs"]
+    body = []
     for pos, kind in enumerate(INSTRUCTIONS[mnemonic].operands):
-        if kind in "io":
+        if kind in "ioABC":
             fields[kind] = f"ops[{pos}]"
         elif "{%s}" % kind in expr:
             fields[kind] = kind
             body.append(f"{kind} = regs[ops[{pos}]]")
+    if body or writes == "d":
+        body.insert(0, "regs = machine.regs")
     value = expr.format(**fields)
     if trap == "fence":
         verb = "load from" if mnemonic == "load" else "store to"
@@ -300,56 +314,6 @@ def _fast_sys(machine, instr, ops, pc_next, syscalls):
         syscalls.handle(machine)
     else:
         machine.halted = True
-    return pc_next
-
-
-def _fast_qand(machine, instr, ops, pc_next, syscalls):
-    machine.qat.binary("and", ops[0], ops[1], ops[2])
-    return pc_next
-
-
-def _fast_qor(machine, instr, ops, pc_next, syscalls):
-    machine.qat.binary("or", ops[0], ops[1], ops[2])
-    return pc_next
-
-
-def _fast_qxor(machine, instr, ops, pc_next, syscalls):
-    machine.qat.binary("xor", ops[0], ops[1], ops[2])
-    return pc_next
-
-
-def _fast_qccnot(machine, instr, ops, pc_next, syscalls):
-    machine.qat.ccnot(ops[0], ops[1], ops[2])
-    return pc_next
-
-
-def _fast_qcnot(machine, instr, ops, pc_next, syscalls):
-    machine.qat.cnot(ops[0], ops[1])
-    return pc_next
-
-
-def _fast_qcswap(machine, instr, ops, pc_next, syscalls):
-    machine.qat.cswap(ops[0], ops[1], ops[2])
-    return pc_next
-
-
-def _fast_qswap(machine, instr, ops, pc_next, syscalls):
-    machine.qat.swap(ops[0], ops[1])
-    return pc_next
-
-
-def _fast_qnot(machine, instr, ops, pc_next, syscalls):
-    machine.qat.invert(ops[0])
-    return pc_next
-
-
-def _fast_qzero(machine, instr, ops, pc_next, syscalls):
-    machine.qat.zero(ops[0])
-    return pc_next
-
-
-def _fast_qone(machine, instr, ops, pc_next, syscalls):
-    machine.qat.one(ops[0])
     return pc_next
 
 
@@ -418,20 +382,10 @@ def _fast_qpop(machine, instr, ops, pc_next, syscalls):
 FAST_HANDLERS = {
     **_template_handlers(),
     "sys": _fast_sys,
-    "qand": _fast_qand,
-    "qccnot": _fast_qccnot,
-    "qcnot": _fast_qcnot,
-    "qcswap": _fast_qcswap,
     "qhad": _fast_qhad,
     "qmeas": _fast_qmeas,
     "qnext": _fast_qnext,
-    "qnot": _fast_qnot,
-    "qone": _fast_qone,
-    "qor": _fast_qor,
     "qpop": _fast_qpop,
-    "qswap": _fast_qswap,
-    "qxor": _fast_qxor,
-    "qzero": _fast_qzero,
 }
 
 assert set(FAST_HANDLERS) == set(INSTRUCTIONS), "fast dispatch table out of sync"

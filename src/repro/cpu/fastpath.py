@@ -3,8 +3,8 @@
 The ISA semantics live in one table, :data:`repro.cpu.exec_core.FAST_HANDLERS`,
 and two loops run it.  :func:`repro.cpu.exec_core.execute` is the
 observed step: it wraps each handler in the flight-recorder and
-telemetry hooks and returns an ``Effects`` record for timing models,
-tracers, and profilers.  This module holds the other loop, stripped of
+telemetry hooks and returns an ``Effects`` record for timing models
+and profilers.  This module holds the other loop, stripped of
 everything an unobserved run does not need:
 
 - **Predecode cache** (:class:`PredecodeCache`): each program word is
@@ -32,12 +32,13 @@ everything an unobserved run does not need:
   the next branch, jump or store, is compiled into one Python closure
   that keeps the registers in locals.  The instructions are inlined
   from :data:`repro.cpu.exec_core.TEMPLATES`, the table that also
-  builds their handlers; Qat ops call their handlers.  Compiled code is
+  builds their handlers, Qat gates included; only the Qat ops that can
+  trap under ``strict_qat`` call their handlers.  Compiled code is
   cached process-wide (:data:`CODE_CACHE_LIMIT`), so every machine
   loaded with the same program reuses it.
 - **Selection** (:func:`eligible`): a stripped loop is only taken
-  when telemetry capture, tracing, auto-checkpointing, and profiling
-  are all inactive; any observer keeps the observed loop.  The
+  when telemetry capture, auto-checkpointing, and profiling are all
+  inactive; any observer keeps the observed loop.  The
   pipelined simulator's stripped loop lives in
   :mod:`repro.cpu.pipeline`: it runs the same handlers but also times
   each instruction, which this loop must not pay for.  The flight
@@ -213,8 +214,8 @@ def cache_for(machine) -> PredecodeCache:
 def eligible(sim) -> bool:
     """Should ``sim`` take a stripped loop right now?
 
-    Only when *no* observer -- telemetry capture, an execution trace, an
-    auto-checkpointer, or a profiler -- is attached to the simulator.
+    Only when *no* observer -- telemetry capture, an auto-checkpointer,
+    or a profiler -- is attached to the simulator.
     The functional and multi-cycle simulators' ``advance()`` then runs
     :func:`run_functional`; ``PipelinedSimulator.run`` runs the
     pipeline's own stripped loop, and only from a freshly loaded
@@ -222,7 +223,7 @@ def eligible(sim) -> bool:
     """
     return not _obs.active and all(
         getattr(sim, observer, None) is None
-        for observer in ("trace", "checkpointer", "profiler"))
+        for observer in ("checkpointer", "profiler"))
 
 
 def _untranslatable(policy) -> frozenset:
@@ -247,9 +248,11 @@ def _compile(start: int, chain: list) -> tuple:
 
     Registers live in locals ``r0``..``r15``: each is read from
     ``machine.regs`` before its first use and written back once, at the
-    end.  :data:`TEMPLATES` rows are inlined; any other instruction (a
-    Qat op) calls its :data:`FAST_HANDLERS` entry, with the GPRs its
-    :class:`~repro.cpu.exec_core.StaticEffects` name synced around the call.
+    end.  :data:`TEMPLATES` rows are inlined, Qat gates included (their
+    register numbers are literals); any other instruction (a Qat op that
+    can trap under ``strict_qat``) calls its :data:`FAST_HANDLERS` entry,
+    with the GPRs its :class:`~repro.cpu.exec_core.StaticEffects` name
+    synced around the call.
     """
     namespace = dict(TEMPLATE_GLOBALS)
     body, dirty, have = [], set(), set()
@@ -276,7 +279,7 @@ def _compile(start: int, chain: list) -> tuple:
             fields = {"n": str(pc_next)}
             for kind, value in zip(INSTRUCTIONS[entry.mnemonic].operands,
                                    entry.ops):
-                if kind in "io":
+                if kind in "ioABC":
                     fields[kind] = f"({value})"
                     continue
                 fields[kind] = f"r{value}"

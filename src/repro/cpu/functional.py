@@ -4,8 +4,8 @@ Executes one instruction per step with no timing, like the paper's
 Figure 6 single-cycle datapath.  Each instruction runs its handler from
 :data:`repro.cpu.exec_core.FAST_HANDLERS`, the one table of ISA
 semantics, through one of two loops: the observed loop (:meth:`step`,
-via :func:`~repro.cpu.exec_core.execute`) whenever telemetry, a trace,
-a checkpointer, or a profiler is attached, and otherwise the stripped
+via :func:`~repro.cpu.exec_core.execute`) whenever telemetry, a
+checkpointer, or a profiler is attached, and otherwise the stripped
 loop :func:`repro.cpu.fastpath.run_functional`, whose translated tier
 runs hot blocks as compiled closures built from the same table.
 :meth:`FunctionalSimulator.advance` picks the loop; ``run()`` wraps it
@@ -51,14 +51,12 @@ class FunctionalSimulator:
         self,
         ways: int = QAT_WAYS,
         syscalls: SyscallHandler | None = None,
-        trace=None,
         trap_policy: TrapPolicy | None = None,
         qat_backend="dense",
     ):
         self.machine = MachineState(ways, trap_policy=trap_policy,
                                     qat_backend=qat_backend)
         self.syscalls = syscalls if syscalls is not None else SyscallHandler()
-        self.trace = trace
         #: optional :class:`repro.faults.checkpoint.AutoCheckpointer`
         self.checkpointer = None
 
@@ -83,8 +81,7 @@ class FunctionalSimulator:
         machine = self.machine
         if machine.halted:
             raise HaltedError("machine is halted", pc=machine.pc)
-        pc = machine.pc
-        entry = _fastpath.cache_for(machine).lookup(machine.mem, pc)
+        entry = _fastpath.cache_for(machine).lookup(machine.mem, machine.pc)
         instr = entry.instr
         if instr is None:
             try:
@@ -92,12 +89,9 @@ class FunctionalSimulator:
             except TrapDelivered:
                 return self._trapped_effects()
         try:
-            effects = execute(machine, instr, self.syscalls)
+            return execute(machine, instr, self.syscalls)
         except TrapDelivered:
             return self._trapped_effects()
-        if self.trace is not None:
-            self.trace.record(pc, instr, effects, machine)
-        return effects
 
     def advance(self, n: int) -> int:
         """Run up to ``n`` steps, stopping at halt; returns the steps run

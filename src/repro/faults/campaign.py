@@ -116,12 +116,9 @@ def _worker_init() -> None:
 
     Workers forked from an instrumented parent must not write into its
     telemetry (the parent replays per-run hooks from the returned
-    durations), and each gets pristine process-global pattern stores.
+    durations).
     """
-    from repro.pattern import reset_default_stores
-
     _obs.install(None)
-    reset_default_stores()
     _WORKER_IMAGES.clear()
 
 
@@ -336,8 +333,8 @@ def run_campaign(
 
     Every run gets its own simulator and a per-run fault plan seeded
     from ``seed`` and the run index, so the whole campaign is a pure
-    function of its arguments.  The process-global pattern stores are
-    reset first so chunk interning from earlier work (or an earlier
+    function of its arguments.  Every RE chunk store belongs to one run
+    (or one batch), so chunk interning from earlier work (or an earlier
     campaign) can never bleed into this one's RE-backed runs.
 
     ``jobs > 1`` shards the runs across a *supervised* worker pool
@@ -387,9 +384,7 @@ def run_campaign(
             "use --batch N or --jobs N, not both"
         )
     from repro.obs.ledger import SHARD_DONE, SHARD_TOXIC
-    from repro.pattern import reset_default_stores
 
-    reset_default_stores()
     image = _load_program(program)
     golden, golden_steps = golden_run(image, sim=sim, ways=ways,
                                       qat_backend=qat_backend)

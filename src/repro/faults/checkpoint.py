@@ -35,6 +35,7 @@ import numpy as np
 from repro.aob import AoB
 from repro.errors import CheckpointError
 from repro.isa.registers import NUM_QAT_REGS
+from repro.obs import flight as _flight
 from repro.obs import runtime as _obs
 from repro.utils.bits import words_for_bits
 
@@ -103,8 +104,7 @@ class Checkpoint:
     digest: str
     #: timing-model cycle at capture, if the simulator supplied one
     cycle: int | None = None
-    #: chunkstore symbols captured alongside -- an explicitly passed
-    #: store (dense machines) or the RE backend's private store
+    #: RE only: the backend's chunk store, one payload per symbol
     store_chunks: tuple[np.ndarray, ...] = field(default=())
     store_chunk_ways: int | None = None
     #: which Qat substrate the machine ran ("dense" or "re")
@@ -115,18 +115,20 @@ class Checkpoint:
     qat_runs: tuple = ()
 
     @classmethod
-    def take(cls, machine, cycle: int | None = None, store=None) -> "Checkpoint":
-        """Snapshot ``machine`` (and optionally a ``ChunkStore``) now.
+    def take(cls, machine, cycle: int | None = None) -> "Checkpoint":
+        """Snapshot ``machine`` now.
 
-        On an RE-backed machine the backend's private store is captured
-        (the ``store`` argument is ignored): the run lists are
-        meaningless without the chunk payloads their symbols point at.
+        On an RE-backed machine the backend's own chunk store is captured
+        too: the run lists are meaningless without the chunk payloads
+        their symbols point at.
         """
         t0 = time.perf_counter_ns()
         regs = np.array(machine.regs, dtype=np.uint16)
         mem = np.array(machine.mem)
         backend = machine.qat.name
         qat_runs: tuple = ()
+        store_chunks: tuple[np.ndarray, ...] = ()
+        store_chunk_ways = None
         if backend == "dense":
             qregs = np.stack([machine.read_qreg(reg).words
                               for reg in range(NUM_QAT_REGS)])
@@ -137,16 +139,11 @@ class Checkpoint:
                 for pv in machine.qat.regs
             )
             store = machine.qat.store
-        output = tuple(machine.output)
-        store_chunks: tuple[np.ndarray, ...] = ()
-        store_chunk_ways = None
-        if store is not None:
             store_chunks = tuple(chunk.words.copy() for chunk in store.chunks())
             store_chunk_ways = store.chunk_ways
+        output = tuple(machine.output)
         if _obs.active:
             _obs.current().checkpoint_op("capture", t0)
-        from repro.obs import flight as _flight
-
         if _flight.RECORDER.enabled:
             _flight.RECORDER.note_checkpoint(
                 "capture", f"pc={machine.pc:#06x} instret={machine.instret}"
@@ -182,8 +179,8 @@ class Checkpoint:
             _obs.current().checkpoint_op("verify", t0, ok=ok)
         return ok
 
-    def restore(self, machine, store=None, verify: bool = True) -> None:
-        """Write this snapshot back into ``machine`` (and ``store``).
+    def restore(self, machine, verify: bool = True) -> None:
+        """Write this snapshot back into ``machine``.
 
         Raises :class:`~repro.errors.CheckpointError` if ``verify`` is
         set and the digest no longer matches (the checkpoint was
@@ -224,9 +221,6 @@ class Checkpoint:
         machine.invalidate_predecode()
         if self.qat_backend == "dense":
             machine.qat.restore([_from_words(row) for row in self.qregs])
-            if store is not None and self.store_chunks:
-                store.restore_chunks(
-                    _chunk_values(self.store_chunks, store.chunk_ways))
         else:
             chunk_ways = machine.qat.store.chunk_ways
             machine.qat.restore(
@@ -237,8 +231,6 @@ class Checkpoint:
         machine.output[:] = list(self.output)
         if _obs.active:
             _obs.current().checkpoint_op("restore", t0)
-        from repro.obs import flight as _flight
-
         if _flight.RECORDER.enabled:
             _flight.RECORDER.note_checkpoint(
                 "restore", f"pc={self.pc:#06x} instret={self.instret}"
@@ -277,8 +269,6 @@ class Checkpoint:
             np.savez_compressed(handle, **arrays)
         if _obs.active:
             _obs.current().checkpoint_op("save", t0)
-        from repro.obs import flight as _flight
-
         if _flight.RECORDER.enabled:
             _flight.RECORDER.note_checkpoint("save", path)
 
@@ -300,8 +290,6 @@ class Checkpoint:
             raise CheckpointError(f"unreadable checkpoint {path!r}: {exc}") from exc
         if _obs.active:
             _obs.current().checkpoint_op("load", t0)
-        from repro.obs import flight as _flight
-
         if _flight.RECORDER.enabled:
             _flight.RECORDER.note_checkpoint("load", path)
         if header.get("version") != FORMAT_VERSION:
@@ -345,14 +333,13 @@ class AutoCheckpointer:
     snapshotted into a ring of the ``keep`` most recent checkpoints.
     """
 
-    def __init__(self, interval: int = 1024, keep: int = 2, store=None):
+    def __init__(self, interval: int = 1024, keep: int = 2):
         if interval <= 0:
             raise CheckpointError(f"interval must be positive, got {interval}")
         if keep <= 0:
             raise CheckpointError(f"keep must be positive, got {keep}")
         self.interval = interval
         self.keep = keep
-        self.store = store
         self.ticks = 0
         self.taken = 0
         self._ring: list[Checkpoint] = []
@@ -362,14 +349,11 @@ class AutoCheckpointer:
         self.ticks += 1
         if self.ticks % self.interval:
             return None
-        checkpoint = Checkpoint.take(machine, cycle=cycle, store=self.store)
+        checkpoint = Checkpoint.take(machine, cycle=cycle)
         self._ring.append(checkpoint)
         if len(self._ring) > self.keep:
             self._ring.pop(0)
         self.taken += 1
-
-        from repro.obs import runtime as _obs
-
         if _obs.active:
             _obs.current().metrics.counter("checkpoint.taken").inc()
         return checkpoint

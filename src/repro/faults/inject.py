@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import ReproError, SimulatorError
+from repro.obs import flight as _flight
+from repro.obs import runtime as _obs
 
 #: Injectable architectural targets.
 TARGETS = ("gpr", "qreg", "mem", "pc", "latch")
@@ -150,9 +152,6 @@ def apply_event(machine, event: FaultEvent, pipeline=None) -> None:
             raise SimulatorError(
                 f"{event.target} flip (index={event.index}, bit={event.bit}) "
                 "is outside the 16-bit host state")
-    from repro.obs import flight as _flight
-    from repro.obs import runtime as _obs
-
     if _flight.RECORDER.enabled:
         _flight.RECORDER.note_fault(
             event.target,

@@ -33,6 +33,8 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import SyscallError, TrapError
+from repro.obs import flight as _flight
+from repro.obs import runtime as _obs
 
 
 class TrapCause(enum.Enum):
@@ -164,7 +166,9 @@ class TrapDelivered(Exception):
 
     def __init__(self, record: TrapRecord):
         self.record = record
-        super().__init__(record.describe())
+
+    def __str__(self) -> str:
+        return self.record.describe()
 
 
 def deliver(machine, cause: TrapCause, detail: str = "",
@@ -188,10 +192,7 @@ def deliver(machine, cause: TrapCause, detail: str = "",
         detail=detail,
     )
     machine.traps.append(record)
-
-    from repro.obs import flight as _flight
-    from repro.obs import runtime as _obs
-
+    # ``_flight.RECORDER`` is read per call: it may be swapped at run time.
     if _flight.RECORDER.enabled:
         _flight.RECORDER.note_trap(record.pc, cause.value, cycle,
                                    record.instret, detail)

@@ -84,8 +84,7 @@ class Tracer:
     """Collects span/instant/counter events, bounded by ``max_events``.
 
     Events past the cap are counted in ``dropped`` rather than silently
-    vanishing -- the same honesty rule as
-    :class:`repro.cpu.trace.ExecutionTrace`.
+    vanishing.
     """
 
     def __init__(self, max_events: int = 1_000_000):

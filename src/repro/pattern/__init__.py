@@ -17,6 +17,6 @@ This package is that software layer:
 """
 
 from repro.pattern.chunkstore import ChunkStore
-from repro.pattern.vector import PatternVector, default_store, reset_default_stores
+from repro.pattern.vector import PatternVector
 
-__all__ = ["ChunkStore", "PatternVector", "default_store", "reset_default_stores"]
+__all__ = ["ChunkStore", "PatternVector"]

@@ -28,34 +28,6 @@ from repro.pattern.chunkstore import ChunkStore
 #: Chunk width used by the paper's full-scale design: 65,536-bit symbols.
 PAPER_CHUNK_WAYS = 16
 
-_default_stores: dict[int, ChunkStore] = {}
-
-
-def default_store(chunk_ways: int = PAPER_CHUNK_WAYS) -> ChunkStore:
-    """Process-wide shared :class:`ChunkStore` for a given chunk width."""
-    store = _default_stores.get(chunk_ways)
-    if store is None:
-        store = ChunkStore(chunk_ways)
-        _default_stores[chunk_ways] = store
-    return store
-
-
-def reset_default_stores() -> None:
-    """Drop every process-wide shared store.
-
-    The shared stores accumulate interned chunks and memo hit/miss
-    counts for the life of the process, which silently couples runs that
-    should be independent: a counter capture warmed by the previous one,
-    or a fault-campaign seed whose chunkstore counters depend on the
-    seeds run before it.  Callers that promise per-run isolation (the
-    exact counter-baseline test, campaign byte-reproducibility) call
-    this between runs; vectors built against
-    a dropped store keep working -- they hold their own reference -- but
-    new ``default_store()`` callers start from a pristine store.
-    """
-    _default_stores.clear()
-
-
 Runs = tuple[tuple[int, int], ...]
 
 
@@ -92,14 +64,13 @@ class PatternVector:
         Run-length encoding ``((symbol, chunk_count), ...)``; counts must
         sum to :math:`2^{ways - chunk\\_ways}`.
     store:
-        The :class:`ChunkStore` owning the symbols; defaults to the shared
-        per-width store.
+        The :class:`ChunkStore` owning the symbols: the one store of the
+        simulation or context the vector belongs to.
     """
 
     __slots__ = ("ways", "nbits", "store", "runs")
 
-    def __init__(self, ways: int, runs: Runs, store: ChunkStore | None = None):
-        store = store or default_store()
+    def __init__(self, ways: int, runs: Runs, store: ChunkStore):
         _check_ways(ways, store)
         self.ways = ways
         self.nbits = 1 << ways
@@ -126,28 +97,26 @@ class PatternVector:
         return 1 << (self.ways - self.store.chunk_ways)
 
     @classmethod
-    def zeros(cls, ways: int, store: ChunkStore | None = None) -> "PatternVector":
+    def zeros(cls, ways: int, store: ChunkStore) -> "PatternVector":
         """Constant pbit 0."""
-        store = store or default_store()
         nchunks = _check_ways(ways, store)
         return cls(ways, ((store.zero_id, nchunks),), store)
 
     @classmethod
-    def ones(cls, ways: int, store: ChunkStore | None = None) -> "PatternVector":
+    def ones(cls, ways: int, store: ChunkStore) -> "PatternVector":
         """Constant pbit 1."""
-        store = store or default_store()
         nchunks = _check_ways(ways, store)
         return cls(ways, ((store.one_id, nchunks),), store)
 
     @classmethod
-    def constant(cls, ways: int, bit: int, store: ChunkStore | None = None) -> "PatternVector":
+    def constant(cls, ways: int, bit: int, store: ChunkStore) -> "PatternVector":
         """Constant pbit ``bit``."""
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit}")
         return cls.ones(ways, store) if bit else cls.zeros(ways, store)
 
     @classmethod
-    def hadamard(cls, ways: int, k: int, store: ChunkStore | None = None) -> "PatternVector":
+    def hadamard(cls, ways: int, k: int, store: ChunkStore) -> "PatternVector":
         """Standard entangled superposition ``H(k)`` at any entanglement.
 
         For ``k < chunk_ways`` this is a single run of the in-chunk ``H(k)``
@@ -155,7 +124,6 @@ class PatternVector:
         one-chunk runs of length :math:`2^{k - chunk\\_ways}` -- storage is
         O(number of runs), independent of :math:`2^{ways}`.
         """
-        store = store or default_store()
         cw = store.chunk_ways
         nchunks = _check_ways(ways, store)
         if k >= ways:
@@ -167,9 +135,9 @@ class PatternVector:
         return cls(ways, runs * (nchunks // run_len // 2), store)
 
     @classmethod
-    def from_aob(cls, aob: AoB, ways: int | None = None, store: ChunkStore | None = None) -> "PatternVector":
+    def from_aob(cls, aob: AoB, ways: int | None = None, *,
+                 store: ChunkStore) -> "PatternVector":
         """Compress a dense AoB (optionally zero-extended to ``ways``)."""
-        store = store or default_store()
         cw = store.chunk_ways
         if aob.ways < cw:
             raise EntanglementError(

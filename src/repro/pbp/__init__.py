@@ -24,7 +24,7 @@ from repro.pbp.pint import Pint
 
 # ``pbp.trace`` is the gate-recording *compiler* (TraceContext), not a
 # runtime tracer -- re-exported as ``compile_trace`` so it cannot be
-# confused with ``repro.obs`` tracing or ``repro.cpu.trace``.
+# confused with ``repro.obs`` tracing.
 from repro.pbp import trace as compile_trace
 from repro.pbp.trace import TraceContext
 

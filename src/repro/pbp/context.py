@@ -35,9 +35,8 @@ class PbpContext:
         compressed beyond).
     chunk_ways:
         Chunk width for the pattern backend (the paper's hardware chunks
-        are 16-way / 65,536 bits; tests may use smaller).
-    store:
-        Optional explicit :class:`ChunkStore` (pattern backend).
+        are 16-way / 65,536 bits; tests may use smaller).  The pattern
+        backend's :class:`ChunkStore` belongs to this context alone.
     """
 
     def __init__(
@@ -45,7 +44,6 @@ class PbpContext:
         ways: int,
         backend: str = "auto",
         chunk_ways: int | None = None,
-        store: ChunkStore | None = None,
     ):
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
@@ -60,11 +58,9 @@ class PbpContext:
         self.ways = ways
         self.backend = backend
         if backend == "pattern":
-            if store is None:
-                cw = chunk_ways if chunk_ways is not None else min(PAPER_CHUNK_WAYS, ways)
-                store = ChunkStore(cw)
-            self.store: ChunkStore | None = store
-            self.alg = ValueAlgebra(ways, PatternVector, store)
+            cw = chunk_ways if chunk_ways is not None else min(PAPER_CHUNK_WAYS, ways)
+            self.store: ChunkStore | None = ChunkStore(cw)
+            self.alg = ValueAlgebra(ways, PatternVector, self.store)
         else:
             self.store = None
             self.alg = ValueAlgebra(ways, AoB)

@@ -5,8 +5,8 @@
    tracer: "trace" here means *recording the gate-level computation* of a
    pint program so it can be emitted as Qat assembly.  Runtime
    observability (spans, counters, Chrome traces) lives in
-   :mod:`repro.obs`; the instruction-stream tracer is
-   :class:`repro.cpu.trace.ExecutionTrace`.  To avoid import-site
+   :mod:`repro.obs`; the executed instruction stream is the flight
+   recorder's (:mod:`repro.obs.flight`).  To avoid import-site
    confusion this module is also re-exported as ``repro.pbp.compile_trace``.
 
 A :class:`TraceContext` looks like a :class:`~repro.pbp.PbpContext` but

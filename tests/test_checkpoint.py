@@ -16,7 +16,6 @@ from repro.cpu import (
 from repro.errors import CheckpointError
 from repro.faults import AutoCheckpointer, Checkpoint
 from repro.faults.checkpoint import _digest, _qat_blobs
-from repro.pattern import ChunkStore, PatternVector
 
 COUNTDOWN = """
     lex $0, 10
@@ -141,18 +140,25 @@ class TestCheckpoint:
             Checkpoint.load(path)
 
     def test_captures_chunkstore(self):
-        store = ChunkStore(6)
-        pv = PatternVector.hadamard(8, 1, store=store)
-        sim = _run_some(2)
-        ckpt = Checkpoint.take(sim.machine, store=store)
+        sim = FunctionalSimulator(ways=8, qat_backend="re")
+        sim.load(assemble("had @0, 1\nhad @1, 5\nlex $rv, 0\nsys\n"))
+        sim.run()
+        machine = sim.machine
+        store = machine.qat.store
+        values = [machine.read_qreg(q) for q in range(3)]
+        ckpt = Checkpoint.take(machine)
         assert len(ckpt.store_chunks) == len(store.chunks())
-        # Corrupt the store in place, then restore it from the snapshot.
+        # Corrupt the backend's store in place, then restore it from the
+        # snapshot.
         from repro.faults import flip_chunk_bit
 
-        flip_chunk_bit(store, pv.runs[0][0], 1)
-        ckpt.restore(sim.machine, store=store)
+        sym = machine.qat.regs[0].runs[0][0]
+        before = store.chunk_int(sym)
+        flip_chunk_bit(store, sym, 1)
+        assert store.chunk_int(sym) != before
+        ckpt.restore(machine)
+        assert [machine.read_qreg(q) for q in range(3)] == values
         assert store.degraded == 0
-        assert pv.meas(1) == PatternVector.hadamard(8, 1, store=store).meas(1)
 
 
 class TestAutoCheckpointer:

@@ -29,7 +29,6 @@ import pytest
 
 from repro import obs
 from repro.obs.metrics import Histogram
-from repro.pattern import reset_default_stores
 
 BASELINE = Path(__file__).parent / "data" / "counter_baseline.json"
 
@@ -108,11 +107,10 @@ WORKLOADS = {
 def capture(workload) -> dict:
     """Every scalar metric one run of ``workload`` produces.
 
-    Stores are reset first so interning and memo state left by earlier
-    work cannot shift the chunkstore hit counts; the caller's telemetry
-    is restored afterwards.
+    Every workload builds its own chunk store, so interning and memo
+    state left by earlier work cannot shift the chunkstore hit counts;
+    the caller's telemetry is restored afterwards.
     """
-    reset_default_stores()
     previous = obs.current()
     telemetry = obs.enable(tracing=False)
     try:

@@ -4,9 +4,12 @@ For each Table 1/3 instruction, hypothesis drives random architectural
 state through both the real executor and an independent one-line Python
 model of the table's functionality column.  :class:`TestInlinedCorners`
 adds fixed corner operands for every instruction a translated block
-inlines, run both translated and through its ``FAST_HANDLERS`` entry.
+inlines, run both translated and through its ``FAST_HANDLERS`` entry;
+the Qat gates run over a preloaded register file on the dense and the
+RE backend.
 """
 
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -23,8 +26,8 @@ from repro.bf16 import (
     bf16_recip,
     bf16_to_int,
 )
-from repro.cpu import FunctionalSimulator, MachineState, fastpath
-from repro.cpu.exec_core import TEMPLATES, execute
+from repro.cpu import FunctionalSimulator, MachineState, REQatBackend, fastpath
+from repro.cpu.exec_core import FAST_HANDLERS, TEMPLATES, execute
 from repro.isa import INSTRUCTIONS, Instr, encode
 
 from tests.conformance import every_leader_hot
@@ -279,30 +282,98 @@ def _corner_cases(mnemonic):
             + [((0, 0), d, d) for d in values])
 
 
-def _run_corner(instr, d, s, translated):
-    sim = FunctionalSimulator(ways=WAYS)
-    sim.load(encode(instr), origin=ORIGIN)
+#: Qat gate -> model of the registers it writes, ``{reg: new value}``,
+#: from the register file ``q`` before it and its operand registers.
+QAT_MODELS = {
+    "qand": lambda q, a, b, c: {a: q[b] & q[c]},
+    "qor": lambda q, a, b, c: {a: q[b] | q[c]},
+    "qxor": lambda q, a, b, c: {a: q[b] ^ q[c]},
+    "qccnot": lambda q, a, b, c: {a: q[a] ^ (q[b] & q[c])},
+    "qcnot": lambda q, a, b: {a: q[a] ^ q[b]},
+    # ``b`` after ``a``: with ``a == b`` the pair is unchanged.
+    "qcswap": lambda q, a, b, c: dict(zip((a, b), q[a].cswap(q[b], q[c]))),
+    "qswap": lambda q, a, b: {a: q[b], b: q[a]},
+    "qnot": lambda q, a: {a: ~q[a]},
+    "qzero": lambda q, a: {a: AoB.zeros(q[a].ways)},
+    "qone": lambda q, a: {a: AoB.ones(q[a].ways)},
+}
+#: Qat register operands per operand count: distinct, aliased, high.
+QAT_OPERANDS = {
+    3: ((3, 1, 2), (0, 0, 1), (0, 1, 0), (1, 0, 0), (5, 5, 5), (255, 128, 7)),
+    2: ((3, 1), (0, 0), (255, 7)),
+    1: ((0,), (255,)),
+}
+QAT_WAYS = 8
+#: Qat substrates under test; the RE registers span four 64-bit chunks.
+QAT_BACKENDS = {
+    "dense": lambda: "dense",
+    "re": lambda: REQatBackend(QAT_WAYS, chunk_ways=6),
+}
+#: A distinct pattern in every Qat register.
+QREGS = tuple(
+    AoB(QAT_WAYS, int.from_bytes(hashlib.sha256(bytes([q])).digest(), "little"))
+    for q in range(256))
+assert len(set(QREGS)) == 256
+
+
+def _run_corner(instr, d, s, translated, ways=WAYS, qat_backend="dense",
+                qregs=()):
+    """Run ``instr`` once from ``$0 = d``, ``$1 = s`` and ``qregs``.
+
+    A ``sys`` follows it, so the block translated at ``ORIGIN`` holds
+    ``instr`` alone and runs within the one step.
+    """
+    sim = FunctionalSimulator(ways=ways, qat_backend=qat_backend)
+    sim.load(encode(instr) + encode(Instr("sys")), origin=ORIGIN)
     machine = sim.machine
     for addr in CORNERS:
         machine.write_mem(addr, addr ^ 0x5A5A)
     machine.write_reg(0, d)
     machine.write_reg(1, s)
+    for q, value in enumerate(qregs):
+        machine.write_qreg(q, value)
     if translated:
         with every_leader_hot():
             fastpath.run_functional(sim, 1)
-        assert fastpath.cache_for(machine).blocks[ORIGIN], "not translated"
+        assert fastpath.cache_for(machine).blocks[ORIGIN][1] == 1, \
+            "not translated"
     else:
         sim.step()
+    assert machine.instret == 1
     return machine
+
+
+def _check_qat_row(mnemonic):
+    """Translated block, handler and :data:`QAT_MODELS` over every Qat
+    register, on each backend."""
+    model = QAT_MODELS[mnemonic]
+    for backend, ops in product(QAT_BACKENDS,
+                                QAT_OPERANDS[len(INSTRUCTIONS[mnemonic].operands)]):
+        instr = Instr(mnemonic, ops)
+        want = list(QREGS)
+        for reg, value in model(QREGS, *ops).items():
+            want[reg] = value
+        for translated in (True, False):
+            machine = _run_corner(instr, 0, 0, translated, ways=QAT_WAYS,
+                                  qat_backend=QAT_BACKENDS[backend](),
+                                  qregs=QREGS)
+            case = f"{instr.render()} on {backend}, translated={translated}"
+            got = [machine.read_qreg(q) for q in range(256)]
+            assert got == want, case
+            assert machine.pc == ORIGIN + len(encode(instr)), case
+            assert machine.regs == [0] * 16, case
 
 
 class TestInlinedCorners:
     def test_every_inlined_mnemonic_is_covered(self):
-        assert set(TEMPLATES) <= set(REG0_MODELS) | {"brf", "brt", "jumpr",
-                                                      "store"}
+        assert set(TEMPLATES) <= (set(REG0_MODELS) | set(QAT_MODELS)
+                                  | {"brf", "brt", "jumpr", "store"})
 
     @pytest.mark.parametrize("mnemonic", sorted(TEMPLATES))
     def test_translated_block_matches_handler_and_model(self, mnemonic):
+        if mnemonic in QAT_MODELS:
+            _check_qat_row(mnemonic)
+            return
         for ops, d, s in _corner_cases(mnemonic):
             instr = Instr(mnemonic, ops)
             got, want = (_run_corner(instr, d, s, translated)
@@ -326,3 +397,23 @@ class TestInlinedCorners:
                 taken = (d != 0) == (mnemonic == "brt")
                 target = (pc_next + ops[1]) & 0xFFFF if taken else pc_next
                 assert got.pc == target, case
+
+    def test_translated_qat_gate_calls_no_handler(self, monkeypatch):
+        """A block inlines each Qat gate: with every gate's handler
+        replaced by one that fails, translated runs still match the
+        model."""
+        def refuse(*args):
+            raise AssertionError("a translated block called a handler")
+
+        # Fresh intern and code tables, so every entry and block is built
+        # against the refusing handlers.
+        monkeypatch.setattr(fastpath, "_INTERN", {})
+        monkeypatch.setattr(fastpath, "_CODE", {})
+        for mnemonic in QAT_MODELS:
+            monkeypatch.setitem(FAST_HANDLERS, mnemonic, refuse)
+        for mnemonic, model in QAT_MODELS.items():
+            ops = QAT_OPERANDS[len(INSTRUCTIONS[mnemonic].operands)][0]
+            machine = _run_corner(Instr(mnemonic, ops), 0, 0, True,
+                                  ways=QAT_WAYS, qregs=QREGS)
+            for reg, value in model(QREGS, *ops).items():
+                assert machine.read_qreg(reg) == value, mnemonic

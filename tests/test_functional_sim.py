@@ -4,7 +4,6 @@ import pytest
 
 from repro.asm import assemble
 from repro.cpu import FunctionalSimulator
-from repro.cpu.trace import ExecutionTrace
 from repro.errors import HaltedError, SimulatorError
 
 
@@ -20,7 +19,7 @@ class TestLifecycle:
         sim.load(assemble("lex $0, 9\nsys\n"))
         eff = sim.step()
         assert eff.mnemonic == "lex"
-        assert eff.writes_gpr == frozenset({0})
+        assert (eff.next_pc, eff.taken_branch, eff.is_store) == (1, False, False)
 
     def test_step_after_halt_raises(self):
         sim = FunctionalSimulator(ways=6)
@@ -47,31 +46,6 @@ class TestLifecycle:
         sim.load(p, origin=0x40)
         sim.run()
         assert sim.machine.read_reg(0) == 3
-
-
-class TestTrace:
-    def test_trace_records(self):
-        trace = ExecutionTrace()
-        sim = FunctionalSimulator(ways=6, trace=trace)
-        sim.load(assemble("lex $0, 1\nhad @0, 2\nsys\n"))
-        sim.run()
-        assert len(trace) == 3
-        assert trace.entries[0].instr.mnemonic == "lex"
-        assert trace.mix() == {"alu": 1, "qat": 1, "sys": 1}
-
-    def test_trace_limit(self):
-        trace = ExecutionTrace(limit=1)
-        sim = FunctionalSimulator(ways=6, trace=trace)
-        sim.load(assemble("lex $0, 1\nlex $1, 2\nsys\n"))
-        sim.run()
-        assert len(trace) == 1
-
-    def test_trace_render(self):
-        trace = ExecutionTrace()
-        sim = FunctionalSimulator(ways=6, trace=trace)
-        sim.load(assemble("lex $0, 1\nsys\n"))
-        sim.run()
-        assert "lex" in trace.render()
 
 
 class TestStateIntegrity:

@@ -303,18 +303,15 @@ class TestCliRecording:
 
 
 class TestFanOutInterplay:
-    """Satellite: ledger x reset_default_stores x --jobs sharding."""
+    """Satellite: ledger x --jobs sharding."""
 
     CAMPAIGN = ["faults", "--runs", "6", "--seed", "11", "--jobs", "2",
                 "--qat-backend", "re"]
 
     def test_identical_jobs_campaigns_identical_snapshots(self, capsys):
-        from repro.pattern import reset_default_stores
-
         assert main(self.CAMPAIGN) == 0
-        # Dirty the process-global stores between campaigns: the second
-        # campaign resets them, so its ledger snapshot must not shift.
-        reset_default_stores()
+        # Every chunk store belongs to one run, so the second campaign's
+        # ledger snapshot must not shift.
         assert main(self.CAMPAIGN) == 0
         reports = capsys.readouterr().out
         half = len(reports) // 2

@@ -15,7 +15,6 @@ from repro import obs
 from repro.asm import assemble
 from repro.cli import main
 from repro.cpu import FunctionalSimulator, PipelineConfig, PipelinedSimulator
-from repro.cpu.trace import ExecutionTrace
 from repro.obs.spans import PID_PIPELINE
 
 
@@ -203,33 +202,3 @@ class TestCli:
         assert "== telemetry report ==" in out
         # the deterministic fig10 CPI on the default pipelined simulator
         assert "pipeline CPI            : 1.8152" in out
-
-
-class TestExecutionTraceTruncation:
-    def test_unlimited_trace_is_not_truncated(self):
-        trace = ExecutionTrace()
-        sim = FunctionalSimulator(ways=4, trace=trace)
-        sim.load(assemble("lex $0, 1\nlex $1, 2\nlex $rv, 0\nsys\n"))
-        sim.run()
-        assert not trace.truncated
-        assert trace.dropped == 0
-        assert "truncated" not in trace.render()
-
-    def test_limit_hit_sets_flag_and_marks_render(self):
-        trace = ExecutionTrace(limit=2)
-        sim = FunctionalSimulator(ways=4, trace=trace)
-        sim.load(assemble("lex $0, 1\nlex $1, 2\nlex $rv, 0\nsys\n"))
-        sim.run()
-        assert len(trace) == 2  # stored entries capped
-        assert trace.truncated
-        assert trace.dropped == 2  # the other two instructions were counted
-        rendered = trace.render()
-        assert "truncated: 2 more instruction(s)" in rendered
-        assert "limit=2" in rendered
-
-    def test_mix_still_covers_stored_entries(self):
-        trace = ExecutionTrace(limit=1)
-        sim = FunctionalSimulator(ways=4, trace=trace)
-        sim.load(assemble("lex $0, 1\nlex $rv, 0\nsys\n"))
-        sim.run()
-        assert sum(trace.mix().values()) == 1

@@ -97,20 +97,9 @@ class TestQpopSaturation:
 
 
 class TestStoreIsolation:
-    def test_reset_default_stores(self):
-        from repro.pattern import default_store, reset_default_stores
-
-        before = default_store(8)
-        assert default_store(8) is before
-        reset_default_stores()
-        assert default_store(8) is not before
-
     def test_re_backends_never_share_stores(self):
         a, b = REQatBackend(8), REQatBackend(8)
         assert a.store is not b.store
-        from repro.pattern import default_store
-
-        assert a.store is not default_store(8)
 
 
 _QAT_SOURCES = {
