@@ -39,8 +39,12 @@ retired stream and each instruction's static register use, so an
 unobserved ``run()`` on a freshly loaded pipeline takes
 :meth:`PipelinedSimulator._run_stripped` instead: the bare
 ``FAST_HANDLERS`` in retire order, with each instruction's fetch, ID and
-EX cycles computed by a scoreboard.  The conformance harness holds the
-two loops to identical statistics, trap records and flight streams.
+EX cycles computed by a scoreboard.  Hot code runs there as the
+translated blocks of :mod:`repro.cpu.fastpath`, compiled with this
+configuration's scoreboard timing folded in, so a block retires in one
+call and is timed in a few integer maxima.  The conformance harness
+holds the two loops, with and without every block translated, to
+identical statistics, trap records and flight streams.
 """
 
 from __future__ import annotations
@@ -129,8 +133,9 @@ _IF, _ID, _EX = 0, 1, 2
 
 #: Scoreboard slots of the stripped loop: the GPRs, then the Qat registers.
 _SCOREBOARD = NUM_GPRS + NUM_QAT_REGS
-#: Stripped-loop ``kind`` of an entry that may redirect fetch at EX.
-_BRANCH, _JUMP, _STORE = 1, 2, 3
+#: Stripped-loop ``kind`` of an entry that may redirect fetch at EX, and
+#: of a delivered trap, which always does.
+_BRANCH, _JUMP, _STORE, _TRAPPED = 1, 2, 3, 4
 
 
 def _timing(entry: Predecoded) -> tuple:
@@ -140,7 +145,9 @@ def _timing(entry: Predecoded) -> tuple:
     as a 3-bit number; each item is ``(reads, writes, delay, length,
     kind)``: scoreboard slots read and written, the cycles from EX until
     a written value is readable, the cycles the instruction holds EX,
-    and what can redirect fetch.  Memoized on the (interned) entry.
+    and what can redirect fetch.  Memoized on the (interned) entry; a
+    translated block is compiled from its entries' items
+    (:func:`repro.cpu.fastpath._scoreboard`).
     """
     stat = entry.static
     if stat is None:  # undecodable: traps at EX, reads and writes nothing
@@ -552,6 +559,17 @@ class PipelinedSimulator:
         readable (``ready``), then runs its handler bare with
         ``stats.cycles`` already at EX -- where trap records and the
         cycle-counter syscall read the clock.
+
+        Hot code runs as translated blocks, as in
+        :func:`repro.cpu.fastpath.run_functional`: at a leader (where the
+        run starts, and after a block, a branch, jump, store, ``sys`` or
+        delivered trap) a visit is counted, and from
+        :data:`~repro.cpu.fastpath.HOT_THRESHOLD` visits on the block
+        starting there is compiled with this configuration's timing
+        folded in.  A block runs whole, or -- when its last EX cycle is
+        past ``max_cycles`` -- not at all, and then the per-instruction
+        path below makes the watchdog's exact cut.  A block's last
+        instruction takes the same redirect tail as an interpreted one.
         """
         machine = self.machine
         stats = self.stats
@@ -559,12 +577,30 @@ class PipelinedSimulator:
         mem = machine.mem
         cache = _fastpath.cache_for(machine)
         entries = cache.entries
+        blocks = cache.blocks
+        heat = cache.heat
+        hot = _fastpath.HOT_THRESHOLD
         predecode = _fastpath._predecode
         config = self.config
         cfg = ((config.stages == 5) << 2 | (not config.forwarding) << 1
                | (not config.second_qat_write_port))
+        unsafe = _fastpath._untranslatable(machine.trap_policy)
+        cache.retarget((unsafe, cfg))
+
+        def row_of(entry):
+            return (entry.timing or _timing(entry))[cfg]
+
+        # How far past the last EX cycle the first free EX cycle and a
+        # ready cycle can be, per :func:`_timing`: a single-port swap
+        # holds EX for two cycles, and a result waits for WB without
+        # forwarding, or for MEM after a 5-stage load.
+        longest = 2 if cfg & 1 else 1
+        latest = longest + 1 if cfg & 2 else 2 if cfg & 4 else 1
+        timed = ((longest, latest), row_of)
+
         recorder = _flight.RECORDER
         fr_append = recorder.events.append if recorder.enabled else None
+        fr_extend = recorder.events.extend
         fr_room = recorder.limit - len(recorder.events)
         ready = [0] * _SCOREBOARD
         stalls = structural = fetch_extra = flushes = squashed = traps = 0
@@ -574,91 +610,130 @@ class PipelinedSimulator:
         fetch = 1  # the cycle the fetch of ``entry`` started
         ex = 0     # EX cycle of the previous instruction
         free = 0   # first cycle EX can take the next instruction
+        leader = True
         try:
             while not machine.halted:
-                words = entry.words
-                timing = entry.timing
-                if timing is None:
-                    timing = _timing(entry)
-                reads, writes, delay, length, kind = timing[cfg]
-                idc = fetch + words
-                if idc < ex:
-                    idc = ex
-                start = idc + 1 if idc >= free else free
-                at = start
-                for reg in reads:
-                    if ready[reg] > at:
-                        at = ready[reg]
-                # Entering ID started the fall-through fetch.
-                seq = (pc + words) & 0xFFFF
-                nxt = entries.get(seq)
-                if nxt is None:
-                    nxt = entries[seq] = predecode(mem, seq)
-                if at > max_cycles:
-                    # The watchdog fires at max_cycles, before this
-                    # instruction reaches EX: keep the events up to then.
-                    stalls += max(0, max_cycles + 1 - start)
-                    fetch_extra += ((idc <= max_cycles and nxt.words == 2)
-                                    - (fetch > max_cycles and words == 2))
-                    structural -= max(0, free - 1 - max_cycles)
-                    stats.cycles = max_cycles
-                    try:
-                        machine.trap(
-                            TrapCause.WATCHDOG,
-                            detail=f"exceeded {max_cycles} cycles without halting",
-                        )
-                    except TrapDelivered:
-                        break
-                stalls += at - start
-                if nxt.words == 2:
-                    fetch_extra += 1
-                ex = stats.cycles = at
-                machine.pc = pc
-                try:
-                    handler = entry.handler
-                    if handler is None:
-                        machine.trap(TrapCause.ILLEGAL_OPCODE,
-                                     detail=entry.error)
-                    npc = machine.pc = handler(machine, entry.instr, entry.ops,
-                                               seq, syscalls)
-                except TrapDelivered:
-                    # The trapped instruction writes nothing; a vectored
-                    # trap refetches from the handler.
-                    traps += 1
-                    if machine.halted:
-                        break
-                    npc = machine.pc
-                else:
-                    machine.instret += 1
+                out = None
+                if leader:
+                    block = blocks.get(pc)
+                    if block is None:
+                        visits = heat[pc] = heat.get(pc, 0) + 1
+                        if visits >= hot:
+                            block = _fastpath._translate(
+                                cache, mem, pc, unsafe, timing=timed)
+                    if block:
+                        run, n, records, (last, seq, kind, fixed_structural,
+                                          fixed_fetch) = block
+                        # Looked up first: a store ending the block may
+                        # evict it.
+                        nxt = entries.get(seq)
+                        if nxt is None:
+                            nxt = entries[seq] = predecode(mem, seq)
+                        out = run(machine, ready, fetch, ex, free, max_cycles)
+                if out is not None:
+                    npc, idc, at, free, stall = out
+                    ex = stats.cycles = at
+                    machine.pc = npc
+                    machine.instret += n
+                    stalls += stall
+                    structural += fixed_structural
+                    fetch_extra += fixed_fetch + (nxt.words == 2)
+                    entry = last
                     if fr_append is not None:
-                        fr_append((0, pc, entry.raw))
-                        fr_room -= 1
+                        fr_extend(records)
+                        fr_room -= n
                         if fr_room <= 0:
                             recorder._trim()
                             fr_room = recorder.limit - len(recorder.events)
-                    done = at + delay
-                    for reg in writes:
-                        ready[reg] = done
-                    free = at + length
-                    structural += length - 1
-                    if not kind:
-                        redirect = False
-                    elif kind == _BRANCH:
-                        # Taken by its condition: a zero offset flushes too.
-                        redirect = npc != seq or (not entry.ops[1] and (
+                else:
+                    words = entry.words
+                    timing = entry.timing
+                    if timing is None:
+                        timing = _timing(entry)
+                    reads, writes, delay, length, kind = timing[cfg]
+                    idc = fetch + words
+                    if idc < ex:
+                        idc = ex
+                    start = idc + 1 if idc >= free else free
+                    at = start
+                    for reg in reads:
+                        if ready[reg] > at:
+                            at = ready[reg]
+                    # Entering ID started the fall-through fetch.
+                    seq = (pc + words) & 0xFFFF
+                    nxt = entries.get(seq)
+                    if nxt is None:
+                        nxt = entries[seq] = predecode(mem, seq)
+                    if at > max_cycles:
+                        # The watchdog fires at max_cycles, before this
+                        # instruction reaches EX: keep the events up to then.
+                        stalls += max(0, max_cycles + 1 - start)
+                        fetch_extra += ((idc <= max_cycles and nxt.words == 2)
+                                        - (fetch > max_cycles and words == 2))
+                        structural -= max(0, free - 1 - max_cycles)
+                        stats.cycles = max_cycles
+                        try:
+                            machine.trap(
+                                TrapCause.WATCHDOG,
+                                detail=f"exceeded {max_cycles} cycles "
+                                       "without halting",
+                            )
+                        except TrapDelivered:
+                            break
+                    stalls += at - start
+                    if nxt.words == 2:
+                        fetch_extra += 1
+                    ex = stats.cycles = at
+                    machine.pc = pc
+                    try:
+                        handler = entry.handler
+                        if handler is None:
+                            machine.trap(TrapCause.ILLEGAL_OPCODE,
+                                         detail=entry.error)
+                        npc = machine.pc = handler(machine, entry.instr,
+                                                   entry.ops, seq, syscalls)
+                    except TrapDelivered:
+                        # The trapped instruction writes nothing; a
+                        # vectored trap refetches from the handler.
+                        traps += 1
+                        if machine.halted:
+                            break
+                        npc = machine.pc
+                        kind = _TRAPPED
+                    else:
+                        machine.instret += 1
+                        if fr_append is not None:
+                            fr_append((0, pc, entry.raw))
+                            fr_room -= 1
+                            if fr_room <= 0:
+                                recorder._trim()
+                                fr_room = recorder.limit - len(recorder.events)
+                        done = at + delay
+                        for reg in writes:
+                            ready[reg] = done
+                        free = at + length
+                        structural += length - 1
+                        leader = entry.leads
+                if not kind:
+                    pc, entry, fetch = seq, nxt, idc
+                    continue
+                if kind == _BRANCH:
+                    # Taken by its condition: a zero offset flushes too.
+                    if npc == seq and (entry.ops[1] or (
                             machine.regs[entry.ops[0]] != 0)
-                            == (entry.mnemonic == "brt"))
-                        flushes += redirect
-                    elif kind == _JUMP:
-                        redirect = True
-                        flushes += 1
-                    else:  # a store that evicted the fall-through's entry
-                        redirect = entries.get(seq) is not nxt
-                    if not redirect:
+                            != (entry.mnemonic == "brt")):
                         pc, entry, fetch = seq, nxt, idc
                         continue
-                # A redirect at EX kills the fall-through fetch; the
-                # fetch of ``npc`` starts next cycle.
+                    flushes += 1
+                elif kind == _JUMP:
+                    flushes += 1
+                elif kind == _STORE and entries.get(seq) is nxt:
+                    pc, entry, fetch = seq, nxt, idc
+                    continue
+                # A redirect at EX (or a delivered trap) kills the
+                # fall-through fetch; the fetch of ``npc`` starts next
+                # cycle.
+                leader = True
                 squashed += 1
                 pc = npc
                 entry = cache.lookup(mem, pc)

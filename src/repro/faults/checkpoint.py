@@ -185,7 +185,8 @@ class Checkpoint:
         Raises :class:`~repro.errors.CheckpointError` if ``verify`` is
         set and the digest no longer matches (the checkpoint was
         corrupted after capture), or if the machine runs a different Qat
-        substrate or width than the one captured.
+        substrate, width or RE chunk width than the one captured.  Nothing
+        is written before these checks pass.
         """
         t0 = time.perf_counter_ns()
         if verify and not self.verify():
@@ -202,6 +203,11 @@ class Checkpoint:
         elif self.qat_ways is not None and machine.ways != self.qat_ways:
             mismatch = (f"checkpoint is {self.qat_ways}-way but the machine "
                         f"is {machine.ways}-way")
+        elif (self.qat_backend == "re"
+              and machine.qat.store.chunk_ways != self.store_chunk_ways):
+            mismatch = (f"checkpoint holds {self.store_chunk_ways}-way chunks "
+                        f"but the machine's store holds "
+                        f"{machine.qat.store.chunk_ways}-way chunks")
         elif self.regs.shape != (len(machine.regs),):
             mismatch = (f"checkpoint shape mismatch: regs {self.regs.shape} "
                         f"vs machine ({len(machine.regs)},)")

@@ -8,12 +8,12 @@ one reference (a ``FunctionalSimulator.step()`` loop, i.e. ``execute``
 over ``FAST_HANDLERS``), and :func:`check` runs every engine in
 :data:`ENGINES` on both Qat backends under the raise, halt and vector
 trap policies against it.  The ``.hot`` engines and the batch lanes run
-with :func:`every_leader_hot`, so the stripped loop's translated blocks
+with :func:`every_leader_hot`, so the stripped loops' translated blocks
 run from their first visit; at the real threshold few blocks of a
 :data:`MAX_STEPS` run would get hot.  Pipelined timing has a second
-reference: each configuration's ``run()`` must match its
-``cycle()``-driven loop field by field -- ``PipelineStats``, trap clocks
-and the flight stream.
+reference: each configuration's ``run()``, plain and ``.hot``, must
+match its ``cycle()``-driven loop field by field -- ``PipelineStats``,
+trap clocks and the flight stream.
 """
 
 from __future__ import annotations
@@ -289,6 +289,11 @@ def _hot(sim) -> None:
         sim.run(MAX_STEPS)
 
 
+def _hot_pipeline_run(sim, max_cycles=MAX_CYCLES) -> None:
+    with every_leader_hot():
+        sim.run(max_cycles)
+
+
 def _observed(sim) -> None:
     with obs.capture():
         sim.run(MAX_STEPS)
@@ -338,10 +343,16 @@ PIPELINES = {
     for c in (PipelineConfig(stages, fwd, port) for stages in (4, 5)
               for fwd in (True, False) for port in (True, False))}
 
+#: How each pipeline configuration is driven, by engine-name suffix:
+#: ``run()``, its translated blocks from their first visit, and the
+#: cycle-stepped reference.
+PIPELINE_LOOPS = {"": _pipeline_run, ".hot": _hot_pipeline_run,
+                  ".cycle": _cycle_loop}
+
 #: name -> (simulator factory, driver).  Pipelines' watchdogs count
 #: cycles, so they are only held to the oracle while its step watchdog
-#: stays quiet; ``<stem>`` and ``<stem>.cycle`` are always held to each
-#: other.
+#: stays quiet; ``<stem>`` and ``<stem>.hot`` are always held to
+#: ``<stem>.cycle``.
 ENGINES = {
     "functional.run": (FunctionalSimulator, _run_to_halt),
     "functional.observed": (FunctionalSimulator, _observed),
@@ -353,7 +364,7 @@ ENGINES = {
            partial(PipelinedSimulator, config=c, syscalls=SyscallHandler()),
            drive)
        for stem, c in PIPELINES.items()
-       for suffix, drive in (("", _pipeline_run), (".cycle", _cycle_loop))},
+       for suffix, drive in PIPELINE_LOOPS.items()},
     "batch.3lanes": (partial(BatchFunctionalSimulator, 3), _hot),
     "batch.multicycle": (partial(BatchFunctionalSimulator, 3,
                                  sim="multicycle"), _hot),
@@ -384,25 +395,27 @@ def check(program: Program) -> None:
                            for t in expected["traps"])
             for backend in BACKENDS:
                 cycles = set()  # the multicycle loops must agree
-                timing = {}  # and each pipeline's run() and cycle() loops
+                timing = {}  # and each pipeline's loops with cycle()
                 for name in ENGINES:
                     for got in run_engine(name, program, backend, policy):
                         if "cycles" in got:
                             cycles.add(got.pop("cycles"))
                         if "timing" in got:
-                            timing.setdefault(name.removesuffix(".cycle"),
-                                              []).append(got.pop("timing"))
+                            timing[name] = got.pop("timing")
                             if watchdog:
                                 continue
                         for key in got:
                             assert got[key] == expected[key], (
                                 f"{name}/{backend}/{policy_name}: {key}")
                 assert len(cycles) == 1, f"multicycle cycles {cycles}"
-                for stem, (run, stepped) in timing.items():
-                    for part, a, b in zip(("stats", "traps", "events"),
-                                          run, stepped):
-                        assert a == b, (f"{stem}/{backend}/{policy_name}: "
-                                        f"run() vs cycle() {part}")
+                for stem in PIPELINES:
+                    stepped = timing[f"{stem}.cycle"]
+                    for loop in ("", ".hot"):
+                        for part, a, b in zip(("stats", "traps", "events"),
+                                              timing[stem + loop], stepped):
+                            assert a == b, (
+                                f"{stem}{loop}/{backend}/{policy_name}: "
+                                f"run() vs cycle() {part}")
     finally:
         recorder.enabled = enabled
         recorder.reset()

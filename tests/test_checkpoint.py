@@ -13,6 +13,7 @@ from repro.cpu import (
     PipelinedSimulator,
     TrapPolicy,
 )
+from repro.cpu.qat_backend import REQatBackend
 from repro.errors import CheckpointError
 from repro.faults import AutoCheckpointer, Checkpoint
 from repro.faults.checkpoint import _digest, _qat_blobs
@@ -96,6 +97,28 @@ class TestCheckpoint:
         assert machine.regs == regs
         assert bytes(machine.mem) == mem_bytes
         assert machine.pc == pc
+
+    def test_chunk_width_mismatch_rejected_before_any_write(self):
+        """An RE checkpoint only restores into a store of its chunk width."""
+        program = assemble("had @0, 1\nhad @1, 5\nlex $0, 7\nlex $rv, 0\n"
+                           "sys\n")
+        source = FunctionalSimulator(ways=8,
+                                     qat_backend=REQatBackend(8, chunk_ways=6))
+        source.load(program)
+        source.run()
+        ckpt = Checkpoint.take(source.machine)
+        target = FunctionalSimulator(ways=8, qat_backend="re")
+        target.load(assemble("had @0, 3\nlex $2, 9\nlex $rv, 0\nsys\n"))
+        target.run()
+        machine = target.machine
+        regs, mem, pc = list(machine.regs), bytes(machine.mem), machine.pc
+        values = [machine.read_qreg(q) for q in range(256)]
+        with pytest.raises(CheckpointError, match="6-way chunks"):
+            ckpt.restore(machine)
+        assert machine.regs == regs
+        assert bytes(machine.mem) == mem
+        assert machine.pc == pc
+        assert [machine.read_qreg(q) for q in range(256)] == values
 
     def test_save_load_round_trip(self, tmp_path):
         sim = _run_some(6)

@@ -12,15 +12,15 @@ from hypothesis import example, given, settings
 
 from repro.apps import fig10_program
 from repro.asm import assemble
-from repro.cpu import FunctionalSimulator
+from repro.cpu import FunctionalSimulator, fastpath
 from repro.faults.traps import TrapPolicy
 from repro.isa import Instr, encode
 from repro.quantum import QuantumSimulator
 
 from tests.conformance import (BACKENDS, ENGINES, HANDLER_STUB, PIPELINES,
                                STORE_AT_ZERO, Program, check,
-                               pipeline_timing, programs, run_engine,
-                               store_ahead)
+                               every_leader_hot, pipeline_timing, programs,
+                               run_engine, store_ahead)
 
 LEX = encode(Instr("lex", (0, 1)))[0]
 #: Steady-state hazards random draws never reach, run six times round a
@@ -51,9 +51,24 @@ sys
 """
 
 
+#: A loop whose body is cut into translated blocks of ``MAX_BLOCK``
+#: instructions, each cut between a producer and its consumer: a
+#: two-cycle single-port ``swap`` (the latest a first free EX cycle and
+#: a Qat ready cycle can be), then a 5-stage load.  A block starting
+#: there, or after the loop's jump with a two-word fetch second, sees
+#: the timing state at the extremes its compiled scoreboard assumes.
+CUT_LOOP = ("lex $15, 2\nlex $13, -1\nloadi $1, 0x4000\nloop:\n"
+            "lex $4, 0\nxor @5, @6, @7\n"
+            + "lex $4, 0\n" * (fastpath.MAX_BLOCK - 3) + "swap @1, @2\n"
+            + "not @1\n" + "lex $4, 0\n" * (fastpath.MAX_BLOCK - 2)
+            + "load $2, $1\nadd $3, $2\nadd $15, $13\njumpt $15, loop\n"
+            "lex $rv, 0\nsys\n")
+
+
 @settings(max_examples=10, deadline=None)
 @given(programs())
 @example(Program.from_asm(HAZARD_LOOP))
+@example(Program.from_asm(CUT_LOOP))
 # A store into the instruction already latched in ID (the pipeline used
 # to run the old word), and one far enough ahead that IF has not read it.
 @example(Program.from_asm(store_ahead(0)))
@@ -90,6 +105,19 @@ def test_every_watchdog_budget_cuts_both_pipeline_loops_alike(stem):
         run, stepped = pipeline_timing(stem, program, TrapPolicy.halting(),
                                        budget)
         assert run == stepped, f"budget {budget}"
+
+
+@pytest.mark.parametrize("stem", PIPELINES)
+def test_every_watchdog_budget_cuts_hot_pipeline_loops_alike(stem):
+    """With every leader hot, a budget that falls inside a translated
+    block runs none of it: the per-instruction path makes the same cut
+    as the stepped loop."""
+    program = Program.from_asm(HAZARD_LOOP)
+    with every_leader_hot():
+        for budget in range(160):
+            run, stepped = pipeline_timing(stem, program,
+                                           TrapPolicy.halting(), budget)
+            assert run == stepped, f"budget {budget}"
 
 
 #: Table 3's permutation gates: qubit count, Qat assembly, and the
