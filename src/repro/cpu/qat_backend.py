@@ -13,8 +13,8 @@ per-machine choice:
   :data:`~repro.aob.bitvector.MAX_DENSE_WAYS`.
 - :class:`REQatBackend` -- each register is a
   :class:`~repro.pattern.PatternVector` over the machine's own
-  :class:`~repro.pattern.ChunkStore`; gates walk runs and memoize
-  distinct chunk pairs, so ``had(k)`` and constant registers cost
+  :class:`~repro.pattern.ChunkStore`; gates walk runs, one chunk op
+  per pair of runs, so ``had(k)`` and constant registers cost
   O(runs) and entanglement up to :data:`MAX_RE_WAYS` runs in bounded
   memory.  The lanes of a ``--batch`` campaign share one store and one
   gate memo (:class:`SharedREStore`), so a gate runs once per distinct
@@ -286,7 +286,7 @@ class REQatBackend(QatBackend):
     store belongs to one simulation, never to the process-global
     default.  A serial machine owns its store, so two machines -- or two
     rounds of a benchmark, or two seeds of a fault campaign -- never
-    leak interned chunks or memo hit counts into each other.  The lanes
+    leak interned chunks or gate hit counts into each other.  The lanes
     of one batch (:mod:`repro.cpu.batch`) pass one ``shared``
     :class:`SharedREStore`: values stay per lane, only symbols and gate
     results are shared.
@@ -486,7 +486,7 @@ def count_re_volume(op: str, ops: int, runs: int) -> None:
     The dense kernels report AoB bit volume; here the honest unit of
     work is the run walk, so ``qat.re.runs.<op>`` counts runs touched
     and ``qat.re.ops`` the compressed operations (one per machine).  The
-    chunkstore's own hit/miss/bytes-saved counters fire underneath.
+    chunkstore's own hit/miss counters fire underneath.
     """
     metrics = _obs.current().metrics
     metrics.counter("qat.re.ops").add(ops)

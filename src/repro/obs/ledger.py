@@ -703,7 +703,6 @@ def trajectory_view(ledger: Ledger, label: str, last: int = 10) -> dict:
 #: treated as a cost (cycles, stalls, seconds, bit volume).
 HIGHER_IS_BETTER = (
     "chunkstore.binop.hit",
-    "chunkstore.bytes_saved",
     "pipeline.retired",
     "faults.masked",
     "rate.steps_per_second",

@@ -61,9 +61,7 @@ def _headline(metrics: MetricRegistry) -> list[str]:
         f"  instructions retired    : {_fmt(metrics.value('cpu.instructions'))}",
         f"  Qat coprocessor ops     : {_fmt(metrics.value('qat.ops'))}",
         f"  Qat AoB bit volume      : {_fmt(metrics.value('qat.aob_bits'))}",
-        f"  chunkstore memo hit rate: {ratio}",
-        f"  chunkstore bytes saved  : "
-        f"{_fmt(metrics.value('chunkstore.bytes_saved'))}",
+        f"  chunk result reuse rate : {ratio}",
     ]
 
 

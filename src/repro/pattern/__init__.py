@@ -9,8 +9,9 @@ be implemented in software using 65,536-bit chunks as RE symbols."
 
 This package is that software layer:
 
-- :class:`ChunkStore` interns chunk symbols and memoizes chunk-level gate
-  operations, so each distinct chunk combination is computed once, and
+- :class:`ChunkStore` interns chunk symbols and applies chunk-level
+  gates, handing a result that is already interned its existing symbol,
+  and
 - :class:`PatternVector` is a run-length list of chunk symbols exposing
   the same operation set as :class:`repro.aob.AoB`, usable at any
   entanglement degree.

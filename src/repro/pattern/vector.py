@@ -9,8 +9,8 @@ same operation set as :class:`repro.aob.AoB` so the word-level PBP layer
 
 The exponential win the paper describes (section 1.2) falls out directly:
 ``H(k)`` for ``k >= chunk_ways`` is two runs regardless of ``ways``, and
-gate operations walk runs, touching each *distinct* chunk pair once via the
-store's memo table.
+gate operations walk runs, applying one chunk gate per pair of runs, not
+per chunk.
 """
 
 from __future__ import annotations

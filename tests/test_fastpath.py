@@ -338,56 +338,6 @@ class TestParallelCampaign:
             run_campaign(runs=2, jobs=0)
 
 
-class TestChunkStoreMemoBound:
-    def test_eviction_counts_and_caps(self):
-        from repro.aob import AoB
-        from repro.pattern.chunkstore import ChunkStore
-
-        store = ChunkStore(4, memo_limit=4)
-        rng = np.random.default_rng(1)
-        syms = [store.intern(AoB.random(4, rng)) for _ in range(10)]
-        for i in range(9):
-            store.binop("xor", syms[i], syms[i + 1])
-        assert len(store._binop_cache) <= 4
-        assert store.memo_evicted == store.stats()["memo_evicted"] > 0
-        assert store.stats()["memo_limit"] == 4
-
-    def test_lru_refresh_on_hit(self):
-        from repro.aob import AoB
-        from repro.pattern.chunkstore import ChunkStore
-
-        store = ChunkStore(4, memo_limit=2)
-        rng = np.random.default_rng(2)
-        a, b, c, d = (store.intern(AoB.random(4, rng)) for _ in range(4))
-        store.binop("xor", a, b)
-        store.binop("xor", a, c)
-        store.binop("xor", a, b)  # hit: refresh recency
-        store.binop("xor", a, d)  # evicts (a, c), not the refreshed (a, b)
-        hits = store.gate_hits
-        store.binop("xor", a, b)
-        assert store.gate_hits == hits + 1  # still memoized
-
-    def test_results_correct_under_eviction(self):
-        from repro.aob import AoB
-        from repro.pattern.chunkstore import ChunkStore
-
-        store = ChunkStore(3, memo_limit=1)
-        rng = np.random.default_rng(3)
-        chunks = [AoB.random(3, rng) for _ in range(6)]
-        syms = [store.intern(c) for c in chunks]
-        for i in range(5):
-            got = store.chunk(store.binop("and", syms[i], syms[i + 1]))
-            assert got == (chunks[i] & chunks[i + 1])
-            assert store.chunk(store.bnot(syms[i])) == ~chunks[i]
-
-    def test_bad_limit_rejected(self):
-        from repro.errors import EntanglementError
-        from repro.pattern.chunkstore import ChunkStore
-
-        with pytest.raises(EntanglementError):
-            ChunkStore(4, memo_limit=0)
-
-
 class TestBitvectorVectorized:
     @pytest.mark.parametrize("ways", [0, 3, 6, 10])
     def test_from_int_matches_meas_per_channel(self, ways):

@@ -199,29 +199,27 @@ class TestChunkStoreDegradation:
         assert store.popcount(a) in (31, 33)
 
     def test_gate_memos_work_after_degradation(self):
-        # The purge must leave the gate memos usable: hits move entries
-        # to the end and inserts past memo_limit evict the oldest.
-        store = ChunkStore(6, memo_limit=2)
+        # Gates and readouts computed before the flip must not outlive it:
+        # afterwards every one reads the adopted bits.
+        store = ChunkStore(6)
         a = store.intern(AoB.hadamard(6, 1))
         b = store.intern(AoB.hadamard(6, 2))
-        c = store.intern(AoB.hadamard(6, 3))
         store.binop("and", a, b)
-        store.bnot(b)
-        flip_chunk_bit(store, a, 0)
-        store.chunk_safe(a)  # detect + adopt, purging a's entries
+        store.bnot(a)
+        store.popcount(a)
+        store.first_one(a)
+        flip_chunk_bit(store, a, 2)  # H(1) holds 1 in channels 2 and 3
+        store.chunk_safe(a)  # detect + adopt
         assert store.degraded == 1
-        for _ in range(2):  # the second pass hits the memo
-            ab = store.binop("and", a, b)
-            na = store.bnot(a)
-        assert store.chunk(ab) == store.chunk(a) & store.chunk(b)
-        assert store.chunk(na) == ~store.chunk(a)
-        evicted = store.memo_evicted
-        store.binop("or", a, c)
-        store.binop("xor", b, c)
-        store.bnot(c)
-        assert store.memo_evicted > evicted
-        assert len(store._binop_cache) <= 2
-        assert len(store._not_cache) <= 2
+        adopted = AoB(6, AoB.hadamard(6, 1).to_int() ^ 1 << 2)
+        assert store.chunk(a) == adopted
+        assert store.chunk(store.binop("and", a, b)) == \
+            adopted & AoB.hadamard(6, 2)
+        assert store.chunk(store.bnot(a)) == ~adopted
+        assert store.popcount(a) == 31
+        assert store.first_one(a) == 3
+        assert store.intern(adopted) == a  # the index holds the new bits
+        assert store.degraded == 1
 
     def test_stats_include_degraded(self):
         store = ChunkStore(6)

@@ -135,9 +135,11 @@ class TestChunkstoreMetrics:
         misses = m.value("chunkstore.binop.miss")
         assert hits > 0 and misses > 0
         assert m.gauge("chunkstore.symbols").value > 0
-        # every memo hit skips materializing one chunk
-        assert m.value("chunkstore.bytes_saved") > 0
-        assert "%" in tel.report()  # hit rate rendered in the headline
+        # every gate result, reused or new, is one dense chunk op
+        assert m.value("qat.bits.and") > 0
+        assert "chunkstore.bytes_saved" not in m.names()
+        assert "chunkstore.memo.evicted" not in m.names()
+        assert "%" in tel.report()  # reuse rate rendered in the headline
 
 
 class TestOptimizerMetrics:

@@ -30,13 +30,18 @@ class TestChunkStore:
         b = store.intern(AoB.hadamard(6, 2))
         assert a == b
 
-    def test_binop_memoized(self, store):
+    def test_binop_reuses_known_results(self, store):
         h = store.hadamard(1)
-        before = store.stats()["binop_cache"]
-        r1 = store.binop("xor", h, store.one_id)
-        r2 = store.binop("xor", h, store.one_id)
+        symbols = len(store)
+        assert store.binop("and", h, store.one_id) == h  # known: a hit
+        assert (store.gate_hits, store.gate_misses) == (1, 0)
+        r1 = store.binop("xor", h, store.one_id)  # a new value: a miss
+        assert (store.gate_hits, store.gate_misses) == (1, 1)
+        assert len(store) == symbols + 1
+        r2 = store.binop("xor", store.one_id, h)
         assert r1 == r2
-        assert store.stats()["binop_cache"] == before + 1
+        assert (store.gate_hits, store.gate_misses) == (2, 1)
+        assert store.stats()["gate_hits"] == 2
 
     def test_binop_commutative_cache(self, store):
         a, b = store.hadamard(0), store.hadamard(3)
@@ -80,37 +85,15 @@ class TestChunkStore:
         assert store.stats() == before
         assert telemetry.metrics.names() == []
 
-    def test_measure_memo_eviction_bounded(self):
-        rng = np.random.default_rng(7)
-        store = ChunkStore(8, memo_limit=4)
-        syms = [
-            store.intern(AoB(8, int.from_bytes(rng.bytes(32), "little")))
-            for _ in range(12)
-        ]
-        expected = {sym: store.chunk(sym).popcount() for sym in syms}
-        for sym in syms:  # first sweep fills and overflows the memo
-            store.popcount(sym)
-            store.first_one(sym)
-        assert len(store._popcount) <= 4
-        assert len(store._first_one) <= 4
-        assert store.memo_evicted_by["measure"] > 0
-        assert store.stats()["memo_evicted_measure"] == \
-            store.memo_evicted_by["measure"]
-        # Evicted entries recompute correctly.
-        assert all(store.popcount(sym) == expected[sym] for sym in syms)
-
-    def test_measure_memo_lru_keeps_hot_entries(self):
-        store = ChunkStore(8, memo_limit=2)
-        syms = [
-            store.intern(AoB(8, (i + 1) * sum(1 << (64 * w) for w in range(4))))
-            for i in range(3)
-        ]
-        store.popcount(syms[0])
-        store.popcount(syms[1])
-        store.popcount(syms[0])        # refresh: syms[1] is now LRU
-        store.popcount(syms[2])        # evicts syms[1], not syms[0]
-        assert syms[0] in store._popcount
-        assert syms[1] not in store._popcount
+    def test_gate_values_match_dense_chunks(self):
+        store = ChunkStore(3)
+        rng = np.random.default_rng(3)
+        chunks = [AoB.random(3, rng) for _ in range(6)]
+        syms = [store.intern(c) for c in chunks]
+        for i in range(5):
+            got = store.chunk(store.binop("and", syms[i], syms[i + 1]))
+            assert got == (chunks[i] & chunks[i + 1])
+            assert store.chunk(store.bnot(syms[i])) == ~chunks[i]
 
 
 class TestPatternConstruction:
@@ -238,10 +221,10 @@ class TestPatternOps:
         the store once per distinct chunk pair."""
         h = PatternVector.hadamard(20, 19, store)
         ones = PatternVector.ones(20, store)
-        before = store.stats()["binop_cache"]
+        before = store.gate_hits + store.gate_misses
         result = h ^ ones
         assert result.popcount() == 1 << 19
-        assert store.stats()["binop_cache"] - before <= 2
+        assert store.gate_hits + store.gate_misses - before <= 2
 
     def test_getitem_and_len(self, store):
         v = PatternVector.hadamard(8, 7, store)
