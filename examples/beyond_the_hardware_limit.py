@@ -15,13 +15,12 @@ import time
 
 from repro.apps import factor_channels
 from repro.pattern import ChunkStore, PatternVector
-from repro.pbp import PbpContext
 
 
 def compression_demo() -> None:
     print("== RE compression of regular superpositions ==")
     store = ChunkStore(16)  # 65,536-bit chunks: the hardware word
-    print(f"chunk symbols are {store.chunk_bits}-bit AoB values (one Qat register)")
+    print(f"chunks are {store.chunk_bits}-bit AoB values (one Qat register)")
     for ways in (18, 20, 22, 24):
         h = PatternVector.hadamard(ways, ways - 1, store)
         dense_mb = (1 << ways) / 8 / 1e6
@@ -39,13 +38,6 @@ def factoring_demo() -> None:
     pairs = factor_channels(n, 10, 10, backend="pattern", chunk_ways=16)
     elapsed = time.perf_counter() - start
     print(f"factor pairs: {pairs}  ({elapsed:.2f}s)")
-
-    ctx = PbpContext(ways=20, backend="pattern", chunk_ways=16)
-    print(
-        "the context's shared ChunkStore interned",
-        len(ctx.store) if ctx.store else 0,
-        "symbols before any computation (0 and 1 constants)",
-    )
 
 
 def main() -> None:

@@ -7,10 +7,10 @@ an *entanglement channel*".
 An :class:`AoB` is a width plus one Python ``int`` whose bit ``e`` is
 channel ``e``, so every Table-3 gate is one bitwise int operation over
 all :math:`2^E` channels.  Values are immutable -- every operation
-returns a new one -- which makes instances safe to share, hash and
-intern (the pattern substrate relies on this).  The CPU simulators'
-dense register file (:class:`repro.cpu.qat_backend.DenseQatBackend`)
-holds the same ints, one per register.
+returns a new one -- which makes instances safe to share and hash.
+The CPU simulators' dense register file
+(:class:`repro.cpu.qat_backend.DenseQatBackend`) holds the same ints,
+one per register.
 """
 
 from __future__ import annotations

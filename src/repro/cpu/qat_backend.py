@@ -259,15 +259,14 @@ def re_chunk_store(ways: int, chunk_ways: int | None = None) -> ChunkStore:
 class SharedREStore:
     """One chunk store and gate memo shared by the RE lanes of a batch.
 
-    Registers stay per lane; what the lanes share is the store (so equal
-    chunks intern to one symbol) and a memo keyed on the *identity* of a
-    gate's operands.  Lanes whose Qat state has not diverged hand a gate
-    the very same operand objects, get the first lane's result objects
-    back, and so run each distinct gate once per batch, not once per
-    lane.  A lane that diverged -- a fault flip is a copy-on-write new
-    vector -- misses the memo and computes its own exact value.  The memo
-    holds every operand it keys on, so no ``id`` in a key can be recycled
-    while the memo lives.
+    Registers stay per lane; what the lanes share is the store and a memo
+    keyed on the *identity* of a gate's operands.  Lanes whose Qat state
+    has not diverged hand a gate the very same operand objects, get the
+    first lane's result objects back, and so run each distinct gate once
+    per batch, not once per lane.  A lane that diverged -- a fault flip
+    is a copy-on-write new vector -- misses the memo and computes its own
+    exact value.  The memo holds every operand it keys on, so no ``id``
+    in a key can be recycled while the memo lives.
     """
 
     def __init__(self, ways: int):
@@ -286,10 +285,9 @@ class REQatBackend(QatBackend):
     store belongs to one simulation, never to the process-global
     default.  A serial machine owns its store, so two machines -- or two
     rounds of a benchmark, or two seeds of a fault campaign -- never
-    leak interned chunks or gate hit counts into each other.  The lanes
-    of one batch (:mod:`repro.cpu.batch`) pass one ``shared``
-    :class:`SharedREStore`: values stay per lane, only symbols and gate
-    results are shared.
+    leak gate hit counts into each other.  The lanes of one batch
+    (:mod:`repro.cpu.batch`) pass one ``shared`` :class:`SharedREStore`:
+    values stay per lane, only the store and gate results are shared.
     """
 
     name = "re"
@@ -410,15 +408,7 @@ class REQatBackend(QatBackend):
                         f"chunk must be {self.store.chunk_ways}-way, got "
                         f"{value.store.chunk_ways}-way"
                     )
-                value = PatternVector(
-                    self.ways,
-                    tuple(
-                        (self.store.intern_int(value.store.chunk_int(sym)),
-                         count)
-                        for sym, count in value.runs
-                    ),
-                    self.store,
-                )
+                value = PatternVector(self.ways, value.runs, self.store)
             self.regs[reg] = value
         else:
             self.regs[reg] = PatternVector.from_aob(
@@ -428,32 +418,25 @@ class REQatBackend(QatBackend):
     # -- checkpoint / fault surfaces ------------------------------------------
 
     def snapshot(self) -> tuple:
-        """``(runs per register, chunk payloads)`` -- a value snapshot.
+        """The run list of every register: runs hold their chunk ints,
+        which nothing mutates, so the runs are the whole value."""
+        return tuple(pv.runs for pv in self.regs)
 
-        The chunk payloads pin the meaning of every symbol id at capture
-        time, so the snapshot stays valid even if the store later
-        re-interns (degradation) or is restored from a checkpoint.
-        """
-        runs = tuple(pv.runs for pv in self.regs)
-        return (runs, tuple(self.store.chunks()))
-
-    def restore(self, snap: tuple) -> None:
-        runs, chunks = snap
+    def restore(self, runs: tuple) -> None:
         if len(runs) != NUM_QAT_REGS:
             raise SimulatorError(
                 f"snapshot covers {len(runs)} registers, expected {NUM_QAT_REGS}"
             )
-        self.store.restore_chunks(chunks)
         self.regs = [
             PatternVector(self.ways, reg_runs, self.store) for reg_runs in runs
         ]
 
     def flip_bit(self, reg: int, word: int, bit: int) -> None:
-        """Copy-on-write bit flip: interned chunks are never mutated.
+        """Copy-on-write bit flip: chunk ints are never mutated.
 
         A soft error against a compressed register lands on exactly one
         entanglement channel of that register; every other register (and
-        every other run sharing the chunk symbol) keeps its value.
+        every other run holding the same chunk) keeps its value.
         """
         channel = (word << 6) | bit
         self.regs[reg] = self.regs[reg].with_flipped_bit(channel)
@@ -486,7 +469,7 @@ def count_re_volume(op: str, ops: int, runs: int) -> None:
     The dense kernels report AoB bit volume; here the honest unit of
     work is the run walk, so ``qat.re.runs.<op>`` counts runs touched
     and ``qat.re.ops`` the compressed operations (one per machine).  The
-    chunkstore's own hit/miss counters fire underneath.
+    run walks' own hit/miss counters fire underneath.
     """
     metrics = _obs.current().metrics
     metrics.counter("qat.re.ops").add(ops)

@@ -133,7 +133,7 @@ class MachineState:
 
         ``word``/``bit`` address the packed uint64 layout (channel
         ``word * 64 + bit``); the RE backend translates this into a
-        copy-on-write run split so interned chunks are never corrupted.
+        copy-on-write run split, so a chunk other runs hold never changes.
         Fault events also arrive from outside the program (journals,
         ``--resume``), so a channel outside the register is refused.
         """

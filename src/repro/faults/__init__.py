@@ -21,7 +21,6 @@ from repro.faults.inject import (
     FaultEvent,
     FaultPlan,
     apply_event,
-    flip_chunk_bit,
     stuck_at_plan,
 )
 from repro.faults.traps import (
@@ -51,7 +50,6 @@ __all__ = [
     "TrapPolicy",
     "TrapRecord",
     "apply_event",
-    "flip_chunk_bit",
     "golden_run",
     "render_report",
     "run_campaign",

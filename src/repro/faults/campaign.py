@@ -334,7 +334,7 @@ def run_campaign(
     Every run gets its own simulator and a per-run fault plan seeded
     from ``seed`` and the run index, so the whole campaign is a pure
     function of its arguments.  Every RE chunk store belongs to one run
-    (or one batch), so chunk interning from earlier work (or an earlier
+    (or one batch), so gate counts from earlier work (or an earlier
     campaign) can never bleed into this one's RE-backed runs.
 
     ``jobs > 1`` shards the runs across a *supervised* worker pool

@@ -19,8 +19,10 @@ single portable files with no extra dependencies.  In memory every Qat
 value is a Python int (channel ``e`` = bit ``e``); this module alone
 stores them as packed uint64 words (:attr:`AoB.words
 <repro.aob.AoB.words>`) and reads them back -- the ``(256, words)``
-dense register matrix and one word array per chunk symbol -- so the
-file layout and its digest are those of format v1.
+dense register matrix and one word array per chunk -- so the file layout
+and its digest are those of format v1.  An RE checkpoint's run lists
+name chunks by id: the capture numbers the distinct chunks its live
+registers hold, the all-zeros and all-ones chunks first.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.aob import AoB
 from repro.errors import CheckpointError
 from repro.isa.registers import NUM_QAT_REGS
 from repro.obs import flight as _flight
@@ -56,9 +57,24 @@ def _from_words(words: np.ndarray) -> int:
                           "little")
 
 
-def _chunk_values(store_chunks, chunk_ways: int) -> list[AoB]:
-    """Saved chunk word arrays as the AoB values a ``ChunkStore`` holds."""
-    return [AoB(chunk_ways, _from_words(words)) for words in store_chunks]
+def _number_chunks(regs, store) -> tuple[tuple, list[int]]:
+    """``(run lists by chunk id, chunk ints in id order)`` of RE ``regs``.
+
+    Ids 0 and 1 are the all-zeros and all-ones chunks; the other chunks
+    are numbered in order of first appearance.
+    """
+    chunks = [store.zero_id, store.one_id]
+    ids = {chunk: i for i, chunk in enumerate(chunks)}
+    runs = []
+    for pv in regs:
+        reg = []
+        for chunk, count in pv.runs:
+            i = ids.setdefault(chunk, len(chunks))
+            if i == len(chunks):
+                chunks.append(chunk)
+            reg.append((i, count))
+        runs.append(tuple(reg))
+    return tuple(runs), chunks
 
 
 def _digest(regs: np.ndarray, mem: np.ndarray, qat_blobs: tuple[bytes, ...],
@@ -104,23 +120,22 @@ class Checkpoint:
     digest: str
     #: timing-model cycle at capture, if the simulator supplied one
     cycle: int | None = None
-    #: RE only: the backend's chunk store, one payload per symbol
+    #: RE only: one payload per chunk id of ``qat_runs``
     store_chunks: tuple[np.ndarray, ...] = field(default=())
     store_chunk_ways: int | None = None
     #: which Qat substrate the machine ran ("dense" or "re")
     qat_backend: str = "dense"
     qat_ways: int | None = None
-    #: RE only: per-register run lists ``((symbol, count), ...)``; the
-    #: symbols' payloads are pinned by ``store_chunks``
+    #: RE only: per-register run lists ``((chunk id, count), ...)``; the
+    #: ids' payloads are ``store_chunks``
     qat_runs: tuple = ()
 
     @classmethod
     def take(cls, machine, cycle: int | None = None) -> "Checkpoint":
         """Snapshot ``machine`` now.
 
-        On an RE-backed machine the backend's own chunk store is captured
-        too: the run lists are meaningless without the chunk payloads
-        their symbols point at.
+        On an RE-backed machine the run lists are captured with the
+        payload of every chunk they hold, and of nothing else.
         """
         t0 = time.perf_counter_ns()
         regs = np.array(machine.regs, dtype=np.uint16)
@@ -134,12 +149,10 @@ class Checkpoint:
                               for reg in range(NUM_QAT_REGS)])
         else:
             qregs = _NO_QREGS
-            qat_runs = tuple(
-                tuple((int(sym), int(count)) for sym, count in pv.runs)
-                for pv in machine.qat.regs
-            )
             store = machine.qat.store
-            store_chunks = tuple(chunk.words.copy() for chunk in store.chunks())
+            qat_runs, chunks = _number_chunks(machine.qat.regs, store)
+            store_chunks = tuple(store.chunk(chunk).words.copy()
+                                 for chunk in chunks)
             store_chunk_ways = store.chunk_ways
         output = tuple(machine.output)
         if _obs.active:
@@ -217,6 +230,11 @@ class Checkpoint:
         elif self.qat_backend == "dense" and self.qregs.shape != dense_shape:
             mismatch = (f"checkpoint shape mismatch: qregs {self.qregs.shape} "
                         f"vs machine {dense_shape}")
+        elif self.qat_backend == "re" and any(
+                not 0 <= i < len(self.store_chunks)
+                for reg in self.qat_runs for i, _ in reg):
+            mismatch = (f"checkpoint run lists name a chunk outside its "
+                        f"{len(self.store_chunks)} payloads")
         if mismatch is not None:
             if _obs.active:
                 _obs.current().checkpoint_op("restore", t0, ok=False)
@@ -228,9 +246,10 @@ class Checkpoint:
         if self.qat_backend == "dense":
             machine.qat.restore([_from_words(row) for row in self.qregs])
         else:
-            chunk_ways = machine.qat.store.chunk_ways
-            machine.qat.restore(
-                (self.qat_runs, _chunk_values(self.store_chunks, chunk_ways)))
+            chunks = [_from_words(words) for words in self.store_chunks]
+            machine.qat.restore(tuple(
+                tuple((chunks[i], count) for i, count in reg)
+                for reg in self.qat_runs))
         machine.pc = self.pc
         machine.halted = self.halted
         machine.instret = self.instret

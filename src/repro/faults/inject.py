@@ -169,8 +169,8 @@ def apply_event(machine, event: FaultEvent, pipeline=None) -> None:
         machine.invalidate_predecode(event.index)
     elif event.target == "qreg":
         # Substrate-agnostic: the dense backend XORs the packed word, the
-        # RE backend splits the containing run around a freshly interned
-        # flipped chunk (interned chunks are shared and never mutated).
+        # RE backend splits the containing run around a new flipped
+        # chunk (chunk ints are never mutated).
         machine.flip_qreg_bit(event.index, event.word, event.bit)
     elif event.target == "pc":
         machine.pc ^= 1 << event.bit
@@ -189,18 +189,6 @@ def apply_event(machine, event: FaultEvent, pipeline=None) -> None:
             machine.pc ^= 1 << event.bit
     else:
         raise ReproError(f"unknown fault target {event.target!r}")
-
-
-def flip_chunk_bit(store, sym: int, bit: int) -> None:
-    """Corrupt one bit of an interned chunkstore symbol in place.
-
-    Rewrites the symbol's stored int behind the store's back on purpose
-    -- its digest and hash-consing index keep the old value.  This
-    models a soft error in the RE-compressed substrate's chunk memory,
-    the case :meth:`ChunkStore.chunk_safe` must degrade on rather than
-    crash.
-    """
-    store._ints[sym] ^= 1 << bit
 
 
 def stuck_at_plan(netlist, seed: int, n_faults: int) -> list[tuple[int, bool]]:

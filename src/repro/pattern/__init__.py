@@ -9,12 +9,12 @@ be implemented in software using 65,536-bit chunks as RE symbols."
 
 This package is that software layer:
 
-- :class:`ChunkStore` interns chunk symbols and applies chunk-level
-  gates, handing a result that is already interned its existing symbol,
-  and
-- :class:`PatternVector` is a run-length list of chunk symbols exposing
-  the same operation set as :class:`repro.aob.AoB`, usable at any
-  entanglement degree.
+- :class:`ChunkStore` fixes the chunk width and applies chunk-level
+  gates to chunks held as Python ints, and
+- :class:`PatternVector` is a run-length list of those chunk ints
+  exposing the same operation set as :class:`repro.aob.AoB`, usable at
+  any entanglement degree.  A chunk lives exactly as long as some
+  vector holds it.
 """
 
 from repro.pattern.chunkstore import ChunkStore

@@ -1,9 +1,11 @@
 """Run-length compressed pattern vectors (the paper's RE representation).
 
 A :class:`PatternVector` of ``ways``-way entanglement holds :math:`2^{ways}`
-bits as a run-length list ``[(symbol, count), ...]`` of interned chunk
-symbols, each chunk being :math:`2^{chunk\\_ways}` bits held as a Python
-``int`` by the :class:`~repro.pattern.chunkstore.ChunkStore`.  It exposes the
+bits as a run-length list ``[(chunk, count), ...]``, each chunk being
+:math:`2^{chunk\\_ways}` bits held as a Python ``int`` in the run itself;
+the :class:`~repro.pattern.chunkstore.ChunkStore` supplies the chunk
+width and the chunk gates.  Adjacent runs of equal chunks coalesce by
+int ``==``, never by hashing a chunk.  It exposes the
 same operation set as :class:`repro.aob.AoB` so the word-level PBP layer
 (:mod:`repro.pbp`) can use either substrate interchangeably.
 
@@ -46,7 +48,7 @@ def _check_ways(ways: int, store: ChunkStore) -> int:
 
 
 def _coalesce(runs) -> Runs:
-    """Drop empty runs and merge adjacent runs of one symbol."""
+    """Drop empty runs and merge adjacent runs of one chunk."""
     nonempty = (run for run in runs if run[1])
     return tuple((sym, sum(count for _, count in group))
                  for sym, group in groupby(nonempty, itemgetter(0)))
@@ -61,11 +63,11 @@ class PatternVector:
         Total entanglement degree; must be at least the store's chunk
         width (use plain :class:`AoB` below that).
     runs:
-        Run-length encoding ``((symbol, chunk_count), ...)``; counts must
-        sum to :math:`2^{ways - chunk\\_ways}`.
+        Run-length encoding ``((chunk int, chunk_count), ...)``; counts
+        must sum to :math:`2^{ways - chunk\\_ways}`.
     store:
-        The :class:`ChunkStore` owning the symbols: the one store of the
-        simulation or context the vector belongs to.
+        The :class:`ChunkStore` giving the chunk width and gates: the one
+        store of the simulation or context the vector belongs to.
     """
 
     __slots__ = ("ways", "nbits", "store", "runs")
@@ -93,7 +95,7 @@ class PatternVector:
 
     @property
     def num_chunks(self) -> int:
-        """Number of chunk symbols the dense expansion would need."""
+        """Number of chunks the dense expansion would need."""
         return 1 << (self.ways - self.store.chunk_ways)
 
     @classmethod
@@ -120,7 +122,7 @@ class PatternVector:
         """Standard entangled superposition ``H(k)`` at any entanglement.
 
         For ``k < chunk_ways`` this is a single run of the in-chunk ``H(k)``
-        symbol; for ``k >= chunk_ways`` it alternates zero-chunk and
+        chunk; for ``k >= chunk_ways`` it alternates zero-chunk and
         one-chunk runs of length :math:`2^{k - chunk\\_ways}` -- storage is
         O(number of runs), independent of :math:`2^{ways}`.
         """
@@ -150,10 +152,8 @@ class PatternVector:
         nchunks = _check_ways(ways, store)
         step = (1 << cw) >> 3  # bytes per chunk
         raw = aob.to_int().to_bytes(aob.nbits >> 3, "little")
-        runs = [
-            (store.intern_int(int.from_bytes(raw[i : i + step], "little")), 1)
-            for i in range(0, len(raw), step)
-        ]
+        runs = [(int.from_bytes(raw[i : i + step], "little"), 1)
+                for i in range(0, len(raw), step)]
         runs.append((store.zero_id, nchunks - len(runs)))  # zero padding
         return cls(ways, tuple(runs), store)
 
@@ -167,7 +167,7 @@ class PatternVector:
             )
         step = self.store.chunk_bits >> 3  # bytes per chunk
         raw = b"".join(
-            self.store.chunk_int_safe(sym).to_bytes(step, "little") * count
+            sym.to_bytes(step, "little") * count
             for sym, count in self.runs
         )
         return AoB(self.ways, int.from_bytes(raw, "little"))
@@ -188,7 +188,7 @@ class PatternVector:
         self._check_compatible(other)
         store = self.store
         out: list[tuple[int, int]] = []
-        ia = ib = 0
+        hits = ia = ib = 0
         sa, na = self.runs[0]
         sb, nb = other.runs[0]
         while True:
@@ -196,6 +196,7 @@ class PatternVector:
             sym = store.binop(op, sa, sb)
             if out and out[-1][0] == sym:
                 out[-1] = (sym, out[-1][1] + take)
+                hits += 1
             else:
                 out.append((sym, take))
             na -= take
@@ -208,6 +209,7 @@ class PatternVector:
             if nb == 0:
                 ib += 1
                 sb, nb = other.runs[ib]
+        store.count_results(hits, len(out))
         return self._wrap(tuple(out))
 
     def binop(self, op: str, other: "PatternVector") -> "PatternVector":
@@ -224,9 +226,12 @@ class PatternVector:
         return self._merge(other, "xor")
 
     def __invert__(self) -> "PatternVector":
+        # NOT is a bijection, so the runs stay coalesced: every result
+        # begins a new run.
         store = self.store
         runs = tuple((store.bnot(sym), count) for sym, count in self.runs)
-        return PatternVector(self.ways, runs, store)
+        store.count_results(0, len(runs))
+        return self._wrap(runs)
 
     def cnot(self, ctrl: "PatternVector") -> "PatternVector":
         """Controlled NOT (``self ^= ctrl``)."""
@@ -258,7 +263,7 @@ class PatternVector:
         if channel < 0:
             raise MeasurementError(f"channel must be non-negative, got {channel}")
         run_idx, _, _, off = self._find(channel & (self.nbits - 1))
-        value = self.store.chunk_int_safe(self.runs[run_idx][0])
+        value = self.runs[run_idx][0]
         if _obs.active:
             _obs.current().qat_kernel("meas", 1)
         return (value >> off) & 1
@@ -275,7 +280,7 @@ class PatternVector:
         run_idx, run_base, q, r = self._find(start)
         # Partial first chunk: bits >= r (a meas of r, then a next).
         sym = self.runs[run_idx][0]
-        above = store.chunk_int_safe(sym) >> r << r
+        above = sym >> r << r
         if _obs.active:
             telemetry = _obs.current()
             telemetry.qat_kernel("meas", 1)
@@ -283,7 +288,7 @@ class PatternVector:
                 telemetry.qat_kernel("next", store.chunk_words)
         if above:
             return q * chunk_bits + (above & -above).bit_length() - 1
-        # Remaining chunks of the containing run share the symbol.
+        # Remaining chunks of the containing run hold the same chunk.
         remaining = run_base + self.runs[run_idx][1] - (q + 1)
         if remaining > 0 and store.first_one(sym) >= 0:
             return (q + 1) * chunk_bits + store.first_one(sym)
@@ -305,7 +310,7 @@ class PatternVector:
         store = self.store
         run_idx, run_base, q, r = self._find(start)
         sym = self.runs[run_idx][0]
-        count = (store.chunk_int_safe(sym) >> r).bit_count()
+        count = (sym >> r).bit_count()
         if _obs.active:
             _obs.current().qat_kernel("pop" if r else "popcount",
                                       store.chunk_words)
@@ -324,20 +329,17 @@ class PatternVector:
     def with_flipped_bit(self, channel: int) -> "PatternVector":
         """New vector with entanglement ``channel`` inverted (copy-on-write).
 
-        The containing run is split around the affected chunk and a
-        freshly interned flipped chunk takes its place, so the original
-        symbol -- possibly shared by other runs, registers or machines --
-        is never mutated.  This is how soft errors address the
-        compressed substrate without corrupting interned chunks
-        (contrast :func:`repro.faults.inject.flip_chunk_bit`, which
-        deliberately corrupts chunk memory itself).
+        The containing run is split around the affected chunk and a new
+        flipped chunk takes its place, so every other run, register or
+        machine holding the original chunk keeps its value.  This is how
+        soft errors address the compressed substrate.
         """
         if channel < 0:
             raise MeasurementError(f"channel must be non-negative, got {channel}")
         store = self.store
         run_idx, run_base, ci, off = self._find(channel & (self.nbits - 1))
         sym, count = self.runs[run_idx]
-        flipped = store.intern_int(store.chunk_int_safe(sym) ^ (1 << off))
+        flipped = sym ^ (1 << off)
         before = ci - run_base  # the constructor drops empty pieces
         split = ((sym, before), (flipped, 1), (sym, count - before - 1))
         runs = self.runs[:run_idx] + split + self.runs[run_idx + 1 :]
@@ -374,7 +376,7 @@ class PatternVector:
         return len(self.runs)
 
     def storage_chunks(self) -> int:
-        """Distinct chunk symbols this value references."""
+        """Distinct chunks this value references."""
         return len({sym for sym, _ in self.runs})
 
     def compression_ratio(self) -> float:
@@ -386,15 +388,12 @@ class PatternVector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PatternVector):
             return NotImplemented
-        if self.ways != other.ways:
-            return False
-        if self.store is other.store:
-            return self.runs == other.runs
-        mine = [(self.store.chunk_int(s), n) for s, n in self.runs]
-        return mine == [(other.store.chunk_int(s), n) for s, n in other.runs]
+        return (self.ways == other.ways
+                and self.store.chunk_ways == other.store.chunk_ways
+                and self.runs == other.runs)
 
     def __hash__(self) -> int:
-        return hash((self.ways, self.runs, id(self.store)))
+        return hash((self.ways, self.store.chunk_ways, self.runs))
 
     def __len__(self) -> int:
         return self.nbits
@@ -404,8 +403,15 @@ class PatternVector:
 
     def __repr__(self) -> str:
         body = " ".join(
-            f"s{sym}^{count}" if count > 1 else f"s{sym}" for sym, count in self.runs[:8]
+            _label(sym) + (f"^{count}" if count > 1 else "")
+            for sym, count in self.runs[:8]
         )
         if len(self.runs) > 8:
             body += " ..."
         return f"PatternVector(ways={self.ways}, runs=[{body}])"
+
+
+def _label(chunk: int) -> str:
+    """A chunk's hex value, its high digits elided past 8."""
+    text = f"{chunk:x}"
+    return "0x" + (text if len(text) <= 8 else "..." + text[-8:])

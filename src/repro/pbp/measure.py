@@ -7,7 +7,7 @@ the whole-distribution readout:
 - for the dense AoB backend, a vectorized assemble-and-count over all
   :math:`2^E` channels, and
 - for the pattern backend, a joint run-merge across the word's pbits that
-  counts each *distinct chunk-symbol tuple* once (memoized), so perfectly
+  counts each *distinct tuple of chunks* once (memoized), so perfectly
   regular superpositions are measured in time independent of
   :math:`2^E` -- the same symbolic-computation win the RE representation
   gives gate operations.
@@ -74,10 +74,13 @@ def _pattern_distribution(bits: list[PatternVector]) -> Counter[int]:
     done = 0
     while done < total_chunks:
         take = min(remaining)
-        key = tuple(vec.runs[positions[i]][0] for i, vec in enumerate(bits))
+        syms = [vec.runs[positions[i]][0] for i, vec in enumerate(bits)]
+        # Keyed on the chunks' identity, so no chunk int is hashed; the
+        # vectors hold every chunk for the whole walk.
+        key = tuple(map(id, syms))
         counts = memo.get(key)
         if counts is None:
-            chunks = [store.chunk(sym) for sym in key]
+            chunks = [store.chunk(sym) for sym in syms]
             counts = _dense_value_counts(chunks)
             memo[key] = counts
         for value, count in counts.items():

@@ -167,21 +167,65 @@ class TestCheckpoint:
         sim.load(assemble("had @0, 1\nhad @1, 5\nlex $rv, 0\nsys\n"))
         sim.run()
         machine = sim.machine
-        store = machine.qat.store
         values = [machine.read_qreg(q) for q in range(3)]
         ckpt = Checkpoint.take(machine)
-        assert len(ckpt.store_chunks) == len(store.chunks())
-        # Corrupt the backend's store in place, then restore it from the
-        # snapshot.
-        from repro.faults import flip_chunk_bit
-
-        sym = machine.qat.regs[0].runs[0][0]
-        before = store.chunk_int(sym)
-        flip_chunk_bit(store, sym, 1)
-        assert store.chunk_int(sym) != before
+        # Each register of an 8-way machine is one 8-way chunk: the
+        # checkpoint holds the two constant chunks, H(1) and H(5).
+        payloads = {int.from_bytes(w.tobytes(), "little")
+                    for w in ckpt.store_chunks}
+        assert len(payloads) == len(ckpt.store_chunks) == 4
+        # Clobber the registers, then restore them from the snapshot.
+        machine.qat.one(0)
+        machine.qat.zero(1)
         ckpt.restore(machine)
         assert [machine.read_qreg(q) for q in range(3)] == values
-        assert store.degraded == 0
+
+    def test_re_checkpoint_holds_only_live_chunks(self, tmp_path):
+        """A checkpoint after a long run saves the chunks its registers
+        hold (plus the two constant chunks), not every chunk the run
+        ever made, and round-trips through a file."""
+        program = assemble(
+            "had @0, 0\nhad @1, 2\nhad @2, 4\nhad @4, 1\nhad @5, 3\n"
+            "had @6, 5\nlex $0, 100\n"
+            "loop:\n"
+            "xor @3, @0, @1\nand @0, @3, @4\nor @1, @0, @5\nnot @2\n"
+            "xor @2, @2, @3\nxor @4, @4, @2\nand @5, @6, @1\n"
+            "xor @6, @6, @0\n"
+            "lex $1, -1\nadd $0, $1\nbrt $0, loop\n"
+            "lex $rv, 0\nsys\n")
+        sim = FunctionalSimulator(ways=10, qat_backend=REQatBackend(
+            10, chunk_ways=6))
+        sim.load(program)
+        sim.run(100_000)
+        assert sim.machine.halted
+        machine = sim.machine
+        live = {chunk for pv in machine.qat.regs for chunk, _ in pv.runs}
+        store = machine.qat.store
+        ckpt = Checkpoint.take(machine)
+        payloads = [int.from_bytes(w.tobytes(), "little")
+                    for w in ckpt.store_chunks]
+        held = live | {store.zero_id, store.one_id}
+        assert len(payloads) == len(held)
+        assert set(payloads) == held
+        assert payloads[:2] == [store.zero_id, store.one_id]
+        values = [machine.read_qreg(q) for q in range(256)]
+        path = str(tmp_path / "re.npz")
+        ckpt.save(path)
+        fresh = FunctionalSimulator(ways=10, qat_backend=REQatBackend(
+            10, chunk_ways=6))
+        fresh.load(program)
+        Checkpoint.load(path).restore(fresh.machine)
+        assert [fresh.machine.read_qreg(q) for q in range(256)] == values
+
+    def test_re_run_list_outside_payloads_rejected(self):
+        sim = FunctionalSimulator(ways=8, qat_backend="re")
+        sim.load(assemble("had @0, 1\nlex $rv, 0\nsys\n"))
+        sim.run()
+        ckpt = Checkpoint.take(sim.machine)
+        runs = (((len(ckpt.store_chunks), 1),),) + ckpt.qat_runs[1:]
+        bad = dataclasses.replace(ckpt, qat_runs=runs)
+        with pytest.raises(CheckpointError, match="outside"):
+            bad.restore(sim.machine, verify=False)
 
 
 class TestAutoCheckpointer:

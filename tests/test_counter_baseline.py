@@ -4,7 +4,8 @@ Each workload runs once under a fresh metrics-only capture with fresh
 chunk stores, and every scalar (non-histogram) metric it touches must
 equal the committed value in ``tests/data/counter_baseline.json``
 exactly: cycles, CPI, stalls, Qat op and bit volume, chunk gate results
-reused or newly interned, gate-optimizer eliminations.  The paper's anchor is among them --
+that extended a run or began one, gate-optimizer eliminations.  The
+paper's anchor is among them --
 Figure 10 factors 15 in 92 instructions and 167 cycles (CPI 1.8152) on
 the 4-stage forwarding pipeline.  Wall-clock timing is not measured
 here; ``tangledbench/`` is the timing benchmark.
@@ -62,7 +63,7 @@ def _chunkstore_s12():
     h = PatternVector.hadamard(18, 17, store)
     g = PatternVector.hadamard(18, 0, store)
     first = h ^ g
-    second = h ^ g  # replay: every result is interned, pure hits
+    second = h ^ g  # replay: equal values, but new chunk ints
     first & second
 
 
@@ -107,9 +108,9 @@ WORKLOADS = {
 def capture(workload) -> dict:
     """Every scalar metric one run of ``workload`` produces.
 
-    Every workload builds its own chunk store, so symbols interned by
-    earlier work cannot shift the chunkstore hit counts;
-    the caller's telemetry is restored afterwards.
+    Every workload builds its own chunk store, so earlier work cannot
+    shift the chunkstore hit counts; the caller's telemetry is restored
+    afterwards.
     """
     previous = obs.current()
     telemetry = obs.enable(tracing=False)

@@ -1,22 +1,19 @@
-"""Seeded fault injection: plans, campaigns, degradation, stuck-at."""
+"""Seeded fault injection: plans, campaigns, stuck-at."""
 
 import numpy as np
 import pytest
 
-from repro.aob import AoB
 from repro.cpu import FunctionalSimulator, PipelinedSimulator
 from repro.errors import ReproError, SimulatorError
 from repro.faults import (
     FaultEvent,
     FaultPlan,
     apply_event,
-    flip_chunk_bit,
     run_campaign,
     stuck_at_plan,
 )
 from repro.faults.campaign import render_report
 from repro.hw.netlist import Netlist
-from repro.pattern import ChunkStore, PatternVector
 
 
 class TestFaultPlan:
@@ -160,82 +157,6 @@ class TestCampaign:
     def test_rejects_bad_program(self):
         with pytest.raises(ReproError):
             run_campaign(program="nosuch", runs=1)
-
-
-class TestChunkStoreDegradation:
-    def test_corrupted_chunk_degrades_not_crashes(self):
-        store = ChunkStore(6)
-        pv = PatternVector.hadamard(8, 2, store=store)
-        sym = pv.runs[0][0]
-        before = pv.meas(0)
-        flip_chunk_bit(store, sym, 0)
-        assert store.degraded == 0
-        after = pv.meas(0)  # must not raise
-        assert after == before ^ 1
-        assert store.degraded == 1
-
-    def test_degraded_chunk_becomes_new_truth(self):
-        store = ChunkStore(6)
-        pv = PatternVector.zeros(8, store=store)
-        flip_chunk_bit(store, store.zero_id, 3)
-        assert pv.meas(3) == 1
-        assert store.degraded == 1
-        # Digest refreshed: further reads see a consistent store.
-        assert pv.meas(3) == 1
-        assert store.degraded == 1
-
-    def test_out_of_range_symbol_degrades_to_zero_chunk(self):
-        store = ChunkStore(6)
-        chunk = store.chunk_safe(999)
-        assert chunk == AoB.zeros(6)
-        assert store.degraded == 1
-
-    def test_degradation_purges_memo_entries(self):
-        store = ChunkStore(6)
-        a = store.intern(AoB.hadamard(6, 1))
-        assert store.popcount(a) == 32
-        flip_chunk_bit(store, a, 0)
-        store.chunk_safe(a)  # detect + adopt
-        assert store.popcount(a) in (31, 33)
-
-    def test_gate_memos_work_after_degradation(self):
-        # Gates and readouts computed before the flip must not outlive it:
-        # afterwards every one reads the adopted bits.
-        store = ChunkStore(6)
-        a = store.intern(AoB.hadamard(6, 1))
-        b = store.intern(AoB.hadamard(6, 2))
-        store.binop("and", a, b)
-        store.bnot(a)
-        store.popcount(a)
-        store.first_one(a)
-        flip_chunk_bit(store, a, 2)  # H(1) holds 1 in channels 2 and 3
-        store.chunk_safe(a)  # detect + adopt
-        assert store.degraded == 1
-        adopted = AoB(6, AoB.hadamard(6, 1).to_int() ^ 1 << 2)
-        assert store.chunk(a) == adopted
-        assert store.chunk(store.binop("and", a, b)) == \
-            adopted & AoB.hadamard(6, 2)
-        assert store.chunk(store.bnot(a)) == ~adopted
-        assert store.popcount(a) == 31
-        assert store.first_one(a) == 3
-        assert store.intern(adopted) == a  # the index holds the new bits
-        assert store.degraded == 1
-
-    def test_stats_include_degraded(self):
-        store = ChunkStore(6)
-        store.chunk_safe(12345)
-        assert store.stats()["degraded"] == 1
-
-
-class TestCheckpointChunks:
-    def test_store_chunks_round_trip(self):
-        store = ChunkStore(6)
-        pv = PatternVector.hadamard(8, 1, store=store)
-        captured = store.chunks()
-        flip_chunk_bit(store, pv.runs[0][0], 2)
-        store.restore_chunks(captured)
-        assert store.degraded == 0
-        assert pv.meas(2) == PatternVector.hadamard(8, 1, store=store).meas(2)
 
 
 class TestNetlistStuckAt:

@@ -32,16 +32,45 @@ class TestChunkStore:
 
     def test_binop_reuses_known_results(self, store):
         h = store.hadamard(1)
-        symbols = len(store)
-        assert store.binop("and", h, store.one_id) == h  # known: a hit
-        assert (store.gate_hits, store.gate_misses) == (1, 0)
-        r1 = store.binop("xor", h, store.one_id)  # a new value: a miss
-        assert (store.gate_hits, store.gate_misses) == (1, 1)
-        assert len(store) == symbols + 1
+        assert store.binop("and", h, store.one_id) == h
+        r1 = store.binop("xor", h, store.one_id)
         r2 = store.binop("xor", store.one_id, h)
         assert r1 == r2
-        assert (store.gate_hits, store.gate_misses) == (2, 1)
-        assert store.stats()["gate_hits"] == 2
+
+    def test_gate_hits_count_run_extensions(self, store):
+        """A gate result equal to the run before it extends that run (a
+        hit); any other result begins a new run (a miss)."""
+        h = PatternVector.hadamard(8, 7, store)  # two runs: zeros, ones
+        ones = PatternVector.ones(8, store)
+        assert (h & ones).num_runs == 2
+        assert store.stats() == {"symbols": 2, "gate_hits": 0,
+                                 "gate_misses": 2}
+        assert (h | ones).num_runs == 1  # the second result extends
+        assert (store.gate_hits, store.gate_misses) == (1, 3)
+        assert (~h).num_runs == 2
+        assert (store.gate_hits, store.gate_misses) == (1, 5)
+
+    def test_store_keeps_no_chunk_alive(self):
+        """Memory follows the live values: gate results nobody holds are
+        freed, so a long run of gates does not grow the store."""
+        import gc
+        import tracemalloc
+
+        store = ChunkStore(10)  # 1,024-bit chunks
+        a = store.hadamard(3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(1000):  # a distinct, discarded result each time
+                b = store.intern(AoB(10, i))
+                store.bnot(store.binop("xor", a, b))
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # Keeping the 2,000 distinct 1,024-bit results would take over
+        # 250 KiB.
+        assert grown < 16 * 1024
 
     def test_binop_commutative_cache(self, store):
         a, b = store.hadamard(0), store.hadamard(3)
