@@ -33,13 +33,12 @@ everything an unobserved run does not need:
   that keeps the registers in locals.  The instructions are inlined
   from :data:`repro.cpu.exec_core.TEMPLATES`, the table that also
   builds their handlers, Qat gates included; only the Qat ops that can
-  trap under ``strict_qat`` call their handlers.  For the pipelined
-  simulator's stripped loop (:mod:`repro.cpu.pipeline`) the same
-  compiler also folds one pipeline configuration's scoreboard timing
-  into the closure (:func:`_scoreboard`), so a hot block is timed in a
-  handful of integer maxima instead of per instruction.  Compiled code
-  is cached process-wide (:data:`CODE_CACHE_LIMIT`), so every machine
-  loaded with the same program reuses it.
+  trap under ``strict_qat`` call their handlers.  Compiled code is
+  cached process-wide (:data:`CODE_CACHE_LIMIT`) on the leader and its
+  entries alone, so every machine loaded with the same program, on any
+  engine, runs the same closure.  The pipelined simulator's stripped
+  loop (:mod:`repro.cpu.pipeline`) times a block from a table kept
+  beside its closure, one per pipeline configuration.
 - **Selection** (:func:`eligible`): a stripped loop is only taken
   when telemetry capture, auto-checkpointing, and profiling are all
   inactive; any observer keeps the observed loop.  The
@@ -242,175 +241,18 @@ def _untranslatable(policy) -> frozenset:
     return frozenset(unsafe | {"sys"})
 
 
-#: ``(leader pc, untranslatable mnemonics, entries, timing) -> (run,
-#: records, fixed)``, shared by every machine: a block is a pure function
-#: of its words, its address, the trap policy and, for the pipeline, its
-#: configuration's slack and its entries' timing rows.
+#: ``(leader pc, entries) -> (run, records, tables)``, shared by every
+#: machine and engine: a block is a pure function of its words and its
+#: address (the trap policy only decides where a chain ends).  ``tables``
+#: holds what the engines derive from the block per timing model -- the
+#: pipeline's per-configuration timing tables (:mod:`repro.cpu.pipeline`)
+#: -- so :data:`CODE_CACHE_LIMIT` bounds them too.
 _CODE: dict = {}
 
-#: Larger than any difference of two cycles: an unknown bound.
-_UNBOUNDED = 1 << 62
 
-
-def _term(atom: str, const: int) -> str:
-    return (atom if not const else f"{atom} + {const}" if const > 0
-            else f"{atom} - {-const}")
-
-
-def _scoreboard(chain: list, slack: tuple, rows: tuple) -> tuple:
-    """Source that times a block the way the pipeline's stripped loop times
-    each of its instructions.
-
-    ``rows`` holds each entry's ``(reads, writes, delay, length, kind)``
-    under one pipeline configuration (``repro.cpu.pipeline._timing``).
-    Per instruction the stripped loop computes ``idc = max(fetch + words,
-    ex)``, ``start = max(idc + 1, free)`` and ``at = max(start,
-    ready[reads])``.  Inside a block, where nothing traps and nothing
-    redirects fetch before the last instruction, each of those cycles is
-    a max-plus function of the state at entry: the fetch cycle ``F``, the
-    previous EX cycle ``X``, the first free EX cycle ``R`` and the
-    ``ready`` slots read before they are written (locals ``q<slot>``).
-
-    A value is held as a list of ``(atom, constant)`` terms, and a term
-    falls away once another provably dominates it.  ``bound[u][v]`` is
-    the least known upper bound on ``u - v``.  It starts from what holds
-    at every instruction boundary -- ``F <= X + 1``, and ``R`` and every
-    ready cycle at most ``slack = (longest EX occupancy, longest result
-    delay)`` of the configuration past ``X`` -- and grows with each
-    temporary ``t = max(...)`` the source computes.  After the first
-    instruction or two every value is one atom plus a constant, and the
-    rest of the block is folded as plain integers.
-
-    Returns ``(lines, ex, writes, outs, fixed)``: the statements, the
-    last EX cycle, the ``ready`` writes, the ``(fetch, free, stalls)``
-    expressions of the block's exit state and its constant
-    ``(structural, fetch_extra)`` counts.
-    """
-    longest, latest = slack
-    lines, loaded = [], set()
-    bound = {"X": {"X": 0}, "F": {"F": 0, "X": 1},
-             "R": {"R": 0, "X": longest}}
-
-    def prune(terms):
-        best = {}
-        for atom, const in terms:
-            if best.get(atom, const) <= const:
-                best[atom] = const
-        kept = []
-        for atom, const in best.items():
-            row = bound[atom]
-            if any(row.get(b, _UNBOUNDED) <= d - const for b, d in kept):
-                continue
-            kept = [(b, d) for b, d in kept
-                    if bound[b].get(atom, _UNBOUNDED) > const - d]
-            kept.append((atom, const))
-        return kept
-
-    def value(terms):
-        """One ``(atom, constant)`` term for the maximum of ``terms``."""
-        for atom, _ in terms:
-            if atom[0] == "q" and atom not in loaded:
-                loaded.add(atom)
-                lines.append(f"{atom} = ready[{atom[1:]}]")
-        if len(terms) == 1:
-            return terms[0]
-        temp = f"t{len(lines)}"
-        lines.append(f"{temp} = {_term(*terms[0])}")
-        for term in terms[1:]:
-            text = _term(*term)
-            lines.append(f"if {text} > {temp}: {temp} = {text}")
-        row = {temp: 0}
-        for atom, known in bound.items():
-            ups = [known[a] - c for a, c in terms if a in known]
-            if ups:
-                known[temp] = min(ups)
-            downs = [bound[a].get(atom) for a, _ in terms]
-            if None not in downs:
-                row[atom] = max(d + c for d, (_, c) in zip(downs, terms))
-        bound[temp] = row
-        return temp, 0
-
-    def load(slot):
-        """The ready cycle of ``slot`` at entry, as a new atom."""
-        atom = f"q{slot}"
-        bound[atom] = {atom: 0, **{v: d + latest
-                                   for v, d in bound["X"].items()}}
-        term = ready[slot] = (atom, 0)
-        return term
-
-    fetch, ex, free = [("F", 0)], ("X", 0), ("R", 0)
-    ready, written = {}, {}
-    stalls, stall_const = [], 0
-    structural = sum(row[3] for row in rows) - len(rows)
-    fetch_extra = sum(entry.words == 2 for entry in chain[1:])
-    for entry, (reads, writes, delay, length, _) in zip(chain, rows):
-        # Fold the step as integers on the atom of the last EX cycle, as
-        # long as every other term is provably no later.
-        base, at = ex
-        if free[0] == base:
-            for atom, c in fetch:
-                c += entry.words
-                if atom == base:
-                    if c > at:
-                        at = c
-                elif bound[atom].get(base, _UNBOUNDED) + c > at:
-                    at = None
-                    break
-        else:
-            at = None
-        if at is not None:
-            idc = at
-            begin = idc + 1 if idc >= free[1] else free[1]
-            at = begin
-            for slot in reads:
-                atom, c = ready.get(slot) or load(slot)
-                if atom == base:
-                    if c > at:
-                        at = c
-                elif bound[atom].get(base, _UNBOUNDED) + c > at:
-                    break
-            else:
-                stall_const += at - begin
-                ex, free, fetch = ((base, at), (base, at + length),
-                                   [(base, idc)])
-                for slot in writes:
-                    written[slot] = ready[slot] = (base, at + delay)
-                continue
-        needs = [ready.get(slot) or load(slot) for slot in reads]
-        idc = prune([(a, c + entry.words) for a, c in fetch] + [ex])
-        start = prune([(a, c + 1) for a, c in idc] + [free])
-        at = prune(start + needs)
-        if sorted(at) == sorted(start):
-            at = value(at)
-        else:
-            begin = value(start)
-            at = value(prune([begin] + needs))
-            stall_const += at[1] - begin[1]
-            if at[0] != begin[0]:
-                stalls.append(f"{at[0]} - {begin[0]}")
-        ex, free, fetch = at, (at[0], at[1] + length), idc
-        for slot in writes:
-            written[slot] = ready[slot] = (at[0], at[1] + delay)
-    fetch = _term(*value(fetch))
-    if stall_const or not stalls:
-        stalls.append(str(stall_const))
-    # Every later ``at`` is past ``ex + 1``, so a ready cycle no later
-    # than that never stalls anything: such a write is skipped when the
-    # entry's value there was no later either.
-    last, const = ex
-    settled = bound["X"].get(last, _UNBOUNDED) + latest <= const + 1
-    writes = [f"ready[{slot}] = {_term(atom, c)}"
-              for slot, (atom, c) in written.items()
-              if not settled or (0 if atom == last else bound[atom].get(
-                  last, _UNBOUNDED)) + c > const + 1]
-    return (lines, _term(*ex), writes,
-            (fetch, _term(*free), " + ".join(stalls)),
-            (structural, fetch_extra))
-
-
-def _compile(start: int, chain: list, timing: tuple | None = None) -> tuple:
-    """One block's closure and its retire records: ``(run, records,
-    fixed)``.
+def _compile(start: int, chain: list) -> tuple:
+    """One block's closure ``run(machine) -> next pc`` and its retire
+    records: ``(run, records)``.
 
     Registers live in locals ``r0``..``r15``: each is read from
     ``machine.regs`` before its first use and written back once, at the
@@ -419,15 +261,6 @@ def _compile(start: int, chain: list, timing: tuple | None = None) -> tuple:
     can trap under ``strict_qat``) calls its :data:`FAST_HANDLERS` entry,
     with the GPRs its :class:`~repro.cpu.exec_core.StaticEffects` name
     synced around the call.
-
-    Without ``timing`` the closure is ``run(machine) -> next pc`` and
-    ``fixed`` is ``None``.  With one pipeline configuration's ``timing =
-    (slack, rows)`` (see :func:`_scoreboard`) it is ``run(machine, ready,
-    F, X, R, limit)``: it first computes the block's last EX cycle and, if
-    that is past ``limit``, returns ``None`` with nothing written;
-    otherwise it writes ``ready``, runs the block and returns ``(next
-    pc, fetch, ex, free, stalls)``, and ``fixed`` is the block's
-    constant ``(structural, fetch_extra)``.
     """
     namespace = dict(TEMPLATE_GLOBALS)
     body, dirty, have = [], set(), set()
@@ -474,32 +307,23 @@ def _compile(start: int, chain: list, timing: tuple | None = None) -> tuple:
     lines = (["regs = machine.regs"] + body
              + [f"regs[{r}] = r{r}" for r in sorted(dirty)]
              + [tail or f"return {pc}"])
-    args, fixed = "machine", None
-    if timing is not None:
-        steps, ex, writes, outs, fixed = _scoreboard(chain, *timing)
-        npc = tail[len("return "):] if tail else str(pc)
-        lines = (steps + [f"if {ex} > limit: return None"] + writes
-                 + lines[:-1] + [f"return ({npc}, {outs[0]}, {ex}, "
-                                 f"{outs[1]}, {outs[2]})"])
-        args = "machine, ready, F, X, R, limit"
-    source = f"def run({args}):\n" + "".join(f"    {line}\n"
+    source = "def run(machine):\n" + "".join(f"    {line}\n"
                                               for line in lines)
     exec(compile(source, f"<block {start:#06x}>", "exec"), namespace)
-    return namespace["run"], tuple(records), fixed
+    return namespace["run"], tuple(records)
 
 
 def _translate(cache: PredecodeCache, mem, start: int, unsafe: frozenset,
-               cost_of=None, timing=None) -> tuple:
+               cost=None) -> tuple:
     """Map the block that starts at ``start`` in ``cache``; returns it.
 
     The block runs from ``start`` up to and including the first branch,
     jump or store, and stops before any ``unsafe`` instruction, any
     undecodable word, and at :data:`MAX_BLOCK` instructions.  ``()``
     marks a leader where no block can start.  A block is ``(run, n,
-    records, cost)``: ``cost`` is its :class:`CycleCosts` charge
-    (``cost_of``), or, for a block timed by the pipeline's ``timing =
-    (slack, entry -> row)`` (see :func:`_scoreboard`), ``(last entry,
-    fall-through pc, kind of the last entry, structural, fetch_extra)``.
+    records, cost)``, where ``cost`` is ``cost(chain, fall-through pc,
+    tables)`` with the compiled block's ``tables`` (see :data:`_CODE`):
+    the multi-cycle model's charge, or the pipeline's timing table.
     """
     chain = []
     pc = start
@@ -513,22 +337,15 @@ def _translate(cache: PredecodeCache, mem, start: int, unsafe: frozenset,
             break
     block = ()
     if chain:
-        timed = None
-        if timing is not None:
-            slack, row = timing
-            timed = (slack, tuple(map(row, chain)))
-        key = (start, unsafe, tuple(chain), timed)
+        key = (start, tuple(chain))
         code = _CODE.get(key)
         if code is None:
             if len(_CODE) >= CODE_CACHE_LIMIT:
                 del _CODE[next(iter(_CODE))]
-            code = _CODE[key] = _compile(start, chain, timed)
-        if timed is not None:
-            cost = (chain[-1], pc, timed[1][-1][4], *code[2])
-        else:
-            cost = (0 if cost_of is None
-                    else sum(cost_of[e.mnemonic] for e in chain))
-        block = (code[0], len(chain), code[1], cost)
+            code = _CODE[key] = (*_compile(start, chain), {})
+        run, records, tables = code
+        block = (run, len(chain), records,
+                 None if cost is None else cost(chain, pc, tables))
     cache.blocks[start] = block
     for addr in range(start, start + max(1, (pc - start) & 0xFFFF)):
         cache.covers.setdefault(addr & 0xFFFF, set()).add(start)
@@ -565,6 +382,10 @@ def run_functional(sim, max_steps: int) -> int:
     costs = sim.costs
     cost_of = (None if costs is None
                else {m: costs.cycles_for(m) for m in FAST_HANDLERS})
+
+    def charge(chain, seq, tables):
+        return sum(cost_of[entry.mnemonic] for entry in chain)
+
     trap_cost = costs.sys if costs is not None else 0
     mem = machine.mem
     cache = cache_for(machine)
@@ -591,7 +412,8 @@ def run_functional(sim, max_steps: int) -> int:
             if block is None:
                 visits = heat[pc] = heat.get(pc, 0) + 1
                 if visits >= hot:
-                    block = _translate(cache, mem, pc, unsafe, cost_of)
+                    block = _translate(cache, mem, pc, unsafe,
+                                       charge if costs is not None else None)
             if block and steps + block[1] <= max_steps:
                 run, n, records, cycles = block
                 machine.pc = run(machine)

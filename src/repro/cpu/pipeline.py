@@ -40,11 +40,11 @@ unobserved ``run()`` on a freshly loaded pipeline takes
 :meth:`PipelinedSimulator._run_stripped` instead: the bare
 ``FAST_HANDLERS`` in retire order, with each instruction's fetch, ID and
 EX cycles computed by a scoreboard.  Hot code runs there as the
-translated blocks of :mod:`repro.cpu.fastpath`, compiled with this
-configuration's scoreboard timing folded in, so a block retires in one
-call and is timed in a few integer maxima.  The conformance harness
-holds the two loops, with and without every block translated, to
-identical statistics, trap records and flight streams.
+translated blocks of :mod:`repro.cpu.fastpath`, the same closures the
+other engines run, each timed by one lookup in its :class:`_Table` for
+this configuration.  The conformance harness holds the two loops, with
+and without every block translated, to identical statistics, trap
+records and flight streams.
 """
 
 from __future__ import annotations
@@ -146,8 +146,7 @@ def _timing(entry: Predecoded) -> tuple:
     kind)``: scoreboard slots read and written, the cycles from EX until
     a written value is readable, the cycles the instruction holds EX,
     and what can redirect fetch.  Memoized on the (interned) entry; a
-    translated block is compiled from its entries' items
-    (:func:`repro.cpu.fastpath._scoreboard`).
+    translated block's :class:`_Table` is built from its entries' items.
     """
     stat = entry.static
     if stat is None:  # undecodable: traps at EX, reads and writes nothing
@@ -170,6 +169,72 @@ def _timing(entry: Predecoded) -> tuple:
         timing.append((reads, writes, delay, length, kind))
     entry.timing = tuple(timing)
     return entry.timing
+
+
+class _Table(dict):
+    """One translated block's timing under one pipeline configuration.
+
+    At every instruction boundary, relative to the last EX cycle ``X``,
+    the next fetch starts at most a cycle later, the first free EX cycle
+    ``R`` is at most ``longest`` cycles later and every ready cycle at
+    most ``latest`` (the configuration's longest EX occupancy and result
+    delay).  The block's ``j``-th instruction enters EX at ``X + j + 1``
+    or later, so its timing depends on the entry state only through the
+    key ``f = max(F - X, -2)`` (a fetch that early is done by ``X``),
+    and, unless :attr:`probes` is ``None``, ``max(R - X, 1)`` and
+    ``max(ready[s] - X, 1)`` for each slot ``s`` in :attr:`probes`: those
+    the first ``latest - 1`` instructions read before the block writes
+    them.  Each of those terms is at most ``3``, so the key packs them
+    after ``f`` as base-4 digits.  It maps to ``(ex, fetch, free, stalls,
+    writes)`` relative to ``X``, computed on first use by the stripped
+    loop's own arithmetic.
+    """
+
+    __slots__ = ("chain", "rows", "latest", "probes")
+
+    def __init__(self, chain: list, cfg: int):
+        self.chain = chain
+        self.rows = rows = [(entry.timing or _timing(entry))[cfg]
+                            for entry in chain]
+        # A single-port swap holds EX for two cycles, and a result waits
+        # for WB without forwarding, or for MEM after a 5-stage load.
+        longest = 2 if cfg & 1 else 1
+        self.latest = longest + 1 if cfg & 2 else 2 if cfg & 4 else 1
+        probes, written = [], set()
+        for reads, writes, *_ in rows[:self.latest - 1]:
+            probes += [s for s in reads
+                       if s not in written and s not in probes]
+            written.update(writes)
+        self.probes = tuple(probes) if probes or longest > 1 else None
+
+    def __missing__(self, key: int) -> tuple:
+        fetch, terms = key, []
+        if self.probes is not None:
+            for _ in range(len(self.probes) + 1):
+                fetch, term = divmod(fetch, 4)
+                terms.append(term)
+        free, *terms = terms[::-1] or [1]
+        ready = dict(zip(self.probes or (), terms))
+        ex = stalls = 0
+        written = {}
+        for entry, (reads, writes, delay, length, _) in zip(self.chain,
+                                                            self.rows):
+            idc = fetch + entry.words
+            if idc < ex:
+                idc = ex
+            start = idc + 1 if idc >= free else free
+            at = max([start] + [ready.get(slot, 0) for slot in reads])
+            stalls += at - start
+            for slot in writes:
+                ready[slot] = written[slot] = at + delay
+            ex, free, fetch = at, at + length, idc
+        # Every later EX cycle is past ``ex + 1``, so once no ready cycle
+        # at entry can be later, a write no later than that never stalls.
+        settled = ex + 1 if ex + 1 >= self.latest else 0
+        value = self[key] = (ex, fetch, free, stalls,
+                             tuple((slot, cycle) for slot, cycle
+                                   in written.items() if cycle > settled))
+        return value
 
 
 class PipelinedSimulator:
@@ -565,8 +630,9 @@ class PipelinedSimulator:
         run starts, and after a block, a branch, jump, store, ``sys`` or
         delivered trap) a visit is counted, and from
         :data:`~repro.cpu.fastpath.HOT_THRESHOLD` visits on the block
-        starting there is compiled with this configuration's timing
-        folded in.  A block runs whole, or -- when its last EX cycle is
+        starting there is translated.  Its timing is looked up in its
+        :class:`_Table`, keyed on the entry state relative to the last
+        EX cycle.  A block runs whole, or -- when its last EX cycle is
         past ``max_cycles`` -- not at all, and then the per-instruction
         path below makes the watchdog's exact cut.  A block's last
         instruction takes the same redirect tail as an interpreted one.
@@ -587,16 +653,16 @@ class PipelinedSimulator:
         unsafe = _fastpath._untranslatable(machine.trap_policy)
         cache.retarget((unsafe, cfg))
 
-        def row_of(entry):
-            return (entry.timing or _timing(entry))[cfg]
-
-        # How far past the last EX cycle the first free EX cycle and a
-        # ready cycle can be, per :func:`_timing`: a single-port swap
-        # holds EX for two cycles, and a result waits for WB without
-        # forwarding, or for MEM after a 5-stage load.
-        longest = 2 if cfg & 1 else 1
-        latest = longest + 1 if cfg & 2 else 2 if cfg & 4 else 1
-        timed = ((longest, latest), row_of)
+        def timed(chain, seq, tables):
+            """A block's ``(last entry, fall-through pc, kind of the last
+            entry, fetch_extra, structural, probes, table)``."""
+            table = tables.get(cfg)
+            if table is None:
+                table = tables[cfg] = _Table(chain, cfg)
+            rows = table.rows
+            return (chain[-1], seq, rows[-1][4],
+                    sum(entry.words == 2 for entry in chain[1:]),
+                    sum(row[3] - 1 for row in rows), table.probes, table)
 
         recorder = _flight.RECORDER
         fr_append = recorder.events.append if recorder.enabled else None
@@ -613,27 +679,44 @@ class PipelinedSimulator:
         leader = True
         try:
             while not machine.halted:
-                out = None
+                at = None
                 if leader:
                     block = blocks.get(pc)
                     if block is None:
                         visits = heat[pc] = heat.get(pc, 0) + 1
                         if visits >= hot:
                             block = _fastpath._translate(
-                                cache, mem, pc, unsafe, timing=timed)
+                                cache, mem, pc, unsafe, timed)
                     if block:
-                        run, n, records, (last, seq, kind, fixed_structural,
-                                          fixed_fetch) = block
-                        # Looked up first: a store ending the block may
-                        # evict it.
-                        nxt = entries.get(seq)
-                        if nxt is None:
-                            nxt = entries[seq] = predecode(mem, seq)
-                        out = run(machine, ready, fetch, ex, free, max_cycles)
-                if out is not None:
-                    npc, idc, at, free, stall = out
+                        run, n, records, (last, seq, kind, fixed_fetch,
+                                          fixed_structural, probes,
+                                          table) = block
+                        # The entry state relative to ``ex``, clipped and
+                        # packed as :class:`_Table` keys it.
+                        key = fetch - ex
+                        if key < -2:
+                            key = -2
+                        if probes is not None:
+                            term = free - ex
+                            key = key * 4 + (term if term > 1 else 1)
+                            for slot in probes:
+                                term = ready[slot] - ex
+                                key = key * 4 + (term if term > 1 else 1)
+                        dex, dfetch, dfree, stall, writes = table[key]
+                        at = ex + dex
+                        if at > max_cycles:
+                            at = None
+                if at is not None:
+                    for slot, cycle in writes:
+                        ready[slot] = ex + cycle
+                    idc = ex + dfetch
+                    free = ex + dfree
+                    # Looked up first: a store ending the block may evict it.
+                    nxt = entries.get(seq)
+                    if nxt is None:
+                        nxt = entries[seq] = predecode(mem, seq)
+                    npc = machine.pc = run(machine)
                     ex = stats.cycles = at
-                    machine.pc = npc
                     machine.instret += n
                     stalls += stall
                     structural += fixed_structural

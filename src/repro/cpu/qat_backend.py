@@ -323,7 +323,7 @@ class REQatBackend(QatBackend):
                 hit = memo[key] = (args, gate(*args))
             results = hit[1]
         if _obs.active:
-            count_re_volume(key[0], 1, results[0].num_runs)
+            count_re_volume(key[0], results[0].num_runs)
         return results
 
     # -- gates --------------------------------------------------------------
@@ -463,14 +463,14 @@ _RE_GATES = {
 }
 
 
-def count_re_volume(op: str, ops: int, runs: int) -> None:
-    """Telemetry: count compressed-op volume in *runs*, not bits.
+def count_re_volume(op: str, runs: int) -> None:
+    """Telemetry: count one compressed op's volume in *runs*, not bits.
 
     The dense kernels report AoB bit volume; here the honest unit of
     work is the run walk, so ``qat.re.runs.<op>`` counts runs touched
-    and ``qat.re.ops`` the compressed operations (one per machine).  The
-    run walks' own hit/miss counters fire underneath.
+    and ``qat.re.ops`` the compressed operations.  The run walks' own
+    hit/miss counters fire underneath.
     """
     metrics = _obs.current().metrics
-    metrics.counter("qat.re.ops").add(ops)
+    metrics.counter("qat.re.ops").add(1)
     metrics.counter(f"qat.re.runs.{op}").add(runs)

@@ -48,6 +48,22 @@ HANDLER_STUB = tuple(encode(Instr("jumpr", (14,))))
 PATCH = encode(Instr("lex", (3, 42)))[0]
 #: Rewrites word 0, already executed, then carries on (``$3 = 9``).
 STORE_AT_ZERO = "lex $0, 0\nlex $1, 0\nstore $0, $1\nlex $3, 9\nlex $rv, 0\nsys\n"
+#: Blocks entered by falling through a stalled, untaken branch: a RAW
+#: stall without forwarding, then a 5-stage load-use stall.  Each next
+#: block starts with a two-word fetch that began two cycles before the
+#: branch's EX cycle, where a block's timing table clips its fetch term.
+STALLED_FALL_THROUGH = """\
+loadi $1, 0x4000
+lex $2, 1
+brf $2, out
+and @1, @2, @3
+load $2, $1
+brt $2, out
+and @1, @2, @3
+out:
+lex $rv, 0
+sys
+"""
 
 
 def store_ahead(gap: int) -> str:

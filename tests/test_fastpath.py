@@ -9,6 +9,8 @@ must survive self-modifying code and fault injection, and the
 exactly.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,10 +27,11 @@ from repro.faults.inject import FaultEvent, FaultPlan, apply_event
 from repro.faults.traps import TrapPolicy
 from repro.isa import INSTRUCTIONS
 
-from tests.conformance import (STORE_AT_ZERO, Program, check,
-                               every_leader_hot, store_ahead)
+from tests.conformance import (STALLED_FALL_THROUGH, STORE_AT_ZERO, Program,
+                               check, every_leader_hot, store_ahead)
 
 SIMS = [FunctionalSimulator, MultiCycleSimulator, PipelinedSimulator]
+HOT_LOOP = Path(__file__).resolve().parents[1] / "examples" / "hot_loop.s"
 
 
 class TestLoopSelection:
@@ -320,6 +323,43 @@ class TestTranslatedBlocks:
                 sim.run()
                 assert sim.machine.read_reg(0) == k
                 assert 0 < len(fastpath._CODE) <= 4
+
+    def test_block_entered_after_a_stalled_branch(self):
+        """A block whose entry fetch started two cycles before the last
+        EX cycle, where its table clips the fetch term, is timed like the
+        stepped loop."""
+        check(Program.from_asm(STALLED_FALL_THROUGH))
+
+    def test_one_closure_per_block_on_every_engine(self, monkeypatch):
+        """The functional and the pipelined loop run each block as the
+        same closure, and the pipeline's timing tables are shared: a
+        second pipelined machine finds every entry state it meets."""
+        monkeypatch.setattr(fastpath, "_CODE", {})
+        program = assemble(HOT_LOOP.read_text())
+
+        def table_entries():
+            return sum(len(table) for *_, tables in fastpath._CODE.values()
+                       for table in tables.values())
+
+        with every_leader_hot():
+            functional, pipelined, again = (
+                FunctionalSimulator(), PipelinedSimulator(),
+                PipelinedSimulator())
+            for sim in (functional, pipelined):
+                sim.load(program)
+                sim.run()
+            blocks = fastpath.cache_for(functional.machine).blocks
+            timed = fastpath.cache_for(pipelined.machine).blocks
+            assert sorted(blocks) == sorted(timed)
+            assert any(blocks.values())
+            for pc, block in blocks.items():
+                assert (block and block[0]) is (timed[pc] and timed[pc][0]), pc
+            entries = table_entries()
+            assert entries > 0
+            again.load(program)
+            again.run()
+        assert table_entries() == entries
+        assert again.stats == pipelined.stats
 
 
 class TestParallelCampaign:
