@@ -181,7 +181,8 @@ class _Table(dict):
     delay).  The block's ``j``-th instruction enters EX at ``X + j + 1``
     or later, so its timing depends on the entry state only through the
     key ``f = max(F - X, -2)`` (a fetch that early is done by ``X``),
-    and, unless :attr:`probes` is ``None``, ``max(R - X, 1)`` and
+    and, unless :attr:`probes` is ``None``, ``max(R - X, 1)`` when
+    :attr:`wide` (``longest > 1``; otherwise it is always 1) and
     ``max(ready[s] - X, 1)`` for each slot ``s`` in :attr:`probes`: those
     the first ``latest - 1`` instructions read before the block writes
     them.  Each of those terms is at most ``3``, so the key packs them
@@ -190,7 +191,7 @@ class _Table(dict):
     loop's own arithmetic.
     """
 
-    __slots__ = ("chain", "rows", "latest", "probes")
+    __slots__ = ("chain", "rows", "latest", "wide", "probes")
 
     def __init__(self, chain: list, cfg: int):
         self.chain = chain
@@ -199,21 +200,23 @@ class _Table(dict):
         # A single-port swap holds EX for two cycles, and a result waits
         # for WB without forwarding, or for MEM after a 5-stage load.
         longest = 2 if cfg & 1 else 1
+        self.wide = longest > 1
         self.latest = longest + 1 if cfg & 2 else 2 if cfg & 4 else 1
         probes, written = [], set()
         for reads, writes, *_ in rows[:self.latest - 1]:
             probes += [s for s in reads
                        if s not in written and s not in probes]
             written.update(writes)
-        self.probes = tuple(probes) if probes or longest > 1 else None
+        self.probes = tuple(probes) if probes or self.wide else None
 
     def __missing__(self, key: int) -> tuple:
         fetch, terms = key, []
         if self.probes is not None:
-            for _ in range(len(self.probes) + 1):
+            for _ in range(len(self.probes) + self.wide):
                 fetch, term = divmod(fetch, 4)
                 terms.append(term)
-        free, *terms = terms[::-1] or [1]
+        terms.reverse()
+        free = terms.pop(0) if self.wide else 1
         ready = dict(zip(self.probes or (), terms))
         ex = stalls = 0
         written = {}
@@ -655,14 +658,15 @@ class PipelinedSimulator:
 
         def timed(chain, seq, tables):
             """A block's ``(last entry, fall-through pc, kind of the last
-            entry, fetch_extra, structural, probes, table)``."""
+            entry, fetch_extra, structural, wide, probes, table)``."""
             table = tables.get(cfg)
             if table is None:
                 table = tables[cfg] = _Table(chain, cfg)
             rows = table.rows
             return (chain[-1], seq, rows[-1][4],
                     sum(entry.words == 2 for entry in chain[1:]),
-                    sum(row[3] - 1 for row in rows), table.probes, table)
+                    sum(row[3] - 1 for row in rows), table.wide,
+                    table.probes, table)
 
         recorder = _flight.RECORDER
         fr_append = recorder.events.append if recorder.enabled else None
@@ -689,7 +693,7 @@ class PipelinedSimulator:
                                 cache, mem, pc, unsafe, timed)
                     if block:
                         run, n, records, (last, seq, kind, fixed_fetch,
-                                          fixed_structural, probes,
+                                          fixed_structural, wide, probes,
                                           table) = block
                         # The entry state relative to ``ex``, clipped and
                         # packed as :class:`_Table` keys it.
@@ -697,8 +701,9 @@ class PipelinedSimulator:
                         if key < -2:
                             key = -2
                         if probes is not None:
-                            term = free - ex
-                            key = key * 4 + (term if term > 1 else 1)
+                            if wide:
+                                term = free - ex
+                                key = key * 4 + (term if term > 1 else 1)
                             for slot in probes:
                                 term = ready[slot] - ex
                                 key = key * 4 + (term if term > 1 else 1)

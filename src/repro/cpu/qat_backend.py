@@ -13,12 +13,13 @@ per-machine choice:
   :data:`~repro.aob.bitvector.MAX_DENSE_WAYS`.
 - :class:`REQatBackend` -- each register is a
   :class:`~repro.pattern.PatternVector` over the machine's own
-  :class:`~repro.pattern.ChunkStore`; gates walk runs, one chunk op
-  per pair of runs, so ``had(k)`` and constant registers cost
-  O(runs) and entanglement up to :data:`MAX_RE_WAYS` runs in bounded
-  memory.  The lanes of a ``--batch`` campaign share one store and one
-  gate memo (:class:`SharedREStore`), so a gate runs once per distinct
-  operand tuple across the batch.
+  :class:`~repro.pattern.ChunkStore`; gates walk segments, one
+  big-int op per pair of segments (a repeated chunk, or a literal
+  block of chunks), so ``had(k)`` and constant registers cost
+  O(segments) and entanglement up to :data:`MAX_RE_WAYS` runs in
+  bounded memory.  The lanes of a ``--batch`` campaign share one store
+  and one gate memo (:class:`SharedREStore`), so a gate runs once per
+  distinct operand tuple across the batch.
 
 Both backends expose the full Table 3 op set used by
 :mod:`repro.cpu.exec_core` plus snapshot/restore (checkpointing) and
@@ -402,34 +403,37 @@ class REQatBackend(QatBackend):
 
     def write(self, reg: int, value) -> None:
         if isinstance(value, PatternVector):
-            if value.store is not self.store:
-                if value.store.chunk_ways != self.store.chunk_ways:
-                    raise EntanglementError(
-                        f"chunk must be {self.store.chunk_ways}-way, got "
-                        f"{value.store.chunk_ways}-way"
-                    )
-                value = PatternVector(self.ways, value.runs, self.store)
-            self.regs[reg] = value
+            self.regs[reg] = self._own(value)
         else:
             self.regs[reg] = PatternVector.from_aob(
                 value, ways=self.ways, store=self.store
             )
 
+    def _own(self, value: PatternVector) -> PatternVector:
+        """``value`` as a register of this backend: on its store."""
+        if value.store is self.store:
+            return value
+        if value.store.chunk_ways != self.store.chunk_ways:
+            raise EntanglementError(
+                f"chunk must be {self.store.chunk_ways}-way, got "
+                f"{value.store.chunk_ways}-way"
+            )
+        return PatternVector(self.ways, value.runs, self.store)
+
     # -- checkpoint / fault surfaces ------------------------------------------
 
     def snapshot(self) -> tuple:
-        """The run list of every register: runs hold their chunk ints,
-        which nothing mutates, so the runs are the whole value."""
-        return tuple(pv.runs for pv in self.regs)
+        """Every register's vector: vectors are immutable values whose
+        segments hold their ints, so the vectors are the whole state."""
+        return tuple(self.regs)
 
-    def restore(self, runs: tuple) -> None:
-        if len(runs) != NUM_QAT_REGS:
+    def restore(self, vectors: tuple) -> None:
+        if len(vectors) != NUM_QAT_REGS:
             raise SimulatorError(
-                f"snapshot covers {len(runs)} registers, expected {NUM_QAT_REGS}"
+                f"snapshot covers {len(vectors)} registers, expected "
+                f"{NUM_QAT_REGS}"
             )
-        self.regs = [
-            PatternVector(self.ways, reg_runs, self.store) for reg_runs in runs
-        ]
+        self.regs = [self._own(pv) for pv in vectors]
 
     def flip_bit(self, reg: int, word: int, bit: int) -> None:
         """Copy-on-write bit flip: chunk ints are never mutated.
@@ -464,12 +468,16 @@ _RE_GATES = {
 
 
 def count_re_volume(op: str, runs: int) -> None:
-    """Telemetry: count one compressed op's volume in *runs*, not bits.
+    """Telemetry: count one compressed op's volume in *segments*, not bits.
 
     The dense kernels report AoB bit volume; here the honest unit of
-    work is the run walk, so ``qat.re.runs.<op>`` counts runs touched
-    and ``qat.re.ops`` the compressed operations.  The run walks' own
-    hit/miss counters fire underneath.
+    work is the segment walk, so ``qat.re.runs.<op>`` counts the
+    segments of the op's first result (repeats and literals, as
+    :attr:`PatternVector.num_runs <repro.pattern.PatternVector.num_runs>`
+    does) and ``qat.re.ops`` the compressed operations.  The bit volume
+    the chunk gates sweep -- every chunk of a literal, one chunk of a
+    repeat -- is ``qat.bits.<op>``, and the walks' own hit/miss counters
+    fire underneath.
     """
     metrics = _obs.current().metrics
     metrics.counter("qat.re.ops").add(1)

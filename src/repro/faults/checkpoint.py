@@ -38,6 +38,7 @@ from repro.errors import CheckpointError
 from repro.isa.registers import NUM_QAT_REGS
 from repro.obs import flight as _flight
 from repro.obs import runtime as _obs
+from repro.pattern import PatternVector
 from repro.utils.bits import words_for_bits
 
 #: Format version stamped into saved checkpoint files.  RE-backend
@@ -248,7 +249,9 @@ class Checkpoint:
         else:
             chunks = [_from_words(words) for words in self.store_chunks]
             machine.qat.restore(tuple(
-                tuple((chunks[i], count) for i, count in reg)
+                PatternVector(machine.ways,
+                              tuple((chunks[i], count) for i, count in reg),
+                              machine.qat.store)
                 for reg in self.qat_runs))
         machine.pc = self.pc
         machine.halted = self.halted

@@ -11,10 +11,11 @@ This package is that software layer:
 
 - :class:`ChunkStore` fixes the chunk width and applies chunk-level
   gates to chunks held as Python ints, and
-- :class:`PatternVector` is a run-length list of those chunk ints
-  exposing the same operation set as :class:`repro.aob.AoB`, usable at
-  any entanglement degree.  A chunk lives exactly as long as some
-  vector holds it.
+- :class:`PatternVector` is a tuple of segments over those chunk ints
+  -- a chunk repeated over whole blocks, or a literal block of chunks
+  packed into one int -- exposing the same operation set as
+  :class:`repro.aob.AoB`, usable at any entanglement degree.  A chunk
+  lives exactly as long as some vector holds it.
 """
 
 from repro.pattern.chunkstore import ChunkStore

@@ -3,11 +3,14 @@
 A chunk is ``chunk_ways``-way (65,536 bits for the paper's full-scale
 Qat) held as a Python ``int``, channel ``e`` being bit ``e``;
 :class:`~repro.aob.AoB` is only the type at the store's edge.  A
-pattern vector's runs hold their chunk ints themselves, so the store
-keeps no per-chunk state: a chunk lives exactly as long as some vector
-holds it, and memory follows the live values, not the history of the
-computation.  What the store keeps is the chunk width, the two constant
-chunks and the gate telemetry.
+pattern vector's segments hold their ints themselves -- a repeated
+chunk, or a literal block of chunks packed into one int -- so the
+store keeps no per-chunk state: a chunk lives exactly as long as some
+vector holds it, and memory follows the live values, not the history of
+the computation.  What the store keeps is the chunk width, the two
+constant chunks and the gate telemetry.  Every gate takes the number of
+chunks its operands pack (1 for a chunk), so telemetry charges the bits
+the equivalent dense AoB kernel would sweep.
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ class ChunkStore:
         #: packed uint64 words a dense chunk occupies (telemetry volume)
         self.chunk_words = words_for_bits(self.chunk_bits)
         self._mask = (1 << self.chunk_bits) - 1
-        # Gate results that extended the run before them (hits) or began
-        # a new run (misses), counted by the vectors' run walks: always
-        # kept as plain ints, published to telemetry only when it is
-        # active.
+        # Gate results that extended the repeat before them (hits), and
+        # the segments made (misses), counted by the vectors' segment
+        # walks: always kept as plain ints, published to telemetry only
+        # when it is active.
         self.gate_hits = 0
         self.gate_misses = 0
         self.zero_id = 0
@@ -79,24 +82,27 @@ class ChunkStore:
 
     # -- gate operations ------------------------------------------------------
 
-    def binop(self, op: str, a: int, b: int) -> int:
-        """Apply gate ``op`` in {'and','or','xor'} to chunks ``a``, ``b``."""
+    def binop(self, op: str, a: int, b: int, chunks: int = 1) -> int:
+        """Apply gate ``op`` in {'and','or','xor'} to ``a`` and ``b``,
+        each ``chunks`` chunks packed into one int."""
         fn = _BINOPS.get(op)
         if fn is None:
             raise ValueError(f"unknown chunk binop {op!r}")
         if _obs.active:
-            _obs.current().qat_kernel(op, self.chunk_words)
+            _obs.current().qat_kernel(op, self.chunk_words * chunks)
         return fn(a, b)
 
-    def bnot(self, a: int) -> int:
-        """Apply NOT to chunk ``a``."""
+    def bnot(self, a: int, chunks: int = 1) -> int:
+        """Apply NOT to ``a``, ``chunks`` chunks packed into one int."""
         if _obs.active:
-            _obs.current().qat_kernel("not", self.chunk_words)
-        return a ^ self._mask
+            _obs.current().qat_kernel("not", self.chunk_words * chunks)
+        if chunks == 1:
+            return a ^ self._mask
+        return a ^ ((1 << (chunks << self.chunk_ways)) - 1)
 
     def count_results(self, hits: int, misses: int) -> None:
-        """Count a run walk's gate results: ``hits`` extended the run
-        before them, ``misses`` began a new one."""
+        """Count a segment walk's gate results: ``hits`` extended the
+        repeat before them, ``misses`` is the segments the walk made."""
         self.gate_hits += hits
         self.gate_misses += misses
         if _obs.active:
@@ -109,26 +115,28 @@ class ChunkStore:
 
     # -- measurement summaries -------------------------------------------------
 
-    def popcount(self, sym: int) -> int:
-        """Number of 1 bits in chunk ``sym``."""
+    def popcount(self, sym: int, chunks: int = 1) -> int:
+        """Number of 1 bits in ``sym`` (``chunks`` chunks)."""
         if _obs.active:
-            _obs.current().qat_kernel("popcount", self.chunk_words)
+            _obs.current().qat_kernel("popcount", self.chunk_words * chunks)
         return sym.bit_count()
 
-    def first_one(self, sym: int) -> int:
-        """Lowest channel holding a 1 within the chunk, or -1 if none."""
+    def first_one(self, sym: int, chunks: int = 1) -> int:
+        """Lowest channel holding a 1 within ``sym`` (``chunks`` chunks),
+        or -1 if none."""
         if _obs.active:  # the meas(0)-then-next(0) readout
             telemetry = _obs.current()
             telemetry.qat_kernel("meas", 1)
             if not sym & 1:
-                telemetry.qat_kernel("next", self.chunk_words)
+                telemetry.qat_kernel("next", self.chunk_words * chunks)
         return (sym & -sym).bit_length() - 1
 
     def stats(self) -> dict:
-        """Diagnostics: gate results that extended a run or began one.
+        """Diagnostics: gate results that extended a repeat, and the
+        segments gate walks made.
 
-        ``symbols`` counts the chunks gates began runs with (the misses):
-        the chunk ints a vector may have gone on to hold.
+        ``symbols`` counts the segments (the misses): the ints a vector
+        may have gone on to hold.
         """
         return {
             "symbols": self.gate_misses,

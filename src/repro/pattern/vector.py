@@ -1,25 +1,39 @@
-"""Run-length compressed pattern vectors (the paper's RE representation).
+"""Segment-compressed pattern vectors (the paper's RE representation).
 
 A :class:`PatternVector` of ``ways``-way entanglement holds :math:`2^{ways}`
-bits as a run-length list ``[(chunk, count), ...]``, each chunk being
-:math:`2^{chunk\\_ways}` bits held as a Python ``int`` in the run itself;
-the :class:`~repro.pattern.chunkstore.ChunkStore` supplies the chunk
-width and the chunk gates.  Adjacent runs of equal chunks coalesce by
-int ``==``, never by hashing a chunk.  It exposes the
-same operation set as :class:`repro.aob.AoB` so the word-level PBP layer
-(:mod:`repro.pbp`) can use either substrate interchangeably.
+bits as :math:`2^{ways - chunk\\_ways}` chunks of :math:`2^{chunk\\_ways}`
+bits, each a Python ``int``.  The chunks fall into aligned *blocks* of
+equal size: at most :data:`LITERAL_BITS` bits and at most half the
+vector (one chunk when chunks are that wide).  The vector is a tuple of
+*segments*, each a pair ``(value, n)``:
 
-The exponential win the paper describes (section 1.2) falls out directly:
-``H(k)`` for ``k >= chunk_ways`` is two runs regardless of ``ways``, and
-gate operations walk runs, applying one chunk gate per pair of runs, not
-per chunk.
+- a *repeat* (``n > 0``): the chunk int ``value`` repeated ``n`` times,
+  covering whole blocks in which every chunk is ``value``;
+- a *literal* (``n < 0``): one block whose ``-n`` chunks are not all
+  equal, packed into the one int ``value`` (chunk ``i`` at bit
+  ``i * chunk_bits``).
+
+The form is canonical -- a uniform block is always part of a repeat,
+and adjacent repeats of one chunk always coalesce -- so equal values
+have equal segments and compare by ``==``.  :attr:`PatternVector.runs`
+expands the literals into the run-length view ``((chunk, count), ...)``.
+
+The :class:`~repro.pattern.chunkstore.ChunkStore` supplies the chunk
+width and the gates.  A gate walks the two segment lists and applies one
+store gate per overlapping pair of segments: two repeats give a repeat,
+and a literal meets the other side's literal, or its repeat widened to a
+block by shift-or doubling, in one big-int op -- so a block of distinct
+chunks costs one gate, not one per chunk.  ``H(k)`` for ``k`` past the
+block is two repeats regardless of ``ways``, the exponential win of
+section 1.2.  It exposes the same operation set as
+:class:`repro.aob.AoB` so the word-level PBP layer (:mod:`repro.pbp`)
+can use either substrate interchangeably.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import groupby
-from operator import itemgetter
+from functools import lru_cache
 
 from repro.aob import AoB
 from repro.aob.bitvector import MAX_DENSE_WAYS
@@ -30,7 +44,13 @@ from repro.pattern.chunkstore import ChunkStore
 #: Chunk width used by the paper's full-scale design: 65,536-bit symbols.
 PAPER_CHUNK_WAYS = 16
 
+#: Widest block, so widest literal, in bits.  It bounds the cost of one
+#: gate or readout on a literal and the size of any one int a vector
+#: holds; chunks this wide or wider are never packed.
+LITERAL_BITS = 1 << PAPER_CHUNK_WAYS
+
 Runs = tuple[tuple[int, int], ...]
+Segments = tuple[tuple[int, int], ...]
 
 
 def _check_ways(ways: int, store: ChunkStore) -> int:
@@ -47,15 +67,72 @@ def _check_ways(ways: int, store: ChunkStore) -> int:
     return 1 << (ways - store.chunk_ways)
 
 
-def _coalesce(runs) -> Runs:
-    """Drop empty runs and merge adjacent runs of one chunk."""
-    nonempty = (run for run in runs if run[1])
-    return tuple((sym, sum(count for _, count in group))
-                 for sym, group in groupby(nonempty, itemgetter(0)))
+def _block_chunks(nchunks: int, chunk_ways: int) -> int:
+    """Chunks per block of an ``nchunks``-chunk vector: at most
+    :data:`LITERAL_BITS` bits and at most half the vector, so the two
+    halves of ``H(ways - 1)`` are always repeats."""
+    return max(1, min(LITERAL_BITS >> chunk_ways, nchunks >> 1))
+
+
+@lru_cache(maxsize=8)
+def _ones(bits: int) -> int:
+    """The int of ``bits`` one bits."""
+    return (1 << bits) - 1
+
+
+def repeat_chunk(chunk: int, count: int, chunk_bits: int) -> int:
+    """``count`` copies of ``chunk`` packed into one int (shift-or
+    doubling: O(log count) big-int ops)."""
+    out = pos = 0
+    width = chunk_bits
+    while True:
+        if count & 1:
+            out |= chunk << pos
+            pos += width
+        count >>= 1
+        if not count:
+            return out
+        chunk |= chunk << width
+        width <<= 1
+
+
+def _uniform(value: int, block: int, chunk_bits: int) -> int | None:
+    """The chunk a ``block``-chunk ``value`` repeats, or None if its
+    chunks differ.  Comparing the first and last chunks rejects most
+    mixed blocks without a pass over the block."""
+    first = value & _ones(chunk_bits)
+    if value >> ((block - 1) * chunk_bits) != first:
+        return None
+    if value == _ones(block * chunk_bits) or \
+            value == repeat_chunk(first, block, chunk_bits):
+        return first
+    return None
+
+
+def _segments(pieces, block: int, chunk_bits: int) -> Segments:
+    """Canonical segments of ``pieces`` in channel order: ``(chunk, n)``
+    repeats of whole blocks, and ``(value, -block)`` blocks of any
+    content, which become repeats where uniform."""
+    out: list[tuple[int, int]] = []
+    last = None  # the chunk of the last segment, if a repeat
+    for value, n in pieces:
+        if n < 0:
+            chunk = _uniform(value, block, chunk_bits)
+            if chunk is None:
+                out.append((value, n))
+                last = None
+                continue
+            value, n = chunk, block
+        if value == last:
+            out[-1] = (value, out[-1][1] + n)
+        else:
+            out.append((value, n))
+            last = value
+    return tuple(out)
 
 
 class PatternVector:
-    """An E-way entangled pbit value in run-length compressed form.
+    """An E-way entangled pbit value in segment-compressed form.
 
     Parameters
     ----------
@@ -70,25 +147,51 @@ class PatternVector:
         store of the simulation or context the vector belongs to.
     """
 
-    __slots__ = ("ways", "nbits", "store", "runs")
+    __slots__ = ("ways", "nbits", "store", "segments")
 
     def __init__(self, ways: int, runs: Runs, store: ChunkStore):
-        _check_ways(ways, store)
+        nchunks = _check_ways(ways, store)
         self.ways = ways
         self.nbits = 1 << ways
         self.store = store
-        self.runs = _coalesce(runs)
-        total = sum(count for _, count in self.runs)
-        if total != self.num_chunks:
+        block = _block_chunks(nchunks, store.chunk_ways)
+        step = store.chunk_bits >> 3  # bytes per chunk
+        pieces = []
+        partial: list[bytes] = []  # chunks of a block not yet whole
+        filled = total = 0
+        for chunk, count in runs:
+            if count < 0:
+                raise EntanglementError(f"negative run count {count}")
+            total += count
+            if filled and count:
+                take = min(count, block - filled)
+                partial.append(chunk.to_bytes(step, "little") * take)
+                filled += take
+                count -= take
+                if filled == block:
+                    pieces.append((int.from_bytes(b"".join(partial),
+                                                  "little"), -block))
+                    partial, filled = [], 0
+            whole = count - count % block
+            if whole:
+                pieces.append((chunk, whole))
+            if count - whole:
+                partial.append(chunk.to_bytes(step, "little")
+                               * (count - whole))
+                filled = count - whole
+        if total != nchunks:
             raise EntanglementError(
-                f"runs cover {total} chunks, expected {self.num_chunks}"
+                f"runs cover {total} chunks, expected {nchunks}"
             )
+        self.segments = _segments(pieces, block, store.chunk_bits)
 
-    def _wrap(self, runs: Runs) -> "PatternVector":
-        """This vector's shape over coalesced ``runs`` covering every chunk."""
-        out = object.__new__(PatternVector)
-        out.ways, out.nbits, out.store, out.runs = \
-            self.ways, self.nbits, self.store, runs
+    @classmethod
+    def _of(cls, ways: int, segments: Segments,
+            store: ChunkStore) -> "PatternVector":
+        """A vector over canonical ``segments`` covering every chunk."""
+        out = object.__new__(cls)
+        out.ways, out.nbits, out.store, out.segments = \
+            ways, 1 << ways, store, segments
         return out
 
     # -- construction ---------------------------------------------------------
@@ -102,13 +205,13 @@ class PatternVector:
     def zeros(cls, ways: int, store: ChunkStore) -> "PatternVector":
         """Constant pbit 0."""
         nchunks = _check_ways(ways, store)
-        return cls(ways, ((store.zero_id, nchunks),), store)
+        return cls._of(ways, ((store.zero_id, nchunks),), store)
 
     @classmethod
     def ones(cls, ways: int, store: ChunkStore) -> "PatternVector":
         """Constant pbit 1."""
         nchunks = _check_ways(ways, store)
-        return cls(ways, ((store.one_id, nchunks),), store)
+        return cls._of(ways, ((store.one_id, nchunks),), store)
 
     @classmethod
     def constant(cls, ways: int, bit: int, store: ChunkStore) -> "PatternVector":
@@ -121,20 +224,29 @@ class PatternVector:
     def hadamard(cls, ways: int, k: int, store: ChunkStore) -> "PatternVector":
         """Standard entangled superposition ``H(k)`` at any entanglement.
 
-        For ``k < chunk_ways`` this is a single run of the in-chunk ``H(k)``
-        chunk; for ``k >= chunk_ways`` it alternates zero-chunk and
-        one-chunk runs of length :math:`2^{k - chunk\\_ways}` -- storage is
-        O(number of runs), independent of :math:`2^{ways}`.
+        For ``k < chunk_ways`` this is one repeat of the in-chunk ``H(k)``
+        chunk; where runs of :math:`2^{k - chunk\\_ways}` chunks fill
+        whole blocks it alternates zero-chunk and one-chunk repeats --
+        storage is O(number of segments), independent of
+        :math:`2^{ways}` -- and below that every block is one shared
+        literal.
         """
         cw = store.chunk_ways
         nchunks = _check_ways(ways, store)
         if k >= ways:
             return cls.zeros(ways, store)
         if k < cw:
-            return cls(ways, ((store.hadamard(k), nchunks),), store)
+            return cls._of(ways, ((store.hadamard(k), nchunks),), store)
         run_len = 1 << (k - cw)
-        runs = ((store.zero_id, run_len), (store.one_id, run_len))
-        return cls(ways, runs * (nchunks // run_len // 2), store)
+        block = _block_chunks(nchunks, cw)
+        if run_len >= block:
+            runs = ((store.zero_id, run_len), (store.one_id, run_len))
+            return cls._of(ways, runs * (nchunks // run_len // 2), store)
+        # Shorter runs alternate within every block: one literal, shared.
+        cb = store.chunk_bits
+        period = repeat_chunk(store.one_id, run_len, cb) << (run_len * cb)
+        literal = repeat_chunk(period, block // run_len // 2, 2 * run_len * cb)
+        return cls._of(ways, ((literal, -block),) * (nchunks // block), store)
 
     @classmethod
     def from_aob(cls, aob: AoB, ways: int | None = None, *,
@@ -150,12 +262,17 @@ class PatternVector:
         if ways < aob.ways:
             raise EntanglementError("cannot truncate an AoB into fewer ways")
         nchunks = _check_ways(ways, store)
-        step = (1 << cw) >> 3  # bytes per chunk
+        block = _block_chunks(nchunks, cw)
+        width = block * (store.chunk_bits >> 3)  # bytes per block
         raw = aob.to_int().to_bytes(aob.nbits >> 3, "little")
-        runs = [(int.from_bytes(raw[i : i + step], "little"), 1)
-                for i in range(0, len(raw), step)]
-        runs.append((store.zero_id, nchunks - len(runs)))  # zero padding
-        return cls(ways, tuple(runs), store)
+        raw += bytes(-len(raw) % width)  # zero-extend to whole blocks
+        pieces = [(int.from_bytes(raw[i:i + width], "little"), -block)
+                  for i in range(0, len(raw), width)]
+        padding = nchunks - len(raw) // width * block
+        if padding:
+            pieces.append((store.zero_id, padding))
+        return cls._of(ways, _segments(pieces, block, store.chunk_bits),
+                       store)
 
     # -- expansion -------------------------------------------------------------
 
@@ -167,10 +284,32 @@ class PatternVector:
             )
         step = self.store.chunk_bits >> 3  # bytes per chunk
         raw = b"".join(
-            sym.to_bytes(step, "little") * count
-            for sym, count in self.runs
+            value.to_bytes(step, "little") * n if n > 0
+            else value.to_bytes(-n * step, "little")
+            for value, n in self.segments
         )
         return AoB(self.ways, int.from_bytes(raw, "little"))
+
+    @property
+    def runs(self) -> Runs:
+        """The run-length view ``((chunk, count), ...)``: every literal
+        expanded into its chunks, and no two adjacent runs holding equal
+        chunks."""
+        step = self.store.chunk_bits >> 3
+        out: list[tuple[int, int]] = []
+        for value, n in self.segments:
+            if n > 0:
+                pieces = ((value, n),)
+            else:
+                raw = value.to_bytes(-n * step, "little")
+                pieces = ((int.from_bytes(raw[i:i + step], "little"), 1)
+                          for i in range(0, len(raw), step))
+            for chunk, count in pieces:
+                if out and out[-1][0] == chunk:
+                    out[-1] = (chunk, out[-1][1] + count)
+                else:
+                    out.append((chunk, count))
+        return tuple(out)
 
     # -- gate operations --------------------------------------------------------
 
@@ -187,33 +326,72 @@ class PatternVector:
     def _merge(self, other: "PatternVector", op: str) -> "PatternVector":
         self._check_compatible(other)
         store = self.store
+        sa, sb = self.segments, other.segments
+        va, na = sa[0]
+        vb, nb = sb[0]
+        if len(sa) == 1 and len(sb) == 1:  # one repeat each
+            store.count_results(0, 1)
+            return PatternVector._of(self.ways,
+                                     ((store.binop(op, va, vb), na),), store)
+        binop = store.binop
+        cb = store.chunk_bits
+        block = _block_chunks(self.num_chunks, store.chunk_ways)
+        xor = op == "xor"
         out: list[tuple[int, int]] = []
+        last = None  # the chunk of the last segment, if a repeat
         hits = ia = ib = 0
-        sa, na = self.runs[0]
-        sb, nb = other.runs[0]
+        wa = wb = None  # the current repeats widened to a block
         while True:
-            take = na if na < nb else nb
-            sym = store.binop(op, sa, sb)
-            if out and out[-1][0] == sym:
-                out[-1] = (sym, out[-1][1] + take)
-                hits += 1
+            # ``na``/``nb``: chunks left of a repeat, or -block of a literal.
+            if na > 0 and nb > 0:
+                take = na if na < nb else nb
+                chunk = binop(op, va, vb)
+                na -= take
+                nb -= take
             else:
-                out.append((sym, take))
-            na -= take
-            nb -= take
-            if na == 0:
+                take = block
+                both = na < 0 and nb < 0
+                if na < 0:
+                    x, na = va, 0
+                else:
+                    if wa is None:
+                        wa = repeat_chunk(va, block, cb)
+                    x, na = wa, na - block
+                if nb < 0:
+                    y, nb = vb, 0
+                else:
+                    if wb is None:
+                        wb = repeat_chunk(vb, block, cb)
+                    y, nb = wb, nb - block
+                value = binop(op, x, y, block)
+                # XOR with a uniform block leaves a mixed block mixed.
+                chunk = (None if xor and not both
+                         else _uniform(value, block, cb))
+                if chunk is None:
+                    out.append((value, -block))
+                    last = None
+            if chunk is not None:
+                if chunk == last:
+                    out[-1] = (chunk, out[-1][1] + take)
+                    hits += 1
+                else:
+                    out.append((chunk, take))
+                    last = chunk
+            if not na:
                 ia += 1
-                if ia == len(self.runs):
+                if ia == len(sa):
                     break
-                sa, na = self.runs[ia]
-            if nb == 0:
+                va, na = sa[ia]
+                wa = None
+            if not nb:
                 ib += 1
-                sb, nb = other.runs[ib]
+                vb, nb = sb[ib]
+                wb = None
         store.count_results(hits, len(out))
-        return self._wrap(tuple(out))
+        return PatternVector._of(self.ways, tuple(out), store)
 
     def binop(self, op: str, other: "PatternVector") -> "PatternVector":
-        """Apply gate ``op`` in {'and', 'or', 'xor'} (run-merge walk)."""
+        """Apply gate ``op`` in {'and', 'or', 'xor'} (segment walk)."""
         return self._merge(other, op)
 
     def __and__(self, other: "PatternVector") -> "PatternVector":
@@ -226,12 +404,15 @@ class PatternVector:
         return self._merge(other, "xor")
 
     def __invert__(self) -> "PatternVector":
-        # NOT is a bijection, so the runs stay coalesced: every result
-        # begins a new run.
+        # NOT is a bijection on each chunk, so the segments stay
+        # canonical: every result begins a new segment.
         store = self.store
-        runs = tuple((store.bnot(sym), count) for sym, count in self.runs)
-        store.count_results(0, len(runs))
-        return self._wrap(runs)
+        segments = tuple(
+            (store.bnot(value), n) if n > 0 else (store.bnot(value, -n), n)
+            for value, n in self.segments
+        )
+        store.count_results(0, len(segments))
+        return PatternVector._of(self.ways, segments, store)
 
     def cnot(self, ctrl: "PatternVector") -> "PatternVector":
         """Controlled NOT (``self ^= ctrl``)."""
@@ -248,25 +429,29 @@ class PatternVector:
 
     # -- measurement -------------------------------------------------------------
 
-    def _find(self, channel: int) -> tuple[int, int, int, int]:
-        """(run index, its first chunk, chunk, offset) of ``channel``."""
-        cw = self.store.chunk_ways
-        chunk, base = channel >> cw, 0
-        for i, (_, count) in enumerate(self.runs):
-            if chunk < base + count:
-                return i, base, chunk, channel & ((1 << cw) - 1)
-            base += count
-        raise MeasurementError(f"channel {channel} out of range")
+    def _find(self, chunk: int) -> tuple[int, int]:
+        """(index, first chunk) of the segment holding ``chunk``."""
+        base = 0
+        for i, (_, n) in enumerate(self.segments):
+            size = n if n > 0 else -n
+            if chunk < base + size:
+                return i, base
+            base += size
+        raise MeasurementError(f"chunk {chunk} out of range")
 
     def meas(self, channel: int) -> int:
         """Bit at entanglement ``channel`` (non-destructive)."""
         if channel < 0:
             raise MeasurementError(f"channel must be non-negative, got {channel}")
-        run_idx, _, _, off = self._find(channel & (self.nbits - 1))
-        value = self.runs[run_idx][0]
+        channel &= self.nbits - 1
+        cw = self.store.chunk_ways
+        i, base = self._find(channel >> cw)
+        value, n = self.segments[i]
         if _obs.active:
             _obs.current().qat_kernel("meas", 1)
-        return (value >> off) & 1
+        if n > 0:
+            return (value >> (channel & ((1 << cw) - 1))) & 1
+        return (value >> (channel - (base << cw))) & 1
 
     def next(self, channel: int) -> int:
         """Lowest channel ``> channel`` holding a 1, else 0."""
@@ -276,28 +461,36 @@ class PatternVector:
         if start >= self.nbits:
             return 0
         store = self.store
-        chunk_bits = store.chunk_bits
-        run_idx, run_base, q, r = self._find(start)
-        # Partial first chunk: bits >= r (a meas of r, then a next).
-        sym = self.runs[run_idx][0]
-        above = sym >> r << r
+        cw = store.chunk_ways
+        i, base = self._find(start >> cw)
+        value, n = self.segments[i]
+        pos = start - (base << cw)  # bit offset within the segment
+        q = pos >> cw
+        # Partial first chunk or literal tail: bits >= pos (a meas of
+        # pos, then a next).
+        above = value >> (pos & ((1 << cw) - 1) if n > 0 else pos)
         if _obs.active:
             telemetry = _obs.current()
             telemetry.qat_kernel("meas", 1)
-            if not above >> r & 1:
-                telemetry.qat_kernel("next", store.chunk_words)
+            if not above & 1:
+                telemetry.qat_kernel(
+                    "next", store.chunk_words * (1 if n > 0 else -n - q))
         if above:
-            return q * chunk_bits + (above & -above).bit_length() - 1
-        # Remaining chunks of the containing run hold the same chunk.
-        remaining = run_base + self.runs[run_idx][1] - (q + 1)
-        if remaining > 0 and store.first_one(sym) >= 0:
-            return (q + 1) * chunk_bits + store.first_one(sym)
-        base = run_base + self.runs[run_idx][1]
-        for sym2, count in self.runs[run_idx + 1 :]:
-            first = store.first_one(sym2)
+            return start + (above & -above).bit_length() - 1
+        if n > 0:
+            # Remaining chunks of the repeat hold the same chunk.
+            if q + 1 < n:
+                first = store.first_one(value)
+                if first >= 0:
+                    return ((base + q + 1) << cw) + first
+        else:
+            n = -n
+        base += n
+        for value, n in self.segments[i + 1:]:
+            first = store.first_one(value, 1 if n > 0 else -n)
             if first >= 0:
-                return base * chunk_bits + first
-            base += count
+                return (base << cw) + first
+            base += n if n > 0 else -n
         return 0
 
     def pop_after(self, channel: int) -> int:
@@ -308,50 +501,77 @@ class PatternVector:
         if start >= self.nbits:
             return 0
         store = self.store
-        run_idx, run_base, q, r = self._find(start)
-        sym = self.runs[run_idx][0]
-        count = (sym >> r).bit_count()
-        if _obs.active:
-            _obs.current().qat_kernel("pop" if r else "popcount",
-                                      store.chunk_words)
-        remaining = run_base + self.runs[run_idx][1] - (q + 1)
-        count += remaining * store.popcount(sym)
-        for sym2, run_count in self.runs[run_idx + 1 :]:
-            count += run_count * store.popcount(sym2)
+        cw = store.chunk_ways
+        i, base = self._find(start >> cw)
+        value, n = self.segments[i]
+        pos = start - (base << cw)
+        if n > 0:
+            q, r = pos >> cw, pos & ((1 << cw) - 1)
+            count = (value >> r).bit_count()
+            if _obs.active:
+                _obs.current().qat_kernel("pop" if r else "popcount",
+                                          store.chunk_words)
+            count += (n - q - 1) * store.popcount(value)
+        else:
+            count = (value >> pos).bit_count()
+            if _obs.active:
+                _obs.current().qat_kernel("pop" if pos else "popcount",
+                                          store.chunk_words
+                                          * (-n - (pos >> cw)))
+        for value, n in self.segments[i + 1:]:
+            if n > 0:
+                count += n * store.popcount(value)
+            else:
+                count += store.popcount(value, -n)
         return count
 
     def popcount(self) -> int:
-        """Total number of 1 channels (O(runs))."""
-        return sum(count * self.store.popcount(sym) for sym, count in self.runs)
+        """Total number of 1 channels (O(segments))."""
+        popcount = self.store.popcount
+        return sum(n * popcount(value) if n > 0 else popcount(value, -n)
+                   for value, n in self.segments)
 
     # -- single-channel mutation (fault injection) ------------------------------
 
     def with_flipped_bit(self, channel: int) -> "PatternVector":
         """New vector with entanglement ``channel`` inverted (copy-on-write).
 
-        The containing run is split around the affected chunk and a new
-        flipped chunk takes its place, so every other run, register or
-        machine holding the original chunk keeps its value.  This is how
-        soft errors address the compressed substrate.
+        The containing repeat is split around the affected block, which
+        becomes a literal (a literal is copied with the bit flipped), so
+        every other segment, register or machine holding the original
+        ints keeps its value.  This is how soft errors address the
+        compressed substrate.
         """
         if channel < 0:
             raise MeasurementError(f"channel must be non-negative, got {channel}")
+        channel &= self.nbits - 1
         store = self.store
-        run_idx, run_base, ci, off = self._find(channel & (self.nbits - 1))
-        sym, count = self.runs[run_idx]
-        flipped = sym ^ (1 << off)
-        before = ci - run_base  # the constructor drops empty pieces
-        split = ((sym, before), (flipped, 1), (sym, count - before - 1))
-        runs = self.runs[:run_idx] + split + self.runs[run_idx + 1 :]
-        return PatternVector(self.ways, runs, store)
+        cw = store.chunk_ways
+        block = _block_chunks(self.num_chunks, cw)
+        i, base = self._find(channel >> cw)
+        value, n = self.segments[i]
+        if n > 0:
+            before = ((channel >> cw) - base) // block * block
+            wide = repeat_chunk(value, block, store.chunk_bits)
+            flipped = ((value, before),
+                       (wide ^ (1 << (channel - ((base + before) << cw))),
+                        -block),
+                       (value, n - before - block))
+        else:
+            flipped = ((value ^ (1 << (channel - (base << cw))), n),)
+        pieces = (self.segments[:i] + tuple(p for p in flipped if p[1])
+                  + self.segments[i + 1:])
+        return PatternVector._of(
+            self.ways, _segments(pieces, block, store.chunk_bits), store)
 
     def any(self) -> bool:
-        """ANY reduction in O(runs)."""
-        return any(sym != self.store.zero_id for sym, _ in self.runs)
+        """ANY reduction in O(segments)."""
+        return any(value for value, _ in self.segments)
 
     def all(self) -> bool:
-        """ALL reduction in O(runs)."""
-        return all(sym == self.store.one_id for sym, _ in self.runs)
+        """ALL reduction in O(segments)."""
+        one = self.store.one_id
+        return all(n > 0 and value == one for value, n in self.segments)
 
     def probability(self) -> float:
         """Probability this pbit measures 1."""
@@ -372,8 +592,8 @@ class PatternVector:
 
     @property
     def num_runs(self) -> int:
-        """Length of the run-length encoding."""
-        return len(self.runs)
+        """Number of segments (repeats and literals)."""
+        return len(self.segments)
 
     def storage_chunks(self) -> int:
         """Distinct chunks this value references."""
@@ -390,10 +610,10 @@ class PatternVector:
             return NotImplemented
         return (self.ways == other.ways
                 and self.store.chunk_ways == other.store.chunk_ways
-                and self.runs == other.runs)
+                and self.segments == other.segments)
 
     def __hash__(self) -> int:
-        return hash((self.ways, self.store.chunk_ways, self.runs))
+        return hash((self.ways, self.store.chunk_ways, self.segments))
 
     def __len__(self) -> int:
         return self.nbits
@@ -402,11 +622,12 @@ class PatternVector:
         return self.meas(channel)
 
     def __repr__(self) -> str:
+        runs = self.runs
         body = " ".join(
             _label(sym) + (f"^{count}" if count > 1 else "")
-            for sym, count in self.runs[:8]
+            for sym, count in runs[:8]
         )
-        if len(self.runs) > 8:
+        if len(runs) > 8:
             body += " ..."
         return f"PatternVector(ways={self.ways}, runs=[{body}])"
 

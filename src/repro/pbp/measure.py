@@ -4,13 +4,13 @@ The paper stresses (section 2.7) that PBP measurement returns *all* values
 in an entangled superposition without collapsing it.  This module provides
 the whole-distribution readout:
 
-- for the dense AoB backend, a vectorized assemble-and-count over all
-  :math:`2^E` channels, and
-- for the pattern backend, a joint run-merge across the word's pbits that
-  counts each *distinct tuple of chunks* once (memoized), so perfectly
-  regular superpositions are measured in time independent of
-  :math:`2^E` -- the same symbolic-computation win the RE representation
-  gives gate operations.
+- for the dense AoB backend, a count over all :math:`2^E` channels, and
+- for the pattern backend, a joint segment walk across the word's pbits
+  that counts each *distinct tuple of repeated chunks* once (memoized)
+  and each span under a literal as a whole, so perfectly regular
+  superpositions are measured in time independent of :math:`2^E` -- the
+  same symbolic-computation win the RE representation gives gate
+  operations.
 """
 
 from __future__ import annotations
@@ -20,20 +20,62 @@ from collections import Counter
 from repro.aob import AoB
 from repro.errors import MeasurementError
 from repro.pattern import PatternVector
+from repro.pattern.vector import repeat_chunk
 from repro.pbp.pint import Pint
 
 _MAX_WIDTH = 32  # assembled values are held in uint32 lanes
+#: Distinct values past which a count moves from splitting channel masks
+#: (big-int ops per value and pbit) to one numpy pass over every channel.
+_SPLIT_LIMIT = 64
 
 
-def _dense_value_counts(chunks: list[AoB]) -> dict[int, int]:
-    """Counts of assembled values over a list of equal-width AoB pbits."""
+def _value_counts(values: list[int], nbits: int) -> dict[int, int]:
+    """Counts of assembled values over pbits held as ``nbits``-bit ints
+    (channel ``e`` = bit ``e``; bit ``i`` of a channel's value is pbit
+    ``i``).
+
+    The channels are split by each pbit in turn into one mask per value
+    seen so far, which costs two big-int ops per value and pbit and no
+    numpy; past :data:`_SPLIT_LIMIT` values the count is made densely.
+    """
+    groups = [(0, (1 << nbits) - 1)]
+    for i, bit in enumerate(values):
+        split = []
+        for value, mask in groups:
+            ones = mask & bit
+            if ones:
+                split.append((value | 1 << i, ones))
+            if ones != mask:
+                split.append((value, mask ^ ones))
+        if len(split) > _SPLIT_LIMIT:
+            return _dense_value_counts(values, nbits)
+        groups = split
+    return {value: mask.bit_count() for value, mask in groups}
+
+
+def _dense_value_counts(values: list[int], nbits: int) -> dict[int, int]:
+    """Counts of assembled values over pbits held as ``nbits``-bit ints
+    (channel ``e`` = bit ``e``).
+
+    Bit ``i`` of a channel's value is pbit ``i``; the values are built and
+    sorted in place, so the only temporaries besides them are one pbit's
+    bits and the run-start mask.
+    """
     import numpy as np
 
-    acc = np.zeros(chunks[0].nbits, dtype=np.uint32)
-    for i, chunk in enumerate(chunks):
-        acc |= chunk.to_bool_array().astype(np.uint32) << np.uint32(i)
-    values, counts = np.unique(acc, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
+    acc = np.zeros(nbits, dtype=np.uint32)
+    nbytes = max(1, nbits >> 3)
+    for value in reversed(values):
+        raw = np.frombuffer(value.to_bytes(nbytes, "little"), dtype=np.uint8)
+        np.left_shift(acc, 1, out=acc)
+        acc |= np.unpackbits(raw, bitorder="little")[:nbits]
+    acc.sort()
+    starts = np.empty(nbits, dtype=bool)
+    starts[0] = True
+    np.not_equal(acc[1:], acc[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    counts = np.diff(first, append=nbits)
+    return dict(zip(acc[first].tolist(), counts.tolist()))
 
 
 def measure_distribution(pint: Pint) -> Counter[int]:
@@ -48,7 +90,8 @@ def measure_distribution(pint: Pint) -> Counter[int]:
         )
     first = pint.bits[0]
     if isinstance(first, AoB):
-        return Counter(_dense_value_counts(list(pint.bits)))
+        return Counter(_value_counts([b.to_int() for b in pint.bits],
+                                     first.nbits))
     if isinstance(first, PatternVector):
         return _pattern_distribution(list(pint.bits))
     raise MeasurementError(
@@ -58,39 +101,51 @@ def measure_distribution(pint: Pint) -> Counter[int]:
 
 
 def _pattern_distribution(bits: list[PatternVector]) -> Counter[int]:
-    """Joint run-merge measurement over compressed pbits."""
+    """Joint segment walk over compressed pbits.
+
+    Where every pbit is in a repeat, the span's chunk tuple is counted
+    once and scaled by the span's length (memoized per tuple); where any
+    is in a literal, the span's block is counted whole.
+    """
     store = bits[0].store
     for b in bits[1:]:
         if b.store is not store:
             raise MeasurementError("pbits must share a ChunkStore")
         if b.ways != bits[0].ways:
             raise MeasurementError("pbits must share entanglement ways")
+    cb = store.chunk_bits
     result: Counter[int] = Counter()
     memo: dict[tuple[int, ...], dict[int, int]] = {}
-    # Walk all run lists simultaneously.
-    positions = [0] * len(bits)  # run index per pbit
-    remaining = [vec.runs[0][1] for vec in bits]
+    segments = [vec.segments for vec in bits]
+    index = [0] * len(bits)  # segment per pbit
+    offset = [0] * len(bits)  # chunks of it walked
     total_chunks = bits[0].num_chunks
     done = 0
     while done < total_chunks:
-        take = min(remaining)
-        syms = [vec.runs[positions[i]][0] for i, vec in enumerate(bits)]
-        # Keyed on the chunks' identity, so no chunk int is hashed; the
-        # vectors hold every chunk for the whole walk.
-        key = tuple(map(id, syms))
-        counts = memo.get(key)
-        if counts is None:
-            chunks = [store.chunk(sym) for sym in syms]
-            counts = _dense_value_counts(chunks)
-            memo[key] = counts
+        current = [segs[index[i]] for i, segs in enumerate(segments)]
+        take = min(abs(n) - offset[i] for i, (_, n) in enumerate(current))
+        if all(n > 0 for _, n in current):
+            # Keyed on the chunks' identity, so no chunk int is hashed;
+            # the vectors hold every chunk for the whole walk.
+            key = tuple(id(value) for value, _ in current)
+            counts = memo.get(key)
+            if counts is None:
+                counts = memo[key] = _value_counts(
+                    [value for value, _ in current], cb)
+            scale = take
+        else:  # a literal is one whole block, which ``take`` is
+            counts = _value_counts(
+                [value if n < 0 else repeat_chunk(value, take, cb)
+                 for value, n in current], take * cb)
+            scale = 1
         for value, count in counts.items():
-            result[value] += count * take
+            result[value] += count * scale
         done += take
-        for i, vec in enumerate(bits):
-            remaining[i] -= take
-            if remaining[i] == 0 and done < total_chunks:
-                positions[i] += 1
-                remaining[i] = vec.runs[positions[i]][1]
+        for i, (_, n) in enumerate(current):
+            offset[i] += take
+            if offset[i] == abs(n):
+                index[i] += 1
+                offset[i] = 0
     return result
 
 

@@ -82,6 +82,19 @@ class TestPatternDistribution:
         assert sum(counts.values()) == 1 << 18
         assert len(counts) == 16
 
+    @pytest.mark.parametrize("width", [3, 6, 7, 12])
+    def test_split_and_dense_counts_agree(self, width):
+        """Splitting channel masks (up to 64 values) and the numpy pass
+        past it count the same values, on both sides of the limit."""
+        from repro.pbp.measure import _dense_value_counts, _value_counts
+
+        rng = np.random.default_rng(width)
+        nbits = 1 << 12
+        values = [int.from_bytes(rng.bytes(nbits >> 3), "little")
+                  for _ in range(width)]
+        assert _value_counts(values, nbits) == _dense_value_counts(values,
+                                                                   nbits)
+
     def test_mixed_store_rejected(self):
         from repro.pattern import ChunkStore, PatternVector
         from repro.pbp.pint import Pint
