@@ -33,7 +33,6 @@ can use either substrate interchangeably.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import lru_cache
 
 from repro.aob import AoB
 from repro.aob.bitvector import MAX_DENSE_WAYS
@@ -74,12 +73,6 @@ def _block_chunks(nchunks: int, chunk_ways: int) -> int:
     return max(1, min(LITERAL_BITS >> chunk_ways, nchunks >> 1))
 
 
-@lru_cache(maxsize=8)
-def _ones(bits: int) -> int:
-    """The int of ``bits`` one bits."""
-    return (1 << bits) - 1
-
-
 def repeat_chunk(chunk: int, count: int, chunk_bits: int) -> int:
     """``count`` copies of ``chunk`` packed into one int (shift-or
     doubling: O(log count) big-int ops)."""
@@ -100,11 +93,10 @@ def _uniform(value: int, block: int, chunk_bits: int) -> int | None:
     """The chunk a ``block``-chunk ``value`` repeats, or None if its
     chunks differ.  Comparing the first and last chunks rejects most
     mixed blocks without a pass over the block."""
-    first = value & _ones(chunk_bits)
+    first = value & ((1 << chunk_bits) - 1)
     if value >> ((block - 1) * chunk_bits) != first:
         return None
-    if value == _ones(block * chunk_bits) or \
-            value == repeat_chunk(first, block, chunk_bits):
+    if value == repeat_chunk(first, block, chunk_bits):
         return first
     return None
 

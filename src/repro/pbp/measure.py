@@ -4,7 +4,8 @@ The paper stresses (section 2.7) that PBP measurement returns *all* values
 in an entangled superposition without collapsing it.  This module provides
 the whole-distribution readout:
 
-- for the dense AoB backend, a count over all :math:`2^E` channels, and
+- for the dense AoB backend, one numpy pass over all :math:`2^E`
+  channels, and
 - for the pattern backend, a joint segment walk across the word's pbits
   that counts each *distinct tuple of repeated chunks* once (memoized)
   and each span under a literal as a whole, so perfectly regular
@@ -24,9 +25,12 @@ from repro.pattern.vector import repeat_chunk
 from repro.pbp.pint import Pint
 
 _MAX_WIDTH = 32  # assembled values are held in uint32 lanes
-#: Distinct values past which a count moves from splitting channel masks
-#: (big-int ops per value and pbit) to one numpy pass over every channel.
-_SPLIT_LIMIT = 64
+#: Distinct values up to which a pattern span is counted by splitting
+#: channel masks; past them, by one numpy pass.  At 16 values the split
+#: takes at most 0.7x the numpy pass's time and less of its memory, from
+#: 2^12 to 2^22 channels and 8 to 24 pbits; at 32 the two tie
+#: (``docs/PERFORMANCE.md``, "Counting values").
+_SPLIT_LIMIT = 16
 
 
 def _value_counts(values: list[int], nbits: int) -> dict[int, int]:
@@ -35,8 +39,10 @@ def _value_counts(values: list[int], nbits: int) -> dict[int, int]:
     ``i``).
 
     The channels are split by each pbit in turn into one mask per value
-    seen so far, which costs two big-int ops per value and pbit and no
-    numpy; past :data:`_SPLIT_LIMIT` values the count is made densely.
+    seen so far, two big-int ops per value and pbit and no numpy.  Past
+    :data:`_SPLIT_LIMIT` values the count is made by
+    :func:`_dense_value_counts` instead; the split abandoned then cost
+    less than that pass.
     """
     groups = [(0, (1 << nbits) - 1)]
     for i, bit in enumerate(values):
@@ -55,11 +61,12 @@ def _value_counts(values: list[int], nbits: int) -> dict[int, int]:
 
 def _dense_value_counts(values: list[int], nbits: int) -> dict[int, int]:
     """Counts of assembled values over pbits held as ``nbits``-bit ints
-    (channel ``e`` = bit ``e``).
+    (channel ``e`` = bit ``e``), by one numpy pass over every channel.
 
     Bit ``i`` of a channel's value is pbit ``i``; the values are built and
     sorted in place, so the only temporaries besides them are one pbit's
-    bits and the run-start mask.
+    bits and the run-start mask (about half the memory of ``np.unique``
+    and 0.65-1x its time).
     """
     import numpy as np
 
@@ -90,8 +97,8 @@ def measure_distribution(pint: Pint) -> Counter[int]:
         )
     first = pint.bits[0]
     if isinstance(first, AoB):
-        return Counter(_value_counts([b.to_int() for b in pint.bits],
-                                     first.nbits))
+        return Counter(_dense_value_counts([b.to_int() for b in pint.bits],
+                                           first.nbits))
     if isinstance(first, PatternVector):
         return _pattern_distribution(list(pint.bits))
     raise MeasurementError(

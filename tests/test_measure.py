@@ -82,11 +82,14 @@ class TestPatternDistribution:
         assert sum(counts.values()) == 1 << 18
         assert len(counts) == 16
 
-    @pytest.mark.parametrize("width", [3, 6, 7, 12])
+    @pytest.mark.parametrize("width", [3, 4, 5, 12])
     def test_split_and_dense_counts_agree(self, width):
-        """Splitting channel masks (up to 64 values) and the numpy pass
-        past it count the same values, on both sides of the limit."""
-        from repro.pbp.measure import _dense_value_counts, _value_counts
+        """Splitting channel masks (up to 16 values) and the numpy pass
+        past it count the same values: under, at and over the limit."""
+        from repro.pbp.measure import (_SPLIT_LIMIT, _dense_value_counts,
+                                       _value_counts)
+
+        assert _SPLIT_LIMIT == 1 << 4
 
         rng = np.random.default_rng(width)
         nbits = 1 << 12

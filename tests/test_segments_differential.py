@@ -20,7 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aob import AoB
+from repro.asm import assemble
+from repro.cpu.functional import FunctionalSimulator
+from repro.cpu.qat_backend import REQatBackend
+from repro.errors import EntanglementError
+from repro.faults.checkpoint import Checkpoint
 from repro.pattern import ChunkStore, PatternVector
+from repro.pbp import PbpContext
 from repro.pattern.vector import LITERAL_BITS
 
 CHUNK_WAYS = (6, 8, 10)
@@ -221,3 +227,35 @@ def test_flip_that_evens_a_block_joins_the_repeats(chunk_ways):
     assert len(pv.segments) == 3
     even = pv.with_flipped_bit(odd << chunk_ways)
     assert even.segments == ((5, nchunks),)
+
+
+def test_narrowest_chunks_hold_literals():
+    """On the narrowest chunks a vector accepts (6-way: one word), a
+    literal expands through every reader of ``runs``; narrower chunks,
+    which a store accepts, are rejected by every vector constructor."""
+    ctx = PbpContext(ways=8, backend="pattern", chunk_ways=6)
+    pv = ctx.pint_h(1, 1 << 6).bits[0]  # H(6): runs of one chunk
+    assert [n for _, n in pv.segments] == [-2, -2]
+    zero, one = ctx.store.zero_id, ctx.store.one_id
+    assert pv.runs == ((zero, 1), (one, 1), (zero, 1), (one, 1))
+    assert PatternVector(8, pv.runs, ctx.store) == pv
+    assert (pv.storage_chunks(), pv.compression_ratio()) == (2, 1.0)
+    assert repr(pv).endswith("runs=[0x0 0x...ffffffff 0x0 0x...ffffffff])")
+    assert PatternVector.from_aob(pv.to_aob(), store=ctx.store) == pv
+    sim = FunctionalSimulator(ways=8, qat_backend=REQatBackend(
+        8, chunk_ways=6))
+    sim.load(assemble("had @3, 6\nlex $rv, 0\nsys\n"))
+    sim.run(100)
+    ckpt = Checkpoint.take(sim.machine)
+    assert [int.from_bytes(w.tobytes(), "little")
+            for w in ckpt.store_chunks] == [zero, one]
+    for chunk_ways in range(6):
+        store = ChunkStore(chunk_ways)
+        for build in (lambda: PatternVector(8, ((0, 1 << (8 - chunk_ways)),),
+                                            store),
+                      lambda: PatternVector.zeros(8, store),
+                      lambda: PatternVector.hadamard(8, 0, store),
+                      lambda: PatternVector.from_aob(AoB.zeros(8),
+                                                     store=store)):
+            with pytest.raises(EntanglementError):
+                build()
