@@ -29,7 +29,9 @@ span and a watchdog.  The models mirror the course's project sequence
 every ``tangled faults`` run, adds no semantics of its own: it loads one
 image into N machines of one engine ("lanes") and runs them one after
 another through their ``advance()``, sharing the predecoded image and,
-on the ``re`` backend, one chunk store and gate memo.
+on the ``re`` backend, one chunk store and gate memo; unobserved
+functional and multi-cycle lanes start at their first fault step,
+forked from one fault-free run of the shared prefix.
 
 All three take a ``trap_policy`` (:class:`~repro.faults.TrapPolicy`)
 controlling whether architectural traps raise, halt, or vector to a

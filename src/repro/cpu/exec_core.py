@@ -77,7 +77,8 @@ class StaticEffects:
 
 
 #: ``(mnemonic, ops) -> StaticEffects``; like the predecode intern
-#: table, a pure function of the instruction, so shared process-wide.
+#: table, a pure function of the instruction, so shared process-wide,
+#: and bounded like it (:data:`repro.cpu.fastpath.CODE_CACHE_LIMIT`).
 _STATIC: dict = {}
 
 
@@ -86,6 +87,11 @@ def static_effects(instr: Instr) -> StaticEffects:
     key = (instr.mnemonic, instr.ops)
     stat = _STATIC.get(key)
     if stat is None:
+        # Deferred: the fastpath module imports this one.
+        from repro.cpu.fastpath import CODE_CACHE_LIMIT
+
+        if len(_STATIC) >= CODE_CACHE_LIMIT:
+            del _STATIC[next(iter(_STATIC))]
         m = instr.mnemonic
         reads, writes = REGISTER_USE[m]
         regs = dict(zip(INSTRUCTIONS[m].operands, instr.ops))

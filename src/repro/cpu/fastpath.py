@@ -12,7 +12,8 @@ everything an unobserved run does not need:
   instruction, its handler, and its
   :class:`~repro.cpu.exec_core.StaticEffects`.  Decoded entries are pure
   functions of their bit patterns, so they are interned process-wide
-  and shared by all three simulators.  Stores invalidate precisely
+  (the :data:`CODE_CACHE_LIMIT` fetched last) and shared by all three
+  simulators.  Stores invalidate precisely
   (``MachineState.write_mem`` drops the entry at the written address
   plus a two-word entry starting one word earlier, and every translated
   block holding the word), so self-modifying code simply re-decodes the
@@ -59,6 +60,8 @@ programs.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.cpu.exec_core import (FAST_HANDLERS, TEMPLATE_GLOBALS, TEMPLATES,
                                  static_effects)
 from repro.errors import EncodingError
@@ -78,7 +81,9 @@ _MEM_WORDS = 1 << 16
 HOT_THRESHOLD = 8
 #: Longest translated block, in instructions.
 MAX_BLOCK = 64
-#: Compiled blocks kept process-wide; the oldest is dropped first.
+#: Compiled blocks, and decoded words (:data:`_INTERN`,
+#: :data:`repro.cpu.exec_core._STATIC`), kept process-wide; the oldest is
+#: dropped first.
 CODE_CACHE_LIMIT = 1024
 
 #: Mnemonics that end a block, which includes them.
@@ -118,7 +123,10 @@ class Predecoded:
 #: Process-wide intern table: word (or ``(word1, word2)``) -> entry.
 #: Decode -- including every EncodingError message -- is a pure function
 #: of the fetched bit patterns, so entries are safely shared across
-#: machines, simulators, and repeated loads of the same program.
+#: machines, simulators, and repeated loads of the same program.  Every
+#: memory fault on a program word decodes a new word, so the table keeps
+#: :data:`CODE_CACHE_LIMIT` entries and drops the one fetched longest
+#: ago, so the entries a run is using are the last to go.
 _INTERN: dict = {}
 
 
@@ -129,7 +137,7 @@ def _predecode(mem, pc: int) -> Predecoded:
         key = (word, mem[pc + 1])
     else:
         key = word
-    entry = _INTERN.get(key)
+    entry = _INTERN.pop(key, None)
     if entry is None:
         raw = key if isinstance(key, tuple) else (key,)
         try:
@@ -140,7 +148,9 @@ def _predecode(mem, pc: int) -> Predecoded:
         else:
             entry = Predecoded(instr, words, FAST_HANDLERS[instr.mnemonic],
                                static_effects(instr), raw=raw[:words])
-        _INTERN[key] = entry
+        if len(_INTERN) >= CODE_CACHE_LIMIT:
+            del _INTERN[next(iter(_INTERN))]
+    _INTERN[key] = entry
     return entry
 
 
@@ -232,11 +242,21 @@ def eligible(sim) -> bool:
 
 def _untranslatable(policy) -> frozenset:
     """Mnemonics no block may hold under ``policy``: ``sys`` and every
-    instruction that can trap there."""
-    traps = {"bf16": policy.trap_bf16, "fence": policy.mem_fence is not None}
+    instruction that can trap there.
+
+    A :class:`~repro.faults.traps.TrapPolicy` is mutable, so the set is
+    memoized on the three fields that decide it, not on the policy.
+    """
+    return _unsafe(policy.trap_bf16, policy.mem_fence is not None,
+                   policy.strict_qat)
+
+
+@lru_cache(maxsize=None)
+def _unsafe(bf16: bool, fence: bool, strict_qat: bool) -> frozenset:
+    traps = {"bf16": bf16, "fence": fence}
     unsafe = {m for m, (_, _, trap) in TEMPLATES.items()
               if trap and traps[trap]}
-    if policy.strict_qat:
+    if strict_qat:
         unsafe |= _STRICT_QAT
     return frozenset(unsafe | {"sys"})
 

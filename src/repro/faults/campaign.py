@@ -367,7 +367,10 @@ def run_campaign(
     are packed ``batch`` to a batch (a serial campaign is ``batch=1``,
     1-lane batches), and a ``--jobs`` worker runs its run as a 1-lane
     batch.  The lanes of a batch share the predecoded image and, on the
-    RE backend, one chunk store and gate memo.  Classification is per
+    RE backend, one chunk store and gate memo; unobserved functional and
+    multi-cycle lanes of a batch of two or more start at their first
+    fault step, forked from one fault-free run of the shared prefix
+    (:mod:`repro.cpu.batch`).  Classification is per
     lane, so the report is byte-identical whatever ``batch`` and
     ``jobs`` are.  ``batch > 1`` and ``jobs > 1`` are mutually
     exclusive: the supervisor retries and quarantines single runs.

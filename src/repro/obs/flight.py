@@ -36,7 +36,9 @@ Every campaign run is a lane of a batch (:mod:`repro.cpu.batch`;
 serial campaigns run 1-lane batches, ``--batch N`` packs N runs): each
 lane opens with its run's ``campaign.run`` mark and spill context, and
 records its own retire, fault, trap and syscall events, so the ring
-holds the same stream whatever the packing.
+holds the same stream whatever the packing.  A lane forked from the
+batch's fault-free twin puts the twin's records of its prefix in the
+ring first, after its mark, as if it had run that prefix itself.
 
 Like :mod:`repro.obs.runtime`, this module imports nothing from the rest
 of ``repro`` at module level so every layer can record into it without

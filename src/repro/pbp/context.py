@@ -35,8 +35,9 @@ class PbpContext:
         compressed beyond).
     chunk_ways:
         Chunk width for the pattern backend (the paper's hardware chunks
-        are 16-way / 65,536 bits; tests may use smaller).  The pattern
-        backend's :class:`ChunkStore` belongs to this context alone.
+        are 16-way / 65,536 bits; tests may use smaller), in
+        ``[6, min(ways, 26)]``.  The pattern backend's :class:`ChunkStore`
+        belongs to this context alone.
     """
 
     def __init__(
@@ -59,6 +60,14 @@ class PbpContext:
         self.backend = backend
         if backend == "pattern":
             cw = chunk_ways if chunk_ways is not None else min(PAPER_CHUNK_WAYS, ways)
+            # A pattern vector's chunks are whole 64-bit words, no wider
+            # than the vector or the widest dense chunk.
+            top = min(ways, MAX_DENSE_WAYS)
+            if not 6 <= cw <= top:
+                raise EntanglementError(
+                    f"pattern chunk_ways must be in [6, {top}] for "
+                    f"{ways}-way values, got {cw}"
+                )
             self.store: ChunkStore | None = ChunkStore(cw)
             self.alg = ValueAlgebra(ways, PatternVector, self.store)
         else:

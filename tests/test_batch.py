@@ -204,7 +204,9 @@ class TestBatchVsSerialState:
         assert (15, None) in results and len(results) > 2
 
     def test_lanes_run_on_the_stripped_loop(self, monkeypatch):
-        """No second loop: every lane segment is ``run_functional``."""
+        """No second loop: every segment, the twin's included, is
+        ``run_functional``.  The twin runs to lane 1's fault step, then
+        on to halt for lane 0; each lane then runs on from its fork."""
         calls = []
         original = fastpath.run_functional
 
@@ -219,7 +221,9 @@ class TestBatchVsSerialState:
 
         batch = _batch_run(fig10_program().words, [None, plan], ways=8,
                            backend="dense", max_steps=1000)
-        assert calls == [batch.lanes[0], batch.lanes[1], batch.lanes[1]]
+        twin = calls[0]
+        assert twin not in batch.lanes
+        assert calls == [twin, twin, batch.lanes[0], batch.lanes[1]]
 
     def test_lanes_start_from_one_predecoded_image(self):
         from repro.apps import fig10_program

@@ -74,6 +74,11 @@ class TestFactor:
         assert main(["factor", "35", "--bits", "4", "--pattern", "--chunk-ways", "6"]) == 0
         assert "5" in capsys.readouterr().out
 
+    def test_factor_pattern_chunk_width_out_of_range(self, capsys):
+        assert main(["factor", "15", "--pattern", "--chunk-ways", "2"]) == 1
+        assert ("pattern chunk_ways must be in [6, 8] for 8-way values, "
+                "got 2") in capsys.readouterr().err
+
 
 class TestVerilogAndFig10:
     def test_verilog_qathad(self, capsys):

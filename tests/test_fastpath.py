@@ -130,6 +130,42 @@ class TestPredecodeCache:
                     FaultEvent(step=0, target="mem", index=0, word=0, bit=3))
         assert 0 not in cache.entries
 
+    def test_decode_tables_stay_within_their_bound(self, monkeypatch):
+        """Every flipped program word decodes a new word.  The
+        process-wide decode tables keep ``CODE_CACHE_LIMIT`` entries,
+        the intern table dropping the one fetched longest ago, and what
+        they hand out still decodes."""
+        from repro.cpu import exec_core
+        from repro.isa.encoding import decode
+
+        monkeypatch.setattr(fastpath, "_INTERN", {})
+        monkeypatch.setattr(exec_core, "_STATIC", {})
+        monkeypatch.setattr(fastpath, "CODE_CACHE_LIMIT", 8)
+        words = assemble("lex $0, 5\nlex $1, 7\nadd $0, $1\n"
+                         "lex $rv, 0\nsys\n").words
+        for addr in range(3):
+            for bit in range(8):  # 24 distinct flipped words
+                sim = FunctionalSimulator(ways=6,
+                                          trap_policy=TrapPolicy.halting())
+                sim.load(list(words))
+                apply_event(sim.machine, FaultEvent(0, "mem", addr, 0, bit))
+                sim.run(100)
+                assert len(fastpath._INTERN) <= 8
+                assert len(exec_core._STATIC) <= 8
+                mem = sim.machine.mem
+                for pc, entry in fastpath.cache_for(sim.machine) \
+                        .entries.items():
+                    assert entry.instr == decode(mem, pc)[0]
+                    assert entry.static == exec_core.static_effects(
+                        entry.instr)
+        assert len(fastpath._INTERN) == len(exec_core._STATIC) == 8
+        # Decoded first, but fetched by every run that kept it.
+        assert words[0] in fastpath._INTERN
+        sim = FunctionalSimulator(ways=6)
+        sim.load(list(words))
+        sim.run()
+        assert sim.machine.read_reg(0) == 12
+
 
 #: Thirty trips round one hot block.  With ten trips left a store
 #: rewrites the block's first instruction, ``lex $3, 1``, with the
@@ -311,6 +347,29 @@ class TestTranslatedBlocks:
                 mc.costs = CycleCosts(alu=5, fpu=7, branch=2)
             cycles.append(mc.cycles)
         assert cycles[0] == cycles[1]
+
+    @pytest.mark.parametrize("knob", POLICY_LOOPS)
+    def test_a_mutated_policy_gets_its_own_untranslatable_set(self, knob):
+        """The set is memoized on the policy's fields, not on the
+        policy: switching a knob on the same object between runs still
+        keeps the instruction that now traps out of every block."""
+        source, knobs = POLICY_LOOPS[knob]
+        policy = TrapPolicy.halting()
+        lenient = fastpath._untranslatable(policy)
+        traps = []
+        for strict in (False, True, False):
+            for name, value in knobs.items():
+                setattr(policy, name,
+                        value if strict else getattr(TrapPolicy(), name))
+            unsafe = fastpath._untranslatable(policy)
+            assert (unsafe > lenient) if strict else (unsafe == lenient)
+            assert unsafe == fastpath._untranslatable(
+                TrapPolicy(**knobs) if strict else TrapPolicy())
+            sim = FunctionalSimulator(ways=6, trap_policy=policy)
+            sim.load(assemble(source))
+            sim.run()
+            traps.append(len(sim.machine.traps))
+        assert traps == [0, 1, 0]
 
     def test_code_cache_stays_within_its_bound(self, monkeypatch):
         monkeypatch.setattr(fastpath, "_CODE", {})

@@ -36,6 +36,20 @@ class TestBackendSelection:
         ctx = PbpContext(ways=10, backend="pattern")
         assert ctx.store.chunk_ways == 10
 
+    @pytest.mark.parametrize("ways, chunk_ways, top", [
+        (8, 2, 8), (8, 5, 8), (8, 9, 8), (30, 27, 26), (4, None, 4)])
+    def test_pattern_chunk_width_out_of_range(self, ways, chunk_ways, top):
+        """Refused at construction, naming the range, not at the first
+        vector."""
+        with pytest.raises(EntanglementError,
+                           match=rf"chunk_ways must be in \[6, {top}\]"):
+            PbpContext(ways=ways, backend="pattern", chunk_ways=chunk_ways)
+
+    @pytest.mark.parametrize("ways, chunk_ways", [(8, 6), (8, 8), (30, 26)])
+    def test_pattern_chunk_width_at_the_bounds(self, ways, chunk_ways):
+        ctx = PbpContext(ways=ways, backend="pattern", chunk_ways=chunk_ways)
+        assert ctx.const(1).meas(5) == 1
+
     def test_negative_ways(self):
         with pytest.raises(EntanglementError):
             PbpContext(ways=-1)
