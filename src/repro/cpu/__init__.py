@@ -2,8 +2,9 @@
 
 Three models of increasing timing fidelity, all sharing one architectural
 state (:class:`~repro.cpu.state.MachineState`) and one table of
-instruction semantics (:data:`repro.cpu.exec_core.TEMPLATES`, Qat gates
-included, which builds :data:`~repro.cpu.exec_core.FAST_HANDLERS` and
+instruction semantics (:data:`repro.cpu.exec_core.TEMPLATES`, every
+instruction but ``sys``, which builds
+:data:`~repro.cpu.exec_core.FAST_HANDLERS` and
 the register use behind pipeline hazards), run by the observed step
 :func:`~repro.cpu.exec_core.execute` and, when nothing observes a run,
 by a stripped loop (:func:`repro.cpu.fastpath.run_functional`, or the

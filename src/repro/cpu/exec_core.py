@@ -6,15 +6,13 @@ observed step :func:`execute` (the pipeline, single-stepping, and any
 run with an observer attached) and the stripped loops --
 :func:`repro.cpu.fastpath.run_functional`, which also runs every lane of
 a ``--batch`` campaign, and the pipeline's scoreboard-timed loop.  The
-handlers of every instruction -- the Qat gates included -- are built
-from :data:`TEMPLATES`, one Python expression per mnemonic, which the
-stripped functional loop's translated tier also inlines into its
-compiled blocks -- so that tier adds no second copy of the semantics.
-Only ``sys`` and the four Qat ops that trap under ``strict_qat``
-(``had``, ``meas``, ``next``, ``pop``), each with its own trap, keep a
-hand-written handler.  The register use behind pipeline hazards
-(:func:`static_effects`) is derived from the same rows, plus one small
-table for ``sys`` and the Qat ops (:data:`REGISTER_USE`).
+handlers of every instruction but ``sys`` -- the Qat gates and readouts
+included -- are built from :data:`TEMPLATES`, one Python expression per
+mnemonic, which the stripped functional loop's translated tier also
+inlines into its compiled blocks -- so that tier adds no second copy of
+the semantics.  Only ``sys`` keeps a hand-written handler.  The register
+use behind pipeline hazards (:func:`static_effects`) is derived from the
+same rows (:data:`REGISTER_USE`).
 
 Semantics follow Tables 1 and 3 exactly where the paper specifies them;
 where it leaves detail to the implementer the choices are documented
@@ -27,7 +25,8 @@ inline (and in DESIGN.md):
 - Branch truth is "register non-zero"; offsets are relative to the
   *following* instruction.
 - ``mul`` keeps the low 16 bits of the product.
-- ``meas``/``next``/``pop`` index channels modulo the AoB length.
+- ``meas`` indexes channels modulo the AoB length; ``next`` and ``pop``
+  read 0 past the last channel.
 """
 
 from __future__ import annotations
@@ -176,92 +175,95 @@ def execute(machine, instr: Instr, syscalls=None) -> Effects:
 # Signature: ``handler(machine, instr, ops, pc_next, syscalls) -> next_pc``.
 # The caller owns ``machine.pc = next_pc`` and the ``instret`` increment.
 
-#: The semantics of every instruction but ``sys`` and the Qat ops that
-#: trap under ``strict_qat``, one row per mnemonic: ``(writes,
-#: expression, trap)``.  ``writes`` says where the expression's value
-#: goes: ``"d"`` into register ``$d``, ``"pc"`` into the PC, ``None``
-#: nowhere (it runs for its effect).  In the expression ``{d}``, ``{s}``,
-#: ``{c}`` and ``{a}`` stand for the 16-bit value of the operand register
-#: of that kind, ``{A}``, ``{B}`` and ``{C}`` for Qat register numbers,
-#: ``{i}`` and ``{o}`` for the immediate and the branch offset, and
-#: ``{n}`` for the address of the following instruction.  ``trap`` names
-#: the trap the instruction can take: ``"bf16"`` (a non-finite result,
-#: under ``trap_bf16``) or ``"fence"`` (an address at or above
-#: ``mem_fence``).
+#: The semantics of every instruction but ``sys``, one row per mnemonic:
+#: ``(writes, expression, trap, qat)``.  ``writes`` says where the
+#: expression's value goes: ``"d"`` into register ``$d``, ``"pc"`` into
+#: the PC, ``None`` nowhere (it runs for its effect).  In the expression
+#: ``{d}``, ``{s}``, ``{c}`` and ``{a}`` stand for the 16-bit value of the
+#: operand register of that kind, ``{A}``, ``{B}`` and ``{C}`` for Qat
+#: register numbers, ``{i}``, ``{k}`` and ``{o}`` for the immediate, the
+#: Hadamard index and the branch offset, and ``{n}`` for the address of
+#: the following instruction.  ``trap`` names the trap the instruction
+#: can take: ``"bf16"`` (a non-finite result, under ``trap_bf16``),
+#: ``"fence"`` (an address at or above ``mem_fence``) or ``"qat"`` (under
+#: ``strict_qat``: ``k`` of ``had`` not below ``ways``, a readout's
+#: channel ``$d`` past the AoB, or a ``pop`` count past 16 bits, which
+#: the row names ``count``).  Without the trap the expression is the
+#: lenient semantics.  ``qat`` gives the Qat registers the row reads and
+#: writes, as operand kinds ``"read>written"`` (its expression names them
+#: by number, so cannot show their use).
 #: :func:`_template_handler` builds each row's :data:`FAST_HANDLERS`
 #: entry, and :mod:`repro.cpu.fastpath` inlines the same expressions into
 #: translated blocks, which only hold rows whose trap the policy rules out.
 TEMPLATES = {
-    "add": ("d", "({d} + {s}) & 0xFFFF", None),
+    "add": ("d", "({d} + {s}) & 0xFFFF", None, ""),
     # bf16: a NaN operand (above infinity's 0x7F80) gives 0x7FC0 (int: 0).
     "addf": ("d", "0x7FC0 if ({d} & 0x7FFF) > 0x7F80 or ({s} & 0x7FFF) > "
-                  "0x7F80 else fadd({d}, {s})", "bf16"),
-    "and": ("d", "{d} & {s}", None),
-    "brf": ("pc", "({n} + {o}) & 0xFFFF if {c} == 0 else {n}", None),
-    "brt": ("pc", "({n} + {o}) & 0xFFFF if {c} != 0 else {n}", None),
-    "copy": ("d", "{s}", None),
-    "float": ("d", "itof({d})", None),
-    "int": ("d", "0 if ({d} & 0x7FFF) > 0x7F80 else ftoi({d})", None),
-    "jumpr": ("pc", "{a}", None),
-    "lex": ("d", "(({i} & 0xFF) ^ 0x80) - 0x80 & 0xFFFF", None),
-    "lhi": ("d", "{d} & 0xFF | ({i} & 0xFF) << 8", None),
-    "load": ("d", "machine.mem[{s}]", "fence"),
-    "mul": ("d", "{d} * {s} & 0xFFFF", None),
+                  "0x7F80 else fadd({d}, {s})", "bf16", ""),
+    "and": ("d", "{d} & {s}", None, ""),
+    "brf": ("pc", "({n} + {o}) & 0xFFFF if {c} == 0 else {n}", None, ""),
+    "brt": ("pc", "({n} + {o}) & 0xFFFF if {c} != 0 else {n}", None, ""),
+    "copy": ("d", "{s}", None, ""),
+    "float": ("d", "itof({d})", None, ""),
+    "int": ("d", "0 if ({d} & 0x7FFF) > 0x7F80 else ftoi({d})", None, ""),
+    "jumpr": ("pc", "{a}", None, ""),
+    "lex": ("d", "(({i} & 0xFF) ^ 0x80) - 0x80 & 0xFFFF", None, ""),
+    "lhi": ("d", "{d} & 0xFF | ({i} & 0xFF) << 8", None, ""),
+    "load": ("d", "machine.mem[{s}]", "fence", ""),
+    "mul": ("d", "{d} * {s} & 0xFFFF", None, ""),
     "mulf": ("d", "0x7FC0 if ({d} & 0x7FFF) > 0x7F80 or ({s} & 0x7FFF) > "
-                  "0x7F80 else fmul({d}, {s})", "bf16"),
-    "neg": ("d", "-{d} & 0xFFFF", None),
-    "negf": ("d", "0x7FC0 if ({d} & 0x7FFF) > 0x7F80 else {d} ^ 0x8000", None),
-    "not": ("d", "~{d} & 0xFFFF", None),
-    "or": ("d", "{d} | {s}", None),
+                  "0x7F80 else fmul({d}, {s})", "bf16", ""),
+    "neg": ("d", "-{d} & 0xFFFF", None, ""),
+    "negf": ("d", "0x7FC0 if ({d} & 0x7FFF) > 0x7F80 else {d} ^ 0x8000",
+             None, ""),
+    "not": ("d", "~{d} & 0xFFFF", None, ""),
+    "or": ("d", "{d} | {s}", None, ""),
     "recip": ("d", "0x7FC0 if ({d} & 0x7FFF) > 0x7F80 else frecip({d})",
-              "bf16"),
+              "bf16", ""),
     # $s is signed: 0..15 shift left, 0xFFF1..0xFFFF (-15..-1) right.
     "shift": ("d", "{d} << {s} & 0xFFFF if {s} < 16 else "
-                   "{d} >> 0x10000 - {s} if {s} > 0xFFF0 else 0", None),
+                   "{d} >> 0x10000 - {s} if {s} > 0xFFF0 else 0", None, ""),
     # Flipping the sign bit maps signed order onto unsigned order.
-    "slt": ("d", "1 if {d} ^ 0x8000 < {s} ^ 0x8000 else 0", None),
-    "store": (None, "machine.write_mem({s}, {d})", "fence"),
-    "xor": ("d", "{d} ^ {s}", None),
+    "slt": ("d", "1 if {d} ^ 0x8000 < {s} ^ 0x8000 else 0", None, ""),
+    "store": (None, "machine.write_mem({s}, {d})", "fence", ""),
+    "xor": ("d", "{d} ^ {s}", None, ""),
     # Qat gates (Table 3): one call on the coprocessor register file.
-    "qand": (None, 'machine.qat.binary("and", {A}, {B}, {C})', None),
-    "qccnot": (None, "machine.qat.ccnot({A}, {B}, {C})", None),
-    "qcnot": (None, "machine.qat.cnot({A}, {B})", None),
-    "qcswap": (None, "machine.qat.cswap({A}, {B}, {C})", None),
-    "qnot": (None, "machine.qat.invert({A})", None),
-    "qone": (None, "machine.qat.one({A})", None),
-    "qor": (None, 'machine.qat.binary("or", {A}, {B}, {C})', None),
-    "qswap": (None, "machine.qat.swap({A}, {B})", None),
-    "qxor": (None, 'machine.qat.binary("xor", {A}, {B}, {C})', None),
-    "qzero": (None, "machine.qat.zero({A})", None),
+    "qand": (None, 'machine.qat.binary("and", {A}, {B}, {C})', None, "BC>A"),
+    "qccnot": (None, "machine.qat.ccnot({A}, {B}, {C})", None, "ABC>A"),
+    "qcnot": (None, "machine.qat.cnot({A}, {B})", None, "AB>A"),
+    "qcswap": (None, "machine.qat.cswap({A}, {B}, {C})", None, "ABC>AB"),
+    "qhad": (None, "machine.qat.had({A}, {k})", "qat", ">A"),
+    "qnot": (None, "machine.qat.invert({A})", None, "A>A"),
+    "qone": (None, "machine.qat.one({A})", None, ">A"),
+    "qor": (None, 'machine.qat.binary("or", {A}, {B}, {C})', None, "BC>A"),
+    "qswap": (None, "machine.qat.swap({A}, {B})", None, "AB>AB"),
+    "qxor": (None, 'machine.qat.binary("xor", {A}, {B}, {C})', None, "BC>A"),
+    "qzero": (None, "machine.qat.zero({A})", None, ">A"),
+    # Readouts: $d names the channel and receives the value.  Only meas
+    # wraps the channel modulo the AoB length; next and pop read 0 past
+    # the last channel.  A pop count above 16 bits saturates.
+    "qmeas": ("d", "machine.qat.meas({A}, {d}) & 0xFFFF", "qat", "A>"),
+    "qnext": ("d", "machine.qat.next({A}, {d}) & 0xFFFF", "qat", "A>"),
+    "qpop": ("d", "min(count := machine.qat.pop_after({A}, {d}), 0xFFFF)",
+             "qat", "A>"),
 }
 
-#: Register use of ``sys`` and every Qat op (a template names Qat
-#: registers by number, so its expression cannot show their use):
-#: ``(operands read, operands written)`` as operand kinds.
-_SYS_QAT_USE = {
-    "sys": ("", ""),
-    **{m: ("BC", "A") for m in ("qand", "qor", "qxor")},
-    "qccnot": ("ABC", "A"),
-    "qcnot": ("AB", "A"),
-    "qcswap": ("ABC", "AB"),
-    "qswap": ("AB", "AB"),
-    "qnot": ("A", "A"),
-    **{m: ("", "A") for m in ("qzero", "qone", "qhad")},
-    # ``$d`` names the channel and receives the readout.
-    **{m: ("dA", "d") for m in ("qmeas", "qnext", "qpop")},
-}
+
+def _register_use(mnemonic: str, writes, expr: str, trap, qat: str) -> tuple:
+    qat_reads, _, qat_writes = qat.partition(">")
+    return ("".join(k for k in INSTRUCTIONS[mnemonic].operands
+                    if k in "dsca" and "{%s}" % k in expr) + qat_reads,
+            ("d" if writes == "d" else "") + qat_writes)
+
 
 #: mnemonic -> ``(operands read, operands written)`` as operand kinds
 #: (lower case a GPR, upper case a Qat register), which
 #: :func:`static_effects` turns into hazard sets.  A :data:`TEMPLATES`
-#: row outside :data:`_SYS_QAT_USE` reads the registers its expression
-#: names and writes ``$d`` when its value goes there.
+#: row reads the GPRs its expression names, writes ``$d`` when its value
+#: goes there, and uses the Qat registers its ``qat`` column names.
 REGISTER_USE = {
-    **{m: ("".join(k for k in INSTRUCTIONS[m].operands
-                   if k in "dsca" and "{%s}" % k in expr),
-           "d" if writes == "d" else "")
-       for m, (writes, expr, _) in TEMPLATES.items()},
-    **_SYS_QAT_USE,
+    "sys": ("", ""),
+    **{m: _register_use(m, *row) for m, row in TEMPLATES.items()},
 }
 
 #: Names a template expression may use besides its operands and ``machine``.
@@ -271,12 +273,12 @@ _TRAP_CALL = ('machine.trap(TrapCause.{}, detail=f"{}", '
               'instruction=instr.render(), resume_pc=pc_next)')
 
 
-def _template_handler(mnemonic: str, writes, expr: str, trap) -> str:
+def _template_handler(mnemonic: str, writes, expr: str, trap, qat) -> str:
     """Source of the :data:`FAST_HANDLERS` entry of a :data:`TEMPLATES` row."""
     fields = {"n": "pc_next"}
     body = []
     for pos, kind in enumerate(INSTRUCTIONS[mnemonic].operands):
-        if kind in "ioABC":
+        if kind in "ioABCk":
             fields[kind] = f"ops[{pos}]"
         elif "{%s}" % kind in expr:
             fields[kind] = kind
@@ -298,6 +300,23 @@ def _template_handler(mnemonic: str, writes, expr: str, trap) -> str:
                      "BF16_FAULT",
                      f"{mnemonic} produced non-finite bf16 {{result:#06x}}")]
         value = "result"
+    elif trap == "qat":
+        if "k" in fields:
+            k = fields["k"]
+            check, detail = (f"{k} >= machine.ways", f"had k={{{k}}} exceeds "
+                             "{machine.ways}-way entanglement")
+        else:
+            check, detail = ("d >= machine.nbits", "channel {d} out of range "
+                             "for {machine.nbits}-channel AoB")
+        body += [f"if machine.trap_policy.strict_qat and {check}:",
+                 "    " + _TRAP_CALL.format("QAT_FAULT", detail)]
+        if "count :=" in expr:
+            body += [f"result = {value}",
+                     "if count > 0xFFFF and machine.trap_policy.strict_qat:",
+                     "    " + _TRAP_CALL.format(
+                         "QAT_FAULT", "pop after channel {d} counted {count} "
+                         "ones, exceeding the 16-bit destination")]
+            value = "result"
     if writes == "pc":
         body.append(f"return {value}")
     else:
@@ -323,75 +342,7 @@ def _fast_sys(machine, instr, ops, pc_next, syscalls):
     return pc_next
 
 
-def _fast_qhad(machine, instr, ops, pc_next, syscalls):
-    if machine.trap_policy.strict_qat and ops[1] >= machine.ways:
-        machine.trap(
-            TrapCause.QAT_FAULT,
-            detail=f"had k={ops[1]} exceeds {machine.ways}-way entanglement",
-            instruction=instr.render(),
-            resume_pc=pc_next,
-        )
-    machine.qat.had(ops[0], ops[1])
-    return pc_next
-
-
-def _channel(machine, instr, d, pc_next) -> int:
-    """The AoB channel a readout names in ``$d``.
-
-    Under ``strict_qat`` a channel past the AoB is a ``qat_fault``.
-    """
-    channel = machine.regs[d]
-    if machine.trap_policy.strict_qat and channel >= machine.nbits:
-        machine.trap(
-            TrapCause.QAT_FAULT,
-            detail=f"channel {channel} out of range for "
-                   f"{machine.nbits}-channel AoB",
-            instruction=instr.render(),
-            resume_pc=pc_next,
-        )
-    return channel
-
-
-def _fast_qmeas(machine, instr, ops, pc_next, syscalls):
-    d = ops[0]
-    machine.regs[d] = machine.qat.meas(
-        ops[1], _channel(machine, instr, d, pc_next)) & 0xFFFF
-    return pc_next
-
-
-def _fast_qnext(machine, instr, ops, pc_next, syscalls):
-    d = ops[0]
-    machine.regs[d] = machine.qat.next(
-        ops[1], _channel(machine, instr, d, pc_next)) & 0xFFFF
-    return pc_next
-
-
-def _fast_qpop(machine, instr, ops, pc_next, syscalls):
-    d = ops[0]
-    channel = _channel(machine, instr, d, pc_next)
-    value = machine.qat.pop_after(ops[1], channel)
-    if value > 0xFFFF:
-        if machine.trap_policy.strict_qat:
-            machine.trap(
-                TrapCause.QAT_FAULT,
-                detail=f"pop after channel {channel} counted {value} "
-                       f"ones, exceeding the 16-bit destination",
-                instruction=instr.render(),
-                resume_pc=pc_next,
-            )
-        value = 0xFFFF
-    machine.regs[d] = value
-    return pc_next
-
-
 #: mnemonic -> fast handler; covers every entry of :data:`INSTRUCTIONS`.
-FAST_HANDLERS = {
-    **_template_handlers(),
-    "sys": _fast_sys,
-    "qhad": _fast_qhad,
-    "qmeas": _fast_qmeas,
-    "qnext": _fast_qnext,
-    "qpop": _fast_qpop,
-}
+FAST_HANDLERS = {**_template_handlers(), "sys": _fast_sys}
 
 assert set(FAST_HANDLERS) == set(INSTRUCTIONS), "fast dispatch table out of sync"

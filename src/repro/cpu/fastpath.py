@@ -31,13 +31,14 @@ everything an unobserved run does not need:
   visited :data:`HOT_THRESHOLD` times, the run of instructions from it
   that cannot trap under the machine's trap policy, up to and including
   the next branch, jump or store, is compiled into one Python closure
-  that keeps the registers in locals.  The instructions are inlined
-  from :data:`repro.cpu.exec_core.TEMPLATES`, the table that also
-  builds their handlers, Qat gates included; only the Qat ops that can
-  trap under ``strict_qat`` call their handlers.  Compiled code is
-  cached process-wide (:data:`CODE_CACHE_LIMIT`) on the leader and its
-  entries alone, so every machine loaded with the same program, on any
-  engine, runs the same closure.  The pipelined simulator's stripped
+  that keeps the registers in locals.  Every instruction it holds is
+  inlined from :data:`repro.cpu.exec_core.TEMPLATES`, the table that
+  also builds the handlers, Qat gates and readouts included; a block
+  stops before ``sys``, the one instruction without a row, so it calls
+  no handler.  Compiled code is cached process-wide
+  (:data:`CODE_CACHE_LIMIT`) on the leader and its entries alone, so
+  every machine loaded with the same program, on any engine, runs the
+  same closure.  The pipelined simulator's stripped
   loop (:mod:`repro.cpu.pipeline`) times a block from a table kept
   beside its closure, one per pipeline configuration.
 - **Selection** (:func:`eligible`): a stripped loop is only taken
@@ -90,8 +91,6 @@ CODE_CACHE_LIMIT = 1024
 _BLOCK_ENDS = frozenset(("brf", "brt", "jumpr", "store"))
 #: Mnemonics whose successor is a leader (``None``: an undecodable word).
 _LEADS = _BLOCK_ENDS | {"sys", None}
-#: The Qat ops that can trap under ``strict_qat``.
-_STRICT_QAT = frozenset(("qhad", "qmeas", "qnext", "qpop"))
 
 
 class Predecoded:
@@ -253,12 +252,9 @@ def _untranslatable(policy) -> frozenset:
 
 @lru_cache(maxsize=None)
 def _unsafe(bf16: bool, fence: bool, strict_qat: bool) -> frozenset:
-    traps = {"bf16": bf16, "fence": fence}
-    unsafe = {m for m, (_, _, trap) in TEMPLATES.items()
-              if trap and traps[trap]}
-    if strict_qat:
-        unsafe |= _STRICT_QAT
-    return frozenset(unsafe | {"sys"})
+    traps = {"bf16": bf16, "fence": fence, "qat": strict_qat}
+    return frozenset({m for m, (_, _, trap, _) in TEMPLATES.items()
+                      if trap and traps[trap]} | {"sys"})
 
 
 #: ``(leader pc, entries) -> (run, records, tables)``, shared by every
@@ -276,53 +272,39 @@ def _compile(start: int, chain: list) -> tuple:
 
     Registers live in locals ``r0``..``r15``: each is read from
     ``machine.regs`` before its first use and written back once, at the
-    end.  :data:`TEMPLATES` rows are inlined, Qat gates included (their
-    register numbers are literals); any other instruction (a Qat op that
-    can trap under ``strict_qat``) calls its :data:`FAST_HANDLERS` entry,
-    with the GPRs its :class:`~repro.cpu.exec_core.StaticEffects` name
-    synced around the call.
+    end.  Each instruction's :data:`TEMPLATES` row is inlined, Qat gates
+    and readouts included (Qat register numbers and immediates are
+    literals); a block never holds ``sys``, the one instruction without
+    a row, so it calls no handler.
     """
     namespace = dict(TEMPLATE_GLOBALS)
     body, dirty, have = [], set(), set()
     records = []
     pc = start
     tail = None
-    for k, entry in enumerate(chain):
+    for entry in chain:
         records.append((_flight.RETIRE, pc, entry.raw))
         pc_next = (pc + entry.words) & 0xFFFF
-        row = TEMPLATES.get(entry.mnemonic)
-        if row is None:
-            stat = entry.static
-            body += [f"regs[{r}] = r{r}"
-                     for r in sorted(stat.reads_gpr & dirty)]
-            dirty -= stat.reads_gpr
-            namespace.update({f"h{k}": entry.handler, f"i{k}": entry.instr,
-                              f"o{k}": entry.ops})
-            body.append(f"h{k}(machine, i{k}, o{k}, {pc_next}, None)")
-            body += [f"r{r} = regs[{r}]" for r in sorted(stat.writes_gpr)]
-            have |= stat.writes_gpr
-            dirty -= stat.writes_gpr
+        writes, expr, _, _ = TEMPLATES[entry.mnemonic]
+        fields = {"n": str(pc_next)}
+        for kind, value in zip(INSTRUCTIONS[entry.mnemonic].operands,
+                               entry.ops):
+            if kind in "ioABCk":
+                fields[kind] = f"({value})"
+                continue
+            fields[kind] = f"r{value}"
+            if "{%s}" % kind in expr and value not in have:
+                body.append(f"r{value} = regs[{value}]")
+                have.add(value)
+        text = expr.format(**fields)
+        if writes == "d":
+            body.append(f"r{entry.ops[0]} = {text}")
+            have.add(entry.ops[0])
+            dirty.add(entry.ops[0])
+        elif writes == "pc":
+            tail = f"return {text}"
         else:
-            writes, expr, _ = row
-            fields = {"n": str(pc_next)}
-            for kind, value in zip(INSTRUCTIONS[entry.mnemonic].operands,
-                                   entry.ops):
-                if kind in "ioABC":
-                    fields[kind] = f"({value})"
-                    continue
-                fields[kind] = f"r{value}"
-                if "{%s}" % kind in expr and value not in have:
-                    body.append(f"r{value} = regs[{value}]")
-                    have.add(value)
-            text = expr.format(**fields)
-            if writes == "d":
-                body.append(f"r{entry.ops[0]} = {text}")
-                have.add(entry.ops[0])
-                dirty.add(entry.ops[0])
-            elif writes == "pc":
-                tail = f"return {text}"
-            else:
-                body.append(text)
+            body.append(text)
         pc = pc_next
     lines = (["regs = machine.regs"] + body
              + [f"regs[{r}] = r{r}" for r in sorted(dirty)]

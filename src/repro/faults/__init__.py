@@ -31,8 +31,8 @@ from repro.faults.traps import (
     TrapRecord,
 )
 
-_LAZY_EXPORTS = {"RunResult": "campaign", "golden_run": "campaign",
-                 "render_report": "campaign", "run_campaign": "campaign",
+_LAZY_EXPORTS = {"golden_run": "campaign", "render_report": "campaign",
+                 "run_campaign": "campaign",
                  "AutoCheckpointer": "checkpoint", "Checkpoint": "checkpoint",
                  "FORMAT_VERSION": "checkpoint"}
 
@@ -42,7 +42,6 @@ __all__ = [
     "FORMAT_VERSION",
     "FaultEvent",
     "FaultPlan",
-    "RunResult",
     "TARGETS",
     "TrapAction",
     "TrapCause",

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.cpu import new_simulator
 from repro.cpu.batch import BatchFunctionalSimulator
@@ -51,30 +51,13 @@ _WATCHDOG_FACTOR = 4
 _WATCHDOG_SLACK = 64
 
 
-@dataclass
-class RunResult:
-    """Classification of one faulted run."""
-
-    run: int
-    seed: int
-    outcome: str
-    events: list[dict] = field(default_factory=list)
-    traps: list[dict] = field(default_factory=list)
-    error: str | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "run": self.run,
-            "seed": self.seed,
-            "outcome": self.outcome,
-            "events": self.events,
-            "traps": self.traps,
-            "error": self.error,
-        }
-
-
+@lru_cache(maxsize=None)
 def _load_program(name: str):
-    """Resolve a campaign program by name (lazy: pulls in repro.apps)."""
+    """Resolve a campaign program by name (lazy: pulls in repro.apps).
+
+    Assembled once per process: campaign tasks carry only the program
+    *name*, and nothing mutates a loaded ``Program``.
+    """
     from repro.apps import compile_factor_program, fig10_program
 
     if name == "fig10":
@@ -98,19 +81,6 @@ def golden_run(program, sim: str = "functional", ways: int = 8,
     return _architectural_result(reference.machine), steps
 
 
-#: Per-worker-process program cache: campaign tasks arrive carrying only
-#: the program *name*, and loading/assembling it once per worker (not
-#: once per run) keeps the fan-out overhead flat.
-_WORKER_IMAGES: dict[str, object] = {}
-
-
-def _worker_image(program: str):
-    image = _WORKER_IMAGES.get(program)
-    if image is None:
-        image = _WORKER_IMAGES[program] = _load_program(program)
-    return image
-
-
 def _worker_init() -> None:
     """Set up one campaign worker process.
 
@@ -119,7 +89,6 @@ def _worker_init() -> None:
     durations).
     """
     _obs.install(None)
-    _WORKER_IMAGES.clear()
 
 
 def _enter_run(task: tuple, attempt: int = 0) -> None:
@@ -169,14 +138,14 @@ def _classify(task: tuple, plan: FaultPlan, machine,
         outcome = MASKED
     else:
         outcome = SILENT
-    return RunResult(
-        run=run,
-        seed=plan.seed,
-        outcome=outcome,
-        events=[e.as_dict() for e in plan.events],
-        traps=[r.as_dict() for r in machine.traps],
-        error=error,
-    ).as_dict()
+    return {
+        "run": run,
+        "seed": plan.seed,
+        "outcome": outcome,
+        "events": [e.as_dict() for e in plan.events],
+        "traps": [r.as_dict() for r in machine.traps],
+        "error": error,
+    }
 
 
 class _CampaignBatch(BatchFunctionalSimulator):
@@ -231,7 +200,7 @@ def _run_lanes(chunk: list, image, attempt: int = 0) -> list:
 def _single_run(task: tuple, attempt: int = 0) -> tuple[int, dict, float, int, int]:
     """Execute one faulted run in a worker; pure function of its task.
 
-    Returns ``(run index, RunResult dict, wall seconds, steps, worker)``
+    Returns ``(run index, report entry, wall seconds, steps, worker)``
     so results can be merged deterministically regardless of worker
     scheduling; the trailing wall/steps/worker fields feed the progress
     layer and never enter the report.  ``attempt`` is the supervisor's
@@ -242,7 +211,7 @@ def _single_run(task: tuple, attempt: int = 0) -> tuple[int, dict, float, int, i
     from repro.obs.progress import worker_ident
 
     ((detail, seconds, steps),) = _run_lanes(
-        [task], _worker_image(task[1]), attempt)
+        [task], _load_program(task[1]), attempt)
     return task[0], detail, seconds, steps, worker_ident()
 
 
@@ -264,7 +233,7 @@ class CampaignInterrupted(ReproError):
 
 
 def _toxic_detail(run: int, seed: int, outcome) -> dict:
-    """RunResult-shaped dict for a quarantined (poison) shard."""
+    """Report entry of a quarantined (poison) shard."""
     return {
         "run": run,
         "seed": seed * 1_000_003 + run,
@@ -436,7 +405,6 @@ def run_campaign(
 
         config = supervise if supervise is not None \
             else SupervisorConfig(jobs=jobs)
-        _WORKER_IMAGES.setdefault(program, image)
 
         def _on_result(outcome) -> None:
             if outcome.ok:

@@ -5,8 +5,8 @@ state through both the real executor and an independent one-line Python
 model of the table's functionality column.  :class:`TestInlinedCorners`
 adds fixed corner operands for every instruction a translated block
 inlines, run both translated and through its ``FAST_HANDLERS`` entry;
-the Qat gates run over a preloaded register file on the dense and the
-RE backend.
+the Qat gates and readouts run over a preloaded register file on the
+dense and the RE backend.
 """
 
 import hashlib
@@ -296,7 +296,18 @@ QAT_MODELS = {
     "qnot": lambda q, a: {a: ~q[a]},
     "qzero": lambda q, a: {a: AoB.zeros(q[a].ways)},
     "qone": lambda q, a: {a: AoB.ones(q[a].ways)},
+    "qhad": lambda q, a, k: {a: AoB.hadamard(q[a].ways, k)},
 }
+#: Qat readout -> model of the new ``$d`` from the register's bits ``v``,
+#: its channel count ``n`` and the channel ``ch`` in ``$d``.
+READOUT_MODELS = {
+    "qmeas": lambda v, n, ch: v >> ch % n & 1,
+    "qnext": lambda v, n, ch: next(
+        (c for c in range(ch + 1, n) if v >> c & 1), 0),
+    "qpop": lambda v, n, ch: min(bin(v >> ch + 1).count("1"), 0xFFFF),
+}
+#: Readout channels: each end of a register, past it, and the largest.
+CHANNELS = (0, 1, 63, 64, 254, 255, 256, 300, 0xFFFF)
 #: Qat register operands per operand count: distinct, aliased, high.
 QAT_OPERANDS = {
     3: ((3, 1, 2), (0, 0, 1), (0, 1, 0), (1, 0, 0), (5, 5, 5), (255, 128, 7)),
@@ -364,15 +375,42 @@ def _check_qat_row(mnemonic):
             assert machine.regs == [0] * 16, case
 
 
+def _check_readout_row(mnemonic):
+    """Translated block, handler and :data:`READOUT_MODELS` at every
+    channel of :data:`CHANNELS`, on each backend."""
+    model = READOUT_MODELS[mnemonic]
+    for backend, reg, channel in product(QAT_BACKENDS, (3, 255), CHANNELS):
+        instr = Instr(mnemonic, (0, reg))
+        want = model(QREGS[reg].to_int(), 1 << QAT_WAYS, channel)
+        for translated in (True, False):
+            machine = _run_corner(instr, channel, 0, translated,
+                                  ways=QAT_WAYS,
+                                  qat_backend=QAT_BACKENDS[backend](),
+                                  qregs=QREGS)
+            case = (f"{instr.render()} with $0={channel} on {backend}, "
+                    f"translated={translated}")
+            assert machine.regs == [want] + [0] * 15, case
+            assert machine.pc == ORIGIN + len(encode(instr)), case
+
+
 class TestInlinedCorners:
     def test_every_inlined_mnemonic_is_covered(self):
         assert set(TEMPLATES) <= (set(REG0_MODELS) | set(QAT_MODELS)
+                                  | set(READOUT_MODELS)
                                   | {"brf", "brt", "jumpr", "store"})
+
+    def test_every_handler_but_sys_is_compiled_from_templates(self):
+        assert {m for m, handler in FAST_HANDLERS.items()
+                if handler.__code__.co_filename
+                != "<exec_core.TEMPLATES>"} == {"sys"}
 
     @pytest.mark.parametrize("mnemonic", sorted(TEMPLATES))
     def test_translated_block_matches_handler_and_model(self, mnemonic):
         if mnemonic in QAT_MODELS:
             _check_qat_row(mnemonic)
+            return
+        if mnemonic in READOUT_MODELS:
+            _check_readout_row(mnemonic)
             return
         for ops, d, s in _corner_cases(mnemonic):
             instr = Instr(mnemonic, ops)
@@ -399,9 +437,9 @@ class TestInlinedCorners:
                 assert got.pc == target, case
 
     def test_translated_qat_gate_calls_no_handler(self, monkeypatch):
-        """A block inlines each Qat gate: with every gate's handler
-        replaced by one that fails, translated runs still match the
-        model."""
+        """A block inlines each Qat gate and readout: with every Qat
+        op's handler replaced by one that fails, translated runs still
+        match the model."""
         def refuse(*args):
             raise AssertionError("a translated block called a handler")
 
@@ -409,7 +447,7 @@ class TestInlinedCorners:
         # against the refusing handlers.
         monkeypatch.setattr(fastpath, "_INTERN", {})
         monkeypatch.setattr(fastpath, "_CODE", {})
-        for mnemonic in QAT_MODELS:
+        for mnemonic in (*QAT_MODELS, *READOUT_MODELS):
             monkeypatch.setitem(FAST_HANDLERS, mnemonic, refuse)
         for mnemonic, model in QAT_MODELS.items():
             ops = QAT_OPERANDS[len(INSTRUCTIONS[mnemonic].operands)][0]
@@ -417,3 +455,8 @@ class TestInlinedCorners:
                                   ways=QAT_WAYS, qregs=QREGS)
             for reg, value in model(QREGS, *ops).items():
                 assert machine.read_qreg(reg) == value, mnemonic
+        for mnemonic, model in READOUT_MODELS.items():
+            machine = _run_corner(Instr(mnemonic, (0, 3)), 64, 0, True,
+                                  ways=QAT_WAYS, qregs=QREGS)
+            assert machine.read_reg(0) == model(QREGS[3].to_int(),
+                                                1 << QAT_WAYS, 64), mnemonic

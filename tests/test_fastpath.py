@@ -24,11 +24,13 @@ from repro.cpu import (
     fastpath,
 )
 from repro.faults.inject import FaultEvent, FaultPlan, apply_event
+from repro.cpu.exec_core import FAST_HANDLERS
 from repro.faults.traps import TrapPolicy
 from repro.isa import INSTRUCTIONS
 
-from tests.conformance import (STALLED_FALL_THROUGH, STORE_AT_ZERO, Program,
-                               check, every_leader_hot, store_ahead)
+from tests.conformance import (BACKENDS, STALLED_FALL_THROUGH, STORE_AT_ZERO,
+                               Program, check, every_leader_hot, oracle,
+                               run_engine, store_ahead)
 
 SIMS = [FunctionalSimulator, MultiCycleSimulator, PipelinedSimulator]
 HOT_LOOP = Path(__file__).resolve().parents[1] / "examples" / "hot_loop.s"
@@ -196,7 +198,8 @@ TRIP_15 = 7 + 14 * 7
 
 #: Hot loops that trap part-way under one trap-policy knob each: a bf16
 #: product overflowing to inf, a load and store walking into the fence,
-#: and a ``meas`` channel walking past a 6-way register's 64 channels.
+#: and a ``meas`` channel walking past a 6-way register's 64 channels,
+#: alone and among every other Qat readout and ``had``.
 POLICY_LOOPS = {
     "trap_bf16": ("""\
         lex $7, 100
@@ -239,7 +242,66 @@ top:    add $7, $13
         lex $rv, 0
         sys
 """, dict(strict_qat=True)),
+    "strict_qat_readouts": ("""\
+        had @0, 3
+        lex $7, 20
+        lex $13, -1
+        lex $12, 4
+        lex $1, 0
+top:    add $7, $13
+        had @1, 2
+        copy $8, $1
+        meas $8, @0
+        copy $9, $1
+        next $9, @1
+        copy $10, $1
+        pop $10, @0
+        add $5, $8
+        add $5, $9
+        add $5, $10
+        add $1, $12
+        brt $7, top
+        lex $rv, 0
+        sys
+""", dict(strict_qat=True)),
 }
+#: The Qat ops with a ``strict_qat`` trap.
+STRICT_QAT_OPS = ("qhad", "qmeas", "qnext", "qpop")
+#: ``pop`` after channel 0 of an all-ones 18-way register, in a hot
+#: loop: 262,143 ones saturate the 16-bit destination.
+SATURATING_POP = """\
+        one @5
+        lex $15, 3
+        lex $13, -1
+top:    lex $0, 0
+        pop $0, @5
+        add $15, $13
+        brt $15, top
+        lex $rv, 0
+        sys
+"""
+
+
+def _inlined_runs_match_the_oracle(program, monkeypatch) -> None:
+    """The lenient oracle, then every translated engine with the Qat
+    ops' handlers refused: their blocks must hold those ops inline."""
+    def refuse(*args):
+        raise AssertionError("a translated block called a handler")
+
+    expected = oracle(program, TrapPolicy())
+    # Fresh intern and code tables, so every entry and block is built
+    # against the refusing handlers.
+    monkeypatch.setattr(fastpath, "_INTERN", {})
+    monkeypatch.setattr(fastpath, "_CODE", {})
+    for mnemonic in STRICT_QAT_OPS:
+        monkeypatch.setitem(FAST_HANDLERS, mnemonic, refuse)
+    for engine in ("functional.hot", "multicycle.hot", "batch.3lanes",
+                   "pipelined.5fwd.hot", "pipelined.4nofwd.1port.hot"):
+        for backend in BACKENDS:
+            for got in run_engine(engine, program, backend, TrapPolicy()):
+                got.pop("cycles", None)
+                got.pop("timing", None)
+                assert got == expected, f"{engine}/{backend}"
 
 
 def _state(machine) -> tuple:
@@ -321,6 +383,29 @@ class TestTranslatedBlocks:
         fastpath.run_functional(sims[1], sims[0].machine.traps[0].instret)
         assert any(fastpath.cache_for(sims[1].machine).blocks.values())
         check(Program.from_asm(source, **knobs))
+
+    def test_hot_qat_readouts_are_inlined(self, monkeypatch):
+        """Lenient, a block holds ``had``, ``meas``, ``next`` and
+        ``pop`` inline, and still matches the oracle."""
+        source, _ = POLICY_LOOPS["strict_qat_readouts"]
+        program = Program.from_asm(source)
+        check(program)
+        _inlined_runs_match_the_oracle(program, monkeypatch)
+
+    def test_inlined_pop_saturates_and_traps_like_the_observed_step(
+            self, monkeypatch):
+        """An 18-way ``pop`` counting past 65,535 ones reads 0xFFFF
+        inline, as the observed step does; under ``strict_qat`` every
+        engine records the oracle's trap."""
+        lenient = Program.from_asm(SATURATING_POP, ways=18)
+        strict = Program.from_asm(SATURATING_POP, ways=18, strict_qat=True)
+        assert oracle(lenient, TrapPolicy())["regs"][0] == 0xFFFF
+        traps = oracle(strict, TrapPolicy.halting(strict_qat=True))["traps"]
+        assert [t["detail"] for t in traps] == [
+            "pop after channel 0 counted 262143 ones, exceeding the 16-bit "
+            "destination"]
+        check(strict)
+        _inlined_runs_match_the_oracle(lenient, monkeypatch)
 
     def test_blocks_follow_a_change_of_policy_or_cycle_costs(self):
         from repro.cpu.multicycle import CycleCosts

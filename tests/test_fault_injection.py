@@ -158,6 +158,23 @@ class TestCampaign:
         with pytest.raises(ReproError):
             run_campaign(program="nosuch", runs=1)
 
+    def test_program_is_assembled_once_per_process(self, monkeypatch):
+        from repro.apps import fig10
+        from repro.faults import campaign
+
+        assembled = []
+
+        def assemble(source):
+            assembled.append(source)
+            return real(source)
+
+        real = fig10.assemble
+        monkeypatch.setattr(fig10, "assemble", assemble)
+        campaign._load_program.cache_clear()
+        for seed in (1, 2):
+            run_campaign(program="fig10", runs=2, seed=seed)
+        assert len(assembled) == 1
+
 
 class TestNetlistStuckAt:
     def _xor_net(self):
